@@ -1,17 +1,17 @@
 //! # slr-bench — benchmark harness for the SLR reproduction
 //!
-//! Two kinds of targets:
+//! Three binaries:
 //!
-//! * **Binaries**, one per paper table/figure (`table1`, `fig3` … `fig7`,
-//!   plus `all_figures` which regenerates everything from a single sweep).
-//!   Default is a laptop-scale quick mode (50 nodes, 160 s, 3 trials);
-//!   pass `--paper` for the full §V configuration (100 nodes, 910 s,
-//!   10 trials — hours of CPU). Any registered scenario family can be
-//!   substituted with `--scenario NAME`.
-//! * **Criterion micro-benches** for the label algebra, `NEWORDER`, the
-//!   event queue, the MAC state machine, protocol packet handling, and
-//!   miniature end-to-end scenarios, including the mediant-vs-Farey
-//!   ablation from the paper's conclusion.
+//! * `all_figures` regenerates Table I and Figs. 3–7 from a single sweep,
+//!   each beside the paper's published value or shape. Default is a
+//!   laptop-scale quick mode (50 nodes, 160 s, 3 trials); pass `--paper`
+//!   for the full §V configuration (100 nodes, 910 s, 10 trials — hours
+//!   of CPU). Any registered scenario family can be substituted with
+//!   `--scenario NAME`.
+//! * `ablation_multipath` compares uni-path SRP with round-robin
+//!   multipath forwarding over the same sweep.
+//! * `benchmark` is the repository benchmark declared in
+//!   `BENCHMARK.json` (see `src/bin/benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -79,7 +79,7 @@ impl<T: FracInt> DenseLabel for Fraction<T> {
 /// open interval (Farey / Stern–Brocot reduction) instead of the raw
 /// mediant — the extension sketched in the paper's conclusion. Splitting
 /// consumes the fixed-width budget much more slowly; see the
-/// `label_strategies` bench.
+/// relabel-storm test in [`crate::sternbrocot`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FareyFraction<T: FracInt>(pub Fraction<T>);
 

@@ -461,6 +461,46 @@ mod tests {
         assert_eq!(m, Fraction::<u32>::new(2, 1_999_999).unwrap());
     }
 
+    /// The ablation behind the paper's conclusion, under a **relabel
+    /// storm**: a chain of 8 nodes between two anchors, where every node
+    /// repeatedly relabels itself strictly between its current neighbors
+    /// (the §II insertion pattern applied in place). Neighboring labels
+    /// come from independent histories, so the intervals are not Farey
+    /// neighbors — the case where reduction pays. Returns the rounds
+    /// completed before a split no longer fits `u32` (capped) and the
+    /// largest denominator produced.
+    fn relabel_storm(
+        split: impl Fn(&Fraction<u32>, &Fraction<u32>) -> Option<Fraction<u32>>,
+    ) -> (u32, u32) {
+        const N: u32 = 8;
+        const CAP: u32 = 2_000;
+        let mut labels: Vec<Fraction<u32>> = (0..N + 2).map(|i| f(i, N + 1)).collect();
+        let mut max_den = 0;
+        for round in 0..CAP {
+            for i in 1..=N as usize {
+                let Some(m) = split(&labels[i - 1], &labels[i + 1]) else {
+                    return (round, max_den);
+                };
+                max_den = max_den.max(m.den());
+                labels[i] = m;
+            }
+        }
+        (CAP, max_den)
+    }
+
+    #[test]
+    fn farey_interpolation_outlasts_raw_mediants_under_a_relabel_storm() {
+        // Raw mediants compound their denominators: a 32-bit label
+        // overflows (forcing a path reset) within a few rounds.
+        let (rounds, _) = relabel_storm(|lo, hi| lo.checked_mediant(hi));
+        assert!(rounds < 20, "mediants lasted {rounds} rounds");
+        // Farey interpolation never leaves single digits, so the cap is
+        // reached without any reset.
+        let (rounds, max_den) = relabel_storm(simplest_between);
+        assert_eq!(rounds, 2_000);
+        assert!(max_den <= 9, "Farey denominators grew to {max_den}");
+    }
+
     #[test]
     fn sb_path_order() {
         use SbPath::*;

@@ -46,7 +46,7 @@ pub use compact::VecMap;
 pub use deque::StealDeque;
 pub use engine::Simulator;
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
-pub use pool::{with_core_pool, with_pool, CorePool, CoreSession, WindowExec, WorkerPool};
+pub use pool::{with_core_pool, CorePool, CoreSession, WindowExec};
 pub use queue::{EventQueue, EventToken, Scheduled};
 pub use spatial::SpatialIndex;
 pub use time::{SimDuration, SimTime};

@@ -1,250 +1,64 @@
-//! A persistent scoped worker pool for intra-trial parallelism.
+//! A persistent scoped work-stealing pool: the unified core budget.
 //!
 //! The parallel event engine dispatches hundreds of thousands of tiny
 //! same-timestamp windows per trial; spawning threads per window (or even
-//! per trial phase) would dwarf the work. This pool spawns its threads
-//! **once** per scope and re-broadcasts a borrowed job closure to them on
-//! every window: workers spin briefly on an epoch counter (windows arrive
-//! back-to-back in the hot phase of a dense trial), then park on a
-//! condvar so an idle pool costs nothing.
-//!
-//! Two pools live here. [`WorkerPool`] is the original broadcast pool
-//! (every worker runs the same job each round). [`CorePool`] is the
-//! unified work-stealing core budget: one set of threads serves both
-//! coarse trial jobs (a shared FIFO injector — cross-trial sweep
-//! parallelism) and fine window shards (per-session [`StealDeque`]s —
-//! intra-trial parallelism), replacing the old static
-//! `workers × threads ≤ cores` split. An idle thread steals whatever
-//! exists: shards first (they block a window owner), then trial jobs.
+//! per trial phase) would dwarf the work. [`CorePool`] spawns its threads
+//! **once** per scope and serves two granularities from them: coarse
+//! trial jobs (a shared FIFO injector — cross-trial sweep parallelism)
+//! and fine window shards (per-session [`StealDeque`]s — intra-trial
+//! parallelism). An idle thread steals whatever exists: shards first
+//! (they block a window owner), then trial jobs. Idle threads spin
+//! briefly (windows arrive back-to-back in the hot phase of a dense
+//! trial), then park on a condvar so an idle pool costs nothing.
 //!
 //! ## Safety
 //!
 //! This is the only module in the workspace that uses `unsafe`. The whole
-//! of it is the classic scoped-pool lifetime erasure — in
-//! [`WorkerPool::broadcast`] and again in [`CoreSession::run_window`],
-//! with the same argument: a `&dyn Fn(usize)` is published to other
+//! of it is the classic scoped-pool lifetime erasure in
+//! [`CoreSession::run_window`]: a `&dyn Fn(usize)` is published to other
 //! threads through a raw pointer whose lifetime is erased, which is
 //! sound because
 //!
-//! * `broadcast` does not return until every worker has finished running
-//!   the job (checked through an acquire-loaded completion counter), so
-//!   the borrow outlives every dereference;
-//! * workers only read the pointer after observing the epoch increment
-//!   that is release-stored *after* the pointer write, and the caller
-//!   only overwrites it after observing the previous round's completion —
-//!   no data race on the slot;
-//! * the job must be `Sync` (it is shared by all workers concurrently)
-//!   and the data it touches is partitioned by the caller (each worker
-//!   index addresses its own disjoint shard).
+//! * `run_window` does not return until every stolen shard has finished
+//!   running the job (checked through the acquire-loaded `pending`
+//!   counter), so the borrow outlives every dereference;
+//! * thieves only read the pointer after stealing a shard that was
+//!   pushed *after* the pointer write (the deque's release/acquire pair
+//!   orders the two), and the owner only overwrites it after observing
+//!   the previous window's completion — no data race on the slot;
+//! * the job must be `Sync` (it is shared by the owner and every thief
+//!   concurrently) and the data it touches is partitioned by the caller
+//!   (each shard index addresses its own disjoint shard).
 
 #![allow(unsafe_code)]
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use crate::deque::StealDeque;
 
-/// The erased form a job is stored in while a round is in flight (raw
+/// The erased form a job is stored in while a window is in flight (raw
 /// trait-object pointers default to `'static`; validity is bounded by the
-/// broadcast round as documented above, not by the type).
+/// window as documented above, not by the type).
 type JobPtr = *const (dyn Fn(usize) + Sync);
 
-/// Spins this many times on the epoch counter before parking. Windows in
+/// Spins this many times looking for work before parking. Windows in
 /// the dense hot phase arrive within microseconds of each other; parking
 /// between them would pay a syscall round-trip per window. The count is
 /// deliberately modest so an oversubscribed host (workers > cores)
 /// degrades to parking instead of burning whole timeslices.
 const SPIN_ROUNDS: u32 = 256;
 
-struct Ctl {
-    /// The current job, valid for exactly one epoch. Written by the
-    /// broadcaster before the epoch bump, read by workers after it.
-    job: UnsafeCell<Option<JobPtr>>,
-    /// Incremented (release) once per broadcast after the job is staged.
-    epoch: AtomicU64,
-    /// Workers that have finished the current epoch's job.
-    done: AtomicUsize,
-    /// Set when the scope ends; wakes and retires every worker.
-    shutdown: AtomicBool,
-    /// Whether any worker observed a job panic this epoch.
-    panicked: AtomicBool,
-    /// Parking lot for workers that out-spun the arrival of the next job.
-    lot: Mutex<()>,
-    bell: Condvar,
-}
-
-// SAFETY: the raw job pointer is the only non-Sync field; its publication
-// and invalidation are ordered by `epoch`/`done` as described in the
-// module docs.
-unsafe impl Sync for Ctl {}
-
-/// A fixed-size pool of persistent worker threads, alive for the duration
-/// of one [`with_pool`] scope.
-pub struct WorkerPool<'a> {
-    ctl: &'a Ctl,
-    threads: usize,
-}
-
-/// Runs `f` with a pool of `threads` persistent workers (plus the calling
-/// thread, which participates in every broadcast as index 0). All workers
-/// are joined before `with_pool` returns. `threads == 0` degrades to
-/// running jobs inline with no spawns at all.
-pub fn with_pool<R>(threads: usize, f: impl FnOnce(&WorkerPool<'_>) -> R) -> R {
-    let ctl = Ctl {
-        job: UnsafeCell::new(None),
-        epoch: AtomicU64::new(0),
-        done: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        panicked: AtomicBool::new(false),
-        lot: Mutex::new(()),
-        bell: Condvar::new(),
-    };
-    std::thread::scope(|s| {
-        for w in 1..=threads {
-            let ctl = &ctl;
-            s.spawn(move || worker_loop(ctl, w));
-        }
-        let pool = WorkerPool { ctl: &ctl, threads };
-        // Shut the workers down even if `f` unwinds — `thread::scope`
-        // joins them on the way out, and a worker that never hears the
-        // shutdown would park forever.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pool)));
-        ctl.shutdown.store(true, Ordering::Release);
-        {
-            let _g = ctl.lot.lock().expect("pool lot");
-        }
-        ctl.bell.notify_all();
-        match r {
-            Ok(r) => r,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    })
-}
-
-impl WorkerPool<'_> {
-    /// Number of spawned worker threads (broadcast parallelism is one
-    /// more: the caller runs index 0 itself).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `job(i)` for every `i in 0..=threads` concurrently — index 0
-    /// on the calling thread, the rest on the pool — and returns once all
-    /// have completed (so `job` may freely borrow from the caller's
-    /// stack).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job panicked on any worker (the worker's own panic
-    /// message has already been printed by the default hook).
-    pub fn broadcast(&self, job: &(dyn Fn(usize) + Sync)) {
-        if self.threads == 0 {
-            job(0);
-            return;
-        }
-        let ctl = self.ctl;
-        debug_assert_eq!(ctl.done.load(Ordering::Acquire), 0);
-        // SAFETY: all workers from the previous epoch are done (the
-        // previous broadcast waited for them), so nothing reads the slot
-        // concurrently; the lifetime-erased pointer stays valid until
-        // this function returns, and every dereference happens before
-        // the completion counter reaches `threads` below.
-        unsafe {
-            let erased: JobPtr =
-                std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), JobPtr>(job);
-            *ctl.job.get() = Some(erased);
-        }
-        ctl.panicked.store(false, Ordering::Relaxed);
-        ctl.epoch.fetch_add(1, Ordering::Release);
-        {
-            let _g = ctl.lot.lock().expect("pool lot");
-        }
-        ctl.bell.notify_all();
-
-        // The caller's share runs under catch_unwind: if it panics we
-        // must still wait for every worker before letting the unwind
-        // free the stack frames the erased job pointer reaches into —
-        // unwinding past an in-flight round would be a use-after-free.
-        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(0)));
-
-        let mut spins = 0u32;
-        while ctl.done.load(Ordering::Acquire) != self.threads {
-            spins += 1;
-            if spins < SPIN_ROUNDS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        ctl.done.store(0, Ordering::Relaxed);
-        if let Err(p) = mine {
-            std::panic::resume_unwind(p);
-        }
-        if ctl.panicked.load(Ordering::Relaxed) {
-            panic!("worker pool job panicked (see worker backtrace above)");
-        }
-    }
-}
-
-fn worker_loop(ctl: &Ctl, index: usize) {
-    let mut seen = 0u64;
-    loop {
-        // Wait for the next epoch (or shutdown): spin first, then park.
-        let mut spins = 0u32;
-        loop {
-            let e = ctl.epoch.load(Ordering::Acquire);
-            if e != seen {
-                seen = e;
-                break;
-            }
-            if ctl.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins < SPIN_ROUNDS {
-                std::hint::spin_loop();
-            } else {
-                let g = ctl.lot.lock().expect("pool lot");
-                if ctl.epoch.load(Ordering::Acquire) == seen
-                    && !ctl.shutdown.load(Ordering::Acquire)
-                {
-                    let _g = ctl.bell.wait(g).expect("pool bell");
-                }
-                spins = 0;
-            }
-        }
-        // SAFETY: the acquire load of `epoch` synchronizes with the
-        // broadcaster's release store, which happens after the slot
-        // write; the pointed-to job stays borrowed until our `done`
-        // increment below is observed by the broadcaster.
-        let job = unsafe { (*ctl.job.get()).expect("epoch bumped without a job") };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: see above — valid for the duration of this epoch.
-            unsafe { (*job)(index) }
-        }));
-        if outcome.is_err() {
-            ctl.panicked.store(true, Ordering::Relaxed);
-        }
-        ctl.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The unified core budget: one work-stealing pool for trial jobs *and*
-// window shards.
-// ---------------------------------------------------------------------
-
 /// Something that can execute one same-timestamp window's shards.
 ///
 /// The parallel engine builds a window, picks a shard count, and hands a
 /// `job` here; the executor must invoke `job(i)` exactly once for every
 /// `i in 0..shards` (on any threads, in any order) and return only after
-/// all invocations have completed — the same completion contract as
-/// [`WorkerPool::broadcast`], which is what makes borrowing from the
-/// caller's stack sound. Which thread runs which shard is explicitly
+/// all invocations have completed, which is what makes borrowing from
+/// the caller's stack sound. Which thread runs which shard is explicitly
 /// *not* part of the contract: the engine's canonical merge keys side
 /// effects by shard index, so executor scheduling can never reach
 /// simulation output.
@@ -337,8 +151,7 @@ impl CoreCtl<'_> {
 ///
 /// Two granularities draw from the same threads: trial jobs submitted via
 /// [`CorePool::submit`] (cross-trial sweep parallelism), and window
-/// shards published through a [`CoreSession`] (intra-trial parallelism) —
-/// the replacement for the old static `workers × threads ≤ cores` split.
+/// shards published through a [`CoreSession`] (intra-trial parallelism).
 /// Idle threads steal whichever work exists, so a sweep's tail (one slow
 /// trial left) automatically converts its spare threads into intra-trial
 /// window workers, and a single trial converts them into shard thieves.
@@ -668,101 +481,6 @@ fn core_worker_loop(ctl: &CoreCtl<'_>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn broadcast_runs_every_index_once() {
-        with_pool(3, |pool| {
-            assert_eq!(pool.threads(), 3);
-            let hits: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
-            pool.broadcast(&|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for h in &hits {
-                assert_eq!(h.load(Ordering::Relaxed), 1);
-            }
-        });
-    }
-
-    #[test]
-    fn pool_is_reusable_across_many_rounds() {
-        // The whole point: thousands of broadcasts over one set of
-        // threads, each borrowing fresh stack data.
-        with_pool(2, |pool| {
-            let mut total = 0u64;
-            for round in 0..2000u64 {
-                let parts = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-                pool.broadcast(&|i| {
-                    parts[i].store(round + i as u64, Ordering::Relaxed);
-                });
-                total += parts.iter().map(|p| p.load(Ordering::Relaxed)).sum::<u64>();
-            }
-            // Each round contributes (round+0) + (round+1) + (round+2).
-            assert_eq!(total, 3 * (0..2000u64).sum::<u64>() + 3 * 2000);
-        });
-    }
-
-    #[test]
-    fn zero_thread_pool_runs_inline() {
-        with_pool(0, |pool| {
-            let hit = AtomicU64::new(0);
-            pool.broadcast(&|i| {
-                assert_eq!(i, 0);
-                hit.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hit.load(Ordering::Relaxed), 1);
-        });
-    }
-
-    #[test]
-    fn scope_returns_value_and_joins_workers() {
-        let v = with_pool(4, |pool| {
-            let sum = AtomicU64::new(0);
-            pool.broadcast(&|i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
-            });
-            sum.load(Ordering::Relaxed)
-        });
-        assert_eq!(v, 10, "indices 0..=4 sum to 10");
-    }
-
-    /// A panic in the *caller's* share (index 0) must not unwind past the
-    /// round while workers still hold the lifetime-erased job pointer —
-    /// broadcast waits for them first, then resumes the unwind. (Without
-    /// the wait this test is a use-after-free: the workers would touch
-    /// `data` after the unwound frame freed it.)
-    #[test]
-    fn caller_panic_waits_for_workers() {
-        let result = std::panic::catch_unwind(|| {
-            with_pool(2, |pool| {
-                let data = AtomicU64::new(0);
-                pool.broadcast(&|i| {
-                    if i == 0 {
-                        panic!("caller boom");
-                    }
-                    // Workers lag, then touch the borrowed stack data.
-                    for _ in 0..100_000 {
-                        std::hint::spin_loop();
-                    }
-                    data.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        });
-        assert!(result.is_err(), "the caller's panic must propagate");
-    }
-
-    #[test]
-    fn worker_panic_propagates_to_broadcaster() {
-        let result = std::panic::catch_unwind(|| {
-            with_pool(2, |pool| {
-                pool.broadcast(&|i| {
-                    if i == 2 {
-                        panic!("boom");
-                    }
-                });
-            });
-        });
-        assert!(result.is_err(), "broadcast must surface worker panics");
-    }
 
     #[test]
     fn core_pool_runs_every_trial_job_once() {

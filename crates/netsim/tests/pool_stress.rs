@@ -1,141 +1,17 @@
-//! Hostile cross-thread stress for the scoped worker pool.
+//! Hostile cross-thread stress for the unified core pool.
 //!
 //! The unit tests in `pool.rs` cover the contract; these tests attack the
 //! synchronization under the conditions the parallel engine actually
-//! produces at scale — thousands of back-to-back micro-epochs,
-//! oversubscription (more workers than cores *and* than useful work),
-//! alternation between the spin path and the park path, panics thrown
-//! mid-round with the pool reused afterwards, and (for the unified core
-//! pool) steal-heavy contention with more window-owning sessions than
-//! threads. Run under ThreadSanitizer in the nightly workflow (see
+//! produces at scale — thousands of back-to-back windows, steal-heavy
+//! contention with more window-owning sessions than threads, and panics
+//! thrown mid-steal with the pool reused afterwards. Run under
+//! ThreadSanitizer in the nightly workflow (see
 //! `.github/workflows/nightly.yml`) these same tests double as a
-//! data-race probe for the pools' `unsafe` cores.
+//! data-race probe for the pool's `unsafe` core.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use slr_netsim::pool::{with_core_pool, with_pool, WindowExec};
-
-/// Thousands of tiny epochs back to back: the hot-phase shape. Every
-/// round borrows fresh stack data, so any stale job pointer or epoch
-/// tear shows up as a wrong sum or a torn read, not just a crash.
-#[test]
-fn hammer_many_short_epochs() {
-    const ROUNDS: u64 = 20_000;
-    with_pool(4, |pool| {
-        let mut grand = 0u64;
-        for round in 0..ROUNDS {
-            let shards = [const { AtomicU64::new(0) }; 5];
-            pool.broadcast(&|i| {
-                shards[i].store(round ^ (i as u64) << 32, Ordering::Relaxed);
-            });
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.load(Ordering::Relaxed), round ^ (i as u64) << 32);
-            }
-            grand = grand.wrapping_add(round);
-        }
-        assert_eq!(grand, (0..ROUNDS).sum::<u64>());
-    });
-}
-
-/// Workers heavily oversubscribed relative to both the host's cores and
-/// the per-round work (most indices find nothing to do). The spin-then-
-/// park backoff must neither deadlock nor lose a round.
-#[test]
-fn more_workers_than_work() {
-    const WORKERS: usize = 16;
-    with_pool(WORKERS, |pool| {
-        for round in 0..500u64 {
-            // Only 3 slots of real work; indices 3..=16 no-op.
-            let done = [const { AtomicU64::new(0) }; 3];
-            let visits = AtomicUsize::new(0);
-            pool.broadcast(&|i| {
-                visits.fetch_add(1, Ordering::Relaxed);
-                if let Some(d) = done.get(i) {
-                    d.store(round + 1, Ordering::Relaxed);
-                }
-            });
-            assert_eq!(visits.load(Ordering::Relaxed), WORKERS + 1);
-            for d in &done {
-                assert_eq!(d.load(Ordering::Relaxed), round + 1);
-            }
-        }
-    });
-}
-
-/// Epochs separated by sleeps long enough for every worker to out-spin
-/// and park on the condvar: each broadcast must wake them all, every
-/// time. (A missed notify here hangs the test, not just flakes it.)
-#[test]
-fn park_and_wake_across_idle_gaps() {
-    with_pool(3, |pool| {
-        for round in 0..20u64 {
-            std::thread::sleep(Duration::from_millis(5));
-            let hits = [const { AtomicU64::new(0) }; 4];
-            pool.broadcast(&|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for h in &hits {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "round {round}");
-            }
-        }
-    });
-}
-
-/// A panicking round must not poison the pool: the broadcast surfaces
-/// the panic, and the *same* pool then runs many clean rounds. Repeats
-/// the cycle to catch any state (done counter, panicked flag, stale job
-/// pointer) that survives a failed round.
-#[test]
-fn pool_survives_repeated_job_panics() {
-    with_pool(4, |pool| {
-        for cycle in 0..50u64 {
-            let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.broadcast(&|i| {
-                    if i == 2 {
-                        panic!("injected failure, cycle {cycle}");
-                    }
-                });
-            }));
-            assert!(poison.is_err(), "cycle {cycle}: panic must propagate");
-
-            // The pool must be fully serviceable immediately afterwards.
-            let sum = AtomicU64::new(0);
-            pool.broadcast(&|i| {
-                sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), 15, "cycle {cycle}");
-        }
-    });
-}
-
-/// Caller-side (index 0) panics interleaved with worker-side panics,
-/// then a final burst of clean epochs — the unwind paths differ (the
-/// caller's unwind must first wait out the workers), so exercise both
-/// in alternation.
-#[test]
-fn alternating_caller_and_worker_panics() {
-    with_pool(2, |pool| {
-        for cycle in 0..30u64 {
-            let caller_side = cycle % 2 == 0;
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.broadcast(&|i| {
-                    if (caller_side && i == 0) || (!caller_side && i == 1) {
-                        panic!("boom {cycle}");
-                    }
-                });
-            }));
-            assert!(r.is_err(), "cycle {cycle}");
-        }
-        for round in 0..1000u64 {
-            let total = AtomicU64::new(0);
-            pool.broadcast(&|_| {
-                total.fetch_add(round, Ordering::Relaxed);
-            });
-            assert_eq!(total.load(Ordering::Relaxed), 3 * round);
-        }
-    });
-}
+use slr_netsim::pool::{with_core_pool, WindowExec};
 
 /// The steal-heavy hostile case for the *unified* core pool: several
 /// concurrent trial jobs each publish thousands of windows with varying
@@ -254,31 +130,4 @@ fn core_pool_survives_shard_panic_mid_steal() {
         pool.wait_all();
     });
     assert_eq!(completed.load(Ordering::Relaxed), CLEAN_JOBS as u64);
-}
-
-/// Nested scopes: an inner pool spun up and torn down inside an outer
-/// pool's scope (the engine does this when a scenario phase changes its
-/// parallelism). Teardown of the inner scope must not disturb the outer
-/// pool's parked workers.
-#[test]
-fn nested_pool_scopes() {
-    with_pool(2, |outer| {
-        for _ in 0..20 {
-            let inner_sum = with_pool(3, |inner| {
-                let sum = AtomicU64::new(0);
-                for _ in 0..50 {
-                    inner.broadcast(&|i| {
-                        sum.fetch_add(i as u64, Ordering::Relaxed);
-                    });
-                }
-                sum.load(Ordering::Relaxed)
-            });
-            assert_eq!(inner_sum, 50 * 6);
-            let outer_hits = AtomicUsize::new(0);
-            outer.broadcast(&|_| {
-                outer_hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(outer_hits.load(Ordering::Relaxed), 3);
-        }
-    });
 }

@@ -8,15 +8,6 @@ use slr_core::{
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::VecMap;
 
-// The per-node tables behind one alias: compact sorted-vec maps by
-// default, the seed's hash maps under `--features legacy-tables`. The
-// nightly bit-identity diff builds both and compares `TrialSummary`s;
-// nothing in the engine may depend on which representation is active.
-#[cfg(feature = "legacy-tables")]
-use slr_netsim::hash::FastHashMap as Table;
-#[cfg(not(feature = "legacy-tables"))]
-use slr_netsim::VecMap as Table;
-
 use crate::api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
     ProtoStats, RingSchedule, RoutingProtocol,
@@ -175,19 +166,6 @@ struct Discovery {
     attempt: u32,
 }
 
-/// Heap bytes held by a protocol table (capacity, not length), for either
-/// representation behind the [`Table`] alias.
-#[cfg(not(feature = "legacy-tables"))]
-fn table_mem<K: Ord + Copy, V>(t: &Table<K, V>) -> usize {
-    t.mem_bytes()
-}
-
-/// Open-addressing estimate: capacity × (entry + one control byte).
-#[cfg(feature = "legacy-tables")]
-fn table_mem<K, V>(t: &Table<K, V>) -> usize {
-    t.capacity() * (std::mem::size_of::<(K, V)>() + 1)
-}
-
 const DISCOVERY_TOKEN_BIT: u64 = 1 << 63;
 
 fn discovery_token(dst: NodeId, attempt: u32) -> u64 {
@@ -217,12 +195,12 @@ pub struct Srp {
     /// Definition 7). Only we may increment it.
     own_seqno: u64,
     seqno_increments: u64,
-    dests: Table<NodeId, DestState>,
-    rreq_seen: Table<(NodeId, u64), RreqCache>,
+    dests: VecMap<NodeId, DestState>,
+    rreq_seen: VecMap<(NodeId, u64), RreqCache>,
     next_rreq_id: u64,
-    discoveries: Table<NodeId, Discovery>,
+    discoveries: VecMap<NodeId, Discovery>,
     buffer: PacketBuffer,
-    last_rerr: Table<NodeId, SimTime>,
+    last_rerr: VecMap<NodeId, SimTime>,
     /// The highest destination sequence number ever *held* per
     /// destination. Unlike the label, this survives DELETE_PERIOD
     /// forgetting (the AODV §6.13 discipline): a destination's sequence
@@ -230,7 +208,7 @@ pub struct Srp {
     /// below the floor is provably stale or forged and re-adopting it
     /// after the label was forgotten can close a routing loop two honest
     /// nodes' local order checks cannot see.
-    seqno_floor: Table<NodeId, u64>,
+    seqno_floor: VecMap<NodeId, u64>,
     /// Interner backing the [`RreqCache`] handles (per node: the protocol
     /// state machine owns no trial-wide shared state, and the parallel
     /// engine ships instances across threads).
@@ -250,13 +228,13 @@ impl Srp {
             cfg,
             own_seqno: 1,
             seqno_increments: 0,
-            dests: Table::default(),
-            rreq_seen: Table::default(),
+            dests: VecMap::default(),
+            rreq_seen: VecMap::default(),
             next_rreq_id: 0,
-            discoveries: Table::default(),
+            discoveries: VecMap::default(),
             buffer: PacketBuffer::new(cfg.buffer_capacity),
-            last_rerr: Table::default(),
-            seqno_floor: Table::default(),
+            last_rerr: VecMap::default(),
+            seqno_floor: VecMap::default(),
             interner: LabelInterner::new(),
             next_prune_at: SimTime::ZERO,
             max_denominator: 1,
@@ -298,12 +276,12 @@ impl Srp {
             .values()
             .map(|ds| ds.succs.mem_bytes() + ds.fresh.mem_bytes())
             .sum();
-        table_mem(&self.dests)
+        self.dests.mem_bytes()
             + dest_inner
-            + table_mem(&self.rreq_seen)
-            + table_mem(&self.discoveries)
-            + table_mem(&self.last_rerr)
-            + table_mem(&self.seqno_floor)
+            + self.rreq_seen.mem_bytes()
+            + self.discoveries.mem_bytes()
+            + self.last_rerr.mem_bytes()
+            + self.seqno_floor.mem_bytes()
             + self.interner.mem_bytes()
             + self.buffer.mem_bytes()
     }

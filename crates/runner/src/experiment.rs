@@ -8,10 +8,9 @@
 //! registry understands.
 
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Mutex};
-use std::thread;
+use std::sync::Mutex;
 
-use slr_netsim::pool::with_core_pool;
+use slr_netsim::pool::{with_core_pool, WindowExec};
 use slr_netsim::time::{SimDuration, SimTime};
 
 use crate::adversary::AdversarySpec;
@@ -130,7 +129,7 @@ pub struct SweepConfig {
     /// ignored by the serial engines). Output is bit-identical at any
     /// worker count; this only trades wall clock. The sweep budgets
     /// `workers × threads` against the available cores — see
-    /// [`SweepConfig::effective_threads`].
+    /// [`SweepConfig::core_budget`].
     pub workers: usize,
 }
 
@@ -279,37 +278,15 @@ impl SweepConfig {
         Ok(())
     }
 
-    /// The cross-trial thread count under the legacy *static split* of
-    /// the core budget: every parallel-engine trial reserves `workers`
-    /// cores of its own, so the sweep caps its thread count at
-    /// `available_cores / workers` (never below 1, never above the
-    /// configured `threads`). Serial engines use `threads` as-is.
-    ///
-    /// [`run_sweep`] no longer uses this — it sizes one unified
-    /// work-stealing pool via [`SweepConfig::core_budget`] instead — but
-    /// [`run_sweep_static_split`] keeps the old split alive for
-    /// equivalence testing.
-    pub fn effective_threads(&self) -> usize {
-        let threads = self.threads.max(1);
-        if self.engine != EngineKind::Parallel || self.workers <= 1 {
-            return threads;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(threads * self.workers);
-        (cores / self.workers).clamp(1, threads)
-    }
-
-    /// The unified core budget: the thread count of the single
-    /// work-stealing pool that both cross-trial jobs and intra-trial
+    /// The unified core budget: how many threads, the one that calls
+    /// [`run_sweep`] included, both cross-trial jobs and intra-trial
     /// window shards draw from. Serial engines need exactly `threads`.
     /// Under the parallel engine each in-flight trial can additionally
     /// occupy up to `workers - 1` shard thieves, so the budget grows to
     /// `threads × workers`, capped at the host's cores (but never below
     /// `workers`, so a lone trial always reaches its configured width).
-    /// Unlike the old static split, idle capacity flows wherever work
-    /// is: a sweep's tail converts spare trial threads into window
-    /// thieves automatically.
+    /// Idle capacity flows wherever work is: a sweep's tail converts
+    /// spare trial threads into window thieves automatically.
     pub fn core_budget(&self) -> usize {
         let threads = self.threads.max(1);
         if self.engine != EngineKind::Parallel || self.workers <= 1 {
@@ -438,12 +415,10 @@ pub fn parse_values(list: &str) -> Result<Vec<u64>, String> {
 /// to a single [`with_core_pool`] pool, and parallel-engine trials
 /// publish their window shards back into the *same* pool, so idle
 /// cross-trial threads become intra-trial window thieves (and vice
-/// versa) instead of idling behind the old static `cores / workers`
-/// split. Deterministic per `(seed, trial)` regardless of scheduling
+/// versa). Deterministic per `(seed, trial)` regardless of scheduling
 /// (each trial is an isolated simulation with its own derived RNG
 /// streams, window scheduling cannot reach simulation output, and
-/// results are re-ordered by trial index on collection) — bit-identical
-/// to [`run_sweep_static_split`].
+/// results are re-ordered by trial index on collection).
 ///
 /// # Panics
 ///
@@ -463,87 +438,46 @@ pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
         }
     }
 
-    let results: Mutex<Vec<(&'static str, u64, u64, TrialSummary)>> =
-        Mutex::new(Vec::with_capacity(jobs.len()));
-    with_core_pool(cfg.core_budget(), |pool| {
-        for (kind, value, trial) in jobs {
-            let results = &results;
+    let collected = run_on_budget(cfg, jobs, |(kind, value, trial), exec| {
+        let scenario = cfg.scenario_for(kind, value, trial);
+        let mut sim = Sim::new(scenario)
+            .with_engine(cfg.engine)
+            .with_workers(cfg.workers);
+        if cfg.validate_spatial {
+            sim.enable_spatial_validation();
+        }
+        let summary = if cfg.engine == EngineKind::Parallel && cfg.workers > 1 {
+            // Windows draw thieves from the shared pool.
+            sim.run_detailed_under(exec).0
+        } else {
+            sim.run()
+        };
+        (kind.name(), value, trial, summary)
+    });
+    collect_runs(collected, protocols, cfg)
+}
+
+/// Runs `run` once per job on the sweep's core budget and returns the
+/// results in completion order. The pool spawns one thread fewer than
+/// [`SweepConfig::core_budget`]: the calling thread executes jobs itself
+/// while it waits, so it is the budget's last thread.
+fn run_on_budget<J: Send, T: Send>(
+    cfg: &SweepConfig,
+    jobs: Vec<J>,
+    run: impl Fn(J, &dyn WindowExec) -> T + Sync,
+) -> Vec<T> {
+    let results = Mutex::new(Vec::with_capacity(jobs.len()));
+    with_core_pool(cfg.core_budget() - 1, |pool| {
+        for job in jobs {
+            let (run, results) = (&run, &results);
             pool.submit(Box::new(move |exec| {
-                let scenario = cfg.scenario_for(kind, value, trial);
-                let mut sim = Sim::new(scenario)
-                    .with_engine(cfg.engine)
-                    .with_workers(cfg.workers);
-                if cfg.validate_spatial {
-                    sim.enable_spatial_validation();
-                }
-                let summary = if cfg.engine == EngineKind::Parallel && cfg.workers > 1 {
-                    // Windows draw thieves from the shared pool.
-                    sim.run_detailed_under(exec).0
-                } else {
-                    sim.run()
-                };
-                results
-                    .lock()
-                    .expect("sweep results")
-                    .push((kind.name(), value, trial, summary));
+                let out = run(job, exec);
+                results.lock().expect("sweep results").push(out);
             }));
         }
         pool.wait_all();
     });
-
-    collect_runs(results.into_inner().expect("sweep results"), protocols, cfg)
-}
-
-/// The pre-unification sweep driver: a fixed team of
-/// [`SweepConfig::effective_threads`] threads, each running whole trials
-/// with a private per-trial worker pool (the static `workers × threads ≤
-/// cores` split). Kept callable so the equivalence suite can assert
-/// [`run_sweep`] is bit-identical to it; prefer [`run_sweep`].
-pub fn run_sweep_static_split(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid sweep configuration: {e}");
-    }
-    let mut jobs: Vec<(ProtocolKind, u64, u64)> = Vec::new();
-    for &kind in protocols {
-        for &value in &cfg.values {
-            for trial in 0..cfg.trials {
-                jobs.push((kind, value, trial));
-            }
-        }
-    }
-
-    let (result_tx, result_rx) = mpsc::channel();
-    let job_queue = std::sync::Arc::new(std::sync::Mutex::new(jobs));
-    let sweep_threads = cfg.effective_threads();
-    let mut handles = Vec::new();
-    for _ in 0..sweep_threads {
-        let q = std::sync::Arc::clone(&job_queue);
-        let tx = result_tx.clone();
-        let cfg = cfg.clone();
-        handles.push(thread::spawn(move || loop {
-            let job = { q.lock().expect("job queue").pop() };
-            let Some((kind, value, trial)) = job else {
-                break;
-            };
-            let scenario = cfg.scenario_for(kind, value, trial);
-            let mut sim = Sim::new(scenario)
-                .with_engine(cfg.engine)
-                .with_workers(cfg.workers);
-            if cfg.validate_spatial {
-                sim.enable_spatial_validation();
-            }
-            let summary = sim.run();
-            tx.send((kind.name(), value, trial, summary))
-                .expect("collector alive");
-        }));
-    }
-    drop(result_tx);
-
-    let collected: Vec<_> = result_rx.into_iter().collect();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    collect_runs(collected, protocols, cfg)
+    results.into_inner().expect("sweep results")
 }
 
 /// Re-orders raw trial results by trial index into the sweep's keyed
@@ -725,13 +659,11 @@ mod tests {
 
     #[test]
     fn worker_thread_core_budget() {
-        // Serial engines: threads pass through untouched, under both the
-        // unified budget and the legacy static split.
+        // Serial engines: threads pass through untouched.
         let cfg = SweepConfig {
             threads: 6,
             ..SweepConfig::default()
         };
-        assert_eq!(cfg.effective_threads(), 6);
         assert_eq!(cfg.core_budget(), 6);
         // Unified budget: threads × workers, capped at the host's cores
         // but never below the per-trial width.
@@ -746,23 +678,6 @@ mod tests {
             .unwrap_or(6);
         assert_eq!(cfg.core_budget(), 6.min(cores.max(2)));
         assert!(cfg.core_budget() >= 2, "a lone trial must reach its width");
-        // Parallel engine: workers × threads is capped by the cores.
-        let cfg = SweepConfig {
-            threads: 16,
-            engine: EngineKind::Parallel,
-            workers: 4,
-            ..SweepConfig::default()
-        };
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(64);
-        let eff = cfg.effective_threads();
-        assert!((1..=16).contains(&eff));
-        assert!(
-            eff * 4 <= cores.max(4),
-            "workers x threads ({}) exceeds the core budget ({cores})",
-            eff * 4
-        );
         // Validation: >1 workers require the parallel engine.
         let bad = SweepConfig {
             workers: 4,
@@ -807,25 +722,32 @@ mod tests {
         }
     }
 
+    /// `threads` bounds the trials in flight, the calling thread counted:
+    /// it runs jobs too while it waits for the pool.
     #[test]
-    fn unified_budget_matches_static_split() {
-        // The work-stealing pool and the legacy static split must produce
-        // bit-identical trial-ordered output: scheduling cannot reach
-        // simulation results.
-        let cfg = SweepConfig {
-            seed: 23,
-            trials: 2,
-            values: vec![150],
-            threads: 2,
-            engine: EngineKind::Parallel,
-            workers: 2,
-            ..SweepConfig::default()
-        };
-        let unified = run_sweep(&[ProtocolKind::Srp], &cfg);
-        let split = run_sweep_static_split(&[ProtocolKind::Srp], &cfg);
-        assert_eq!(unified.runs.len(), split.runs.len());
-        for (key, cell) in &split.runs {
-            assert_eq!(cell, &unified.runs[key], "unified pool diverged at {key:?}");
+    fn sweep_never_runs_more_trials_at_once_than_threads() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2] {
+            let cfg = SweepConfig {
+                threads,
+                ..SweepConfig::default()
+            };
+            let in_flight = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let done = run_on_budget(&cfg, (0..8).collect(), |job: usize, _| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                // Long enough for a surplus thread to pick up the next job.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                job
+            });
+            assert_eq!(done.len(), 8);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= threads,
+                "{peak} trials in flight on {threads} thread(s)"
+            );
         }
     }
 

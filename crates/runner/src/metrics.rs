@@ -2,9 +2,6 @@
 
 use std::collections::HashMap;
 
-#[cfg(feature = "legacy-tables")]
-use slr_netsim::hash::FastHashSet;
-
 use slr_netsim::admittance::DynAction;
 use slr_netsim::time::SimTime;
 use slr_protocols::DataDropReason;
@@ -101,23 +98,20 @@ pub struct Metrics {
     pub stretch_sum: f64,
     /// First-time deliveries contributing to `stretch_sum`.
     pub stretch_count: u64,
-    #[cfg(feature = "legacy-tables")]
-    delivered_uids: FastHashSet<u64>,
-    #[cfg(not(feature = "legacy-tables"))]
     delivered_uids: DeliveryLedger,
 }
 
 /// Bounded delivery dedup over flow-structured uids
 /// (`(flow << 32) | seq`, see `TrafficScript::uid`).
 ///
-/// The legacy `FastHashSet<u64>` grew without bound for the whole trial —
+/// A set of every delivered uid grows without bound for the whole trial —
 /// at 100k nodes with long durations that set alone rivals the protocol
 /// state. The ledger instead keeps one bit window per flow: a `base`
 /// below which every seq is known delivered, plus a bitset for the seqs
 /// above it. Fully-delivered leading words compact into `base`, so the
 /// window tracks the reorder span (bounded by one flow's in-flight
 /// packets), not the trial length. Dedup decisions are exactly those of
-/// the hashset: a (flow, seq) pair is accepted the first time it is seen
+/// such a set: a (flow, seq) pair is accepted the first time it is seen
 /// and rejected after.
 #[derive(Debug, Clone, Default)]
 struct DeliveryLedger {
@@ -199,14 +193,7 @@ impl Metrics {
     /// structure whose size scales with traffic volume rather than node
     /// or flow count, hence the one the bounded-memory regression watches.
     pub fn dedup_mem_bytes(&self) -> usize {
-        #[cfg(feature = "legacy-tables")]
-        {
-            self.delivered_uids.capacity() * (std::mem::size_of::<u64>() + 1)
-        }
-        #[cfg(not(feature = "legacy-tables"))]
-        {
-            self.delivered_uids.mem_bytes()
-        }
+        self.delivered_uids.mem_bytes()
     }
 
     /// Records one delivered packet's geodesic stretch.
@@ -303,7 +290,7 @@ impl Metrics {
 /// trial (`Sim::mem_report`). Capacity-based: counts what the allocator
 /// holds, not just what is in use, because capacity is what bounds the
 /// reachable N. The per-node quotient is the scale profile's headline
-/// number (`bench_scale` budgets protocol + MAC state per node).
+/// number (the benchmark's `runner.mem.bytes_per_node`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemReport {
     /// Node count the per-node quotients divide by.
@@ -471,7 +458,6 @@ mod tests {
         assert!((s.repair_latency - 1.5).abs() < 1e-12);
     }
 
-    #[cfg(not(feature = "legacy-tables"))]
     #[test]
     fn ledger_compacts_and_stays_bounded() {
         let mut m = Metrics::new();

@@ -552,8 +552,7 @@ impl Family {
     }
 
     /// Radius of the dense family's disc for `nodes` nodes at
-    /// [`Family::DENSE_AREA_PER_NODE_M2`] (shared with the channel
-    /// benchmarks so they measure the same geometry the family runs).
+    /// [`Family::DENSE_AREA_PER_NODE_M2`].
     pub fn dense_disc_radius(nodes: usize) -> f64 {
         (nodes as f64 * Family::DENSE_AREA_PER_NODE_M2 / core::f64::consts::PI).sqrt()
     }

@@ -132,8 +132,8 @@ pub enum MediumKind {
     #[default]
     SpatialGrid,
     /// The brute-force O(N) scan over exact positions — the reference
-    /// oracle the index must match bit-for-bit. Kept for equivalence
-    /// tests and the `slr-bench` channel-scaling benchmark.
+    /// oracle the index must match bit-for-bit. Kept for the equivalence
+    /// tests and `--validate-spatial`.
     BruteForce,
 }
 
@@ -246,10 +246,6 @@ pub struct Sim {
     /// Worker count for [`EngineKind::Parallel`] (1 = inline windowed
     /// execution, no threads). Ignored by the serial engines.
     workers: usize,
-    /// Whether parallel windows may widen over independent MAC timers
-    /// (see the invariant docs in [`crate::par`]). On by default; the
-    /// bench turns it off to measure the pre-widening baseline.
-    widening: bool,
     /// Reusable window buffers for the parallel engine.
     win: WindowBufs,
     /// Persistent per-worker scratch (op buffers, MAC-effect buffers,
@@ -332,9 +328,9 @@ struct Pend {
 }
 
 /// Window-occupancy statistics of one parallel-engine trial — the
-/// observable behind the widened-window performance claims (reported by
-/// `bench_parallel` and `slrsim --window-stats`). Counters are
-/// worker-count independent diagnostics; the wall-clock fields need
+/// observable behind the widened-window performance claims (the
+/// benchmark's `runner.par.*` metrics). Counters are worker-count
+/// independent diagnostics; the wall-clock fields need
 /// [`Sim::enable_window_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
@@ -397,10 +393,10 @@ impl WindowStats {
 
 /// Where a serial trial's wall clock goes, by harness phase (see
 /// [`Sim::enable_phase_timing`]): the attribution behind the
-/// `bench_events` per-phase breakdown, which is what makes the parallel
-/// engine's worker-count scaling curve explainable — only the signal /
-/// MAC / protocol phases parallelize; the medium query runs inside MAC
-/// timer dispatch, which stays serial.
+/// benchmark's `runner.sim.phase_*_s` metrics, which is what makes the
+/// parallel engine's `runner.par.speedup_vs_batched` explainable — only
+/// the signal / MAC / protocol phases parallelize; the medium query runs
+/// inside MAC timer dispatch, which stays serial.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Neighbor queries + transmission starts (`begin_tx` through the
@@ -626,7 +622,6 @@ impl Sim {
             pending_repair: None,
             trace: None,
             workers: 1,
-            widening: true,
             win: WindowBufs::default(),
             par_scratch: Vec::new(),
             merging: false,
@@ -651,7 +646,7 @@ impl Sim {
 
     /// Selects which medium implementation answers the channel's
     /// neighbor queries (the spatial grid by default; the brute-force
-    /// oracle for equivalence tests and the channel benchmark).
+    /// oracle for equivalence tests).
     pub fn set_medium(&mut self, medium: MediumKind) {
         self.medium = medium;
     }
@@ -663,8 +658,7 @@ impl Sim {
     }
 
     /// Selects how transmission-end events are scheduled (batched by
-    /// default; the per-receiver oracle for equivalence tests and the
-    /// `slr-bench` event-engine benchmark).
+    /// default; the per-receiver oracle for equivalence tests).
     pub fn set_engine(&mut self, engine: EngineKind) {
         self.engine = engine;
     }
@@ -696,20 +690,6 @@ impl Sim {
         self
     }
 
-    /// Enables or disables widened windows (MAC-timer hopping) under
-    /// [`EngineKind::Parallel`]. On by default; the off switch exists for
-    /// A/B benchmarking and for the equivalence suite's "widening cannot
-    /// change output" axis. No effect on the serial engines.
-    pub fn set_widening(&mut self, on: bool) {
-        self.widening = on;
-    }
-
-    /// Builder form of [`Sim::set_widening`].
-    pub fn with_widening(mut self, on: bool) -> Self {
-        self.set_widening(on);
-        self
-    }
-
     /// Turns on wall-clock attribution of the parallel engine's serial
     /// vs. parallel sections in [`Sim::window_stats`]. Off by default —
     /// the counters are always maintained, only the `Instant` probes are
@@ -726,23 +706,9 @@ impl Sim {
 
     /// Runs the trial with serial/parallel wall-clock attribution enabled
     /// and returns the summary plus the window-occupancy statistics —
-    /// the probe behind `bench_parallel`'s occupancy table.
+    /// the probe behind the benchmark's `runner.par.*` metrics.
     pub fn run_with_window_stats(mut self) -> (TrialSummary, WindowStats) {
         self.enable_window_stats();
-        self.run_loop();
-        let stats = self.wstats;
-        let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), stats)
-    }
-
-    /// Like [`Sim::run`], but also returns the window-occupancy counters.
-    /// The counters are maintained unconditionally, so unlike
-    /// [`Sim::run_with_window_stats`] this perturbs the trial's wall
-    /// clock by nothing — the attribution fields (`serial_ns`,
-    /// `parallel_ns`) simply stay zero. `bench_parallel` uses this for
-    /// the speedup sweep so occupancy comes free with honest timings.
-    pub fn run_counted(mut self) -> (TrialSummary, WindowStats) {
         self.run_loop();
         let stats = self.wstats;
         let nodes = self.scenario.nodes;
@@ -811,7 +777,7 @@ impl Sim {
 
     /// Like [`Sim::run_detailed`], additionally reporting the end-of-run
     /// per-subsystem memory footprint ([`Sim::mem_report`]) — the probe
-    /// behind `bench_scale`'s bytes-per-node curve.
+    /// behind the benchmark's `runner.mem.*` metrics.
     pub fn run_with_mem_report(self) -> (TrialSummary, Metrics, MemReport) {
         let mut sim = self;
         sim.run_loop();
@@ -823,8 +789,8 @@ impl Sim {
 
     /// Like [`Sim::run_detailed`], additionally reporting where the wall
     /// clock went by harness phase (enables phase timing if the caller
-    /// has not already). The attribution behind `bench_events`'
-    /// per-phase breakdown; meaningful under the serial engines.
+    /// has not already). The attribution behind the benchmark's
+    /// `runner.sim.phase_*_s` metrics; meaningful under the serial engines.
     pub fn run_phased(mut self) -> (TrialSummary, Metrics, PhaseTimes) {
         if self.phase.is_none() {
             self.enable_phase_timing();
@@ -933,8 +899,7 @@ impl Sim {
         // MAC-timer hopping needs the incrementally synced tracker that
         // only the spatial-grid production path maintains; the oracle
         // media keep the narrow (safe-events-only) windows.
-        let widen =
-            self.widening && self.medium == MediumKind::SpatialGrid && !self.validate_spatial;
+        let widen = self.medium == MediumKind::SpatialGrid && !self.validate_spatial;
         let (t, head_safe, head_mac) = match self.sim.peek_event() {
             Some((t, ev)) if t < end => (
                 t,
@@ -1020,8 +985,8 @@ impl Sim {
             }
             let joins = match peeked {
                 // Without widening no MAC timer can be in the window and
-                // every safe event joins unconditionally (the
-                // pre-widening window rule).
+                // every safe event joins unconditionally (the narrow
+                // window rule the oracle media keep).
                 Peeked::App(_) | Peeked::Proto(..) | Peeked::Tx(..) if !widen => true,
                 Peeked::App(i) => self.mac_clear(self.traffic.packets()[i].src, t),
                 // A stale proto timer is an epoch-gated no-op: no owner.

@@ -20,10 +20,10 @@ fn small_scenario(family: Family, kind: ProtocolKind, seed: u64) -> slr_runner::
         Family::Churn => (SweepParam::ChurnRate, 6),
         Family::Partition | Family::CrashRejoin => (SweepParam::Nodes, 16),
         // CI-sized slice of the thousand-node family (the full scale is
-        // covered by the dense CI smoke run and BENCH_channel.json).
+        // covered by the dense CI smoke run and the benchmark's `dense`).
         Family::Dense => (SweepParam::Nodes, 100),
         // CI-sized slice of the 100k-node memory-lean family (full scale
-        // is covered by the huge CI smoke run and BENCH_scale.json).
+        // is covered by the huge CI smoke run and the benchmark's `huge`).
         Family::Huge => (SweepParam::Nodes, 400),
         // Default fraction (10% → one adversary at this scale): higher
         // fractions legitimately collapse delivery (that is the measured

@@ -5,9 +5,9 @@
 //! per-receiver `RxEnd`/`TxEnd` scheduling — the reference oracle, the
 //! same way `BruteForceMedium` anchors the spatial index in
 //! `proptest_spatial.rs` — and the conservative-window *parallel* engine
-//! is bit-identical to batched at every worker count (1, 2 and 8) and on
-//! both sides of the window-widening (MAC-timer hopping) switch, fuzzed
-//! over the same axes.
+//! is bit-identical to batched at every worker count (1, 2 and 8) under
+//! both window rules — widened by MAC-timer hopping on the spatial-grid
+//! medium, narrow on the brute-force one — fuzzed over the same axes.
 //!
 //! This is the contract that makes the batched engine safe to use by
 //! default: both engines share the per-receiver completion code verbatim
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::scenario::{MobilitySpec, ProtocolKind, Scenario, TopologySpec};
-use slr_runner::sim::{EngineKind, Sim};
+use slr_runner::sim::{EngineKind, MediumKind, Sim};
 use slr_runner::DynamicsSpec;
 
 /// A CI-sized scenario over the fuzzed axes.
@@ -68,45 +68,28 @@ fn engines_agree(s: Scenario) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The worker-count axis: parallel@1 ≡ parallel@2 ≡ parallel@8 ≡ batched,
-/// bit-identical.
-fn parallel_agrees_at_all_widths(s: Scenario) -> Result<(), TestCaseError> {
+/// parallel@1 ≡ parallel@2 ≡ parallel@8 ≡ batched, bit-identical, on each
+/// of `media`. The medium is also the widening axis: the parallel engine
+/// hops MAC timers into its windows on the spatial-grid medium and keeps
+/// the narrow safe-events-only windows on the brute-force one. Either
+/// rule, at any worker count, cannot change a single bit of the summary —
+/// window composition is a pure execution heuristic under the canonical
+/// merge (see `crate::par`).
+fn parallel_agrees(s: Scenario, media: &[MediumKind]) -> Result<(), TestCaseError> {
     let batched = Sim::new(s).with_engine(EngineKind::Batched).run();
-    for workers in [1usize, 2, 8] {
-        let par = Sim::new(s)
-            .with_engine(EngineKind::Parallel)
-            .with_workers(workers)
-            .run();
-        prop_assert_eq!(
-            &batched,
-            &par,
-            "parallel@{} diverged from batched on {}",
-            workers,
-            s.describe()
-        );
-    }
-    prop_assert!(batched.originated > 0, "no traffic in {}", s.describe());
-    Ok(())
-}
-
-/// The widening axis: MAC-timer hopping on or off, at any worker count,
-/// cannot change a single bit of the summary — window composition is a
-/// pure execution heuristic under the canonical merge (see `crate::par`).
-fn widening_axis_agrees(s: Scenario) -> Result<(), TestCaseError> {
-    let batched = Sim::new(s).with_engine(EngineKind::Batched).run();
-    for widening in [false, true] {
+    for &medium in media {
         for workers in [1usize, 2, 8] {
             let par = Sim::new(s)
                 .with_engine(EngineKind::Parallel)
                 .with_workers(workers)
-                .with_widening(widening)
+                .with_medium(medium)
                 .run();
             prop_assert_eq!(
                 &batched,
                 &par,
-                "parallel@{} widening={} diverged from batched on {}",
+                "parallel@{} on {:?} diverged from batched on {}",
                 workers,
-                widening,
+                medium,
                 s.describe()
             );
         }
@@ -210,7 +193,7 @@ proptest! {
         let s = scenario(
             ProtocolKind::Srp, seed, nodes, topology, mobile, 3, dynamics,
         );
-        parallel_agrees_at_all_widths(s)?;
+        parallel_agrees(s, &[MediumKind::SpatialGrid])?;
     }
 
     /// The dense family (CI-scaled) under the parallel engine: the
@@ -226,13 +209,13 @@ proptest! {
             ProtocolKind::Srp, seed, 0, false, SweepParam::Nodes, nodes,
         );
         s.end = SimTime::from_secs(20);
-        parallel_agrees_at_all_widths(s)?;
+        parallel_agrees(s, &[MediumKind::SpatialGrid])?;
     }
 
-    /// The widening axis over topology × mobility × dynamics: widened
-    /// (MAC-timer hopping) and unwidened windows at workers ∈ {1, 2, 8}
-    /// all reproduce the batched summary bit for bit, including under
-    /// timer-cancel storms and crash epochs.
+    /// The medium axis over topology × mobility × dynamics: widened
+    /// (MAC-timer hopping, spatial grid) and narrow (brute force) windows
+    /// at workers ∈ {1, 2, 8} all reproduce the batched summary bit for
+    /// bit, including under timer-cancel storms and crash epochs.
     #[test]
     fn widening_bit_identical_across_worker_counts(
         seed in 0u64..100_000,
@@ -249,10 +232,10 @@ proptest! {
         let s = scenario(
             ProtocolKind::Srp, seed, nodes, topology, mobile, 3, dynamics,
         );
-        widening_axis_agrees(s)?;
+        parallel_agrees(s, &[MediumKind::SpatialGrid, MediumKind::BruteForce])?;
     }
 
-    /// The widening axis on the dense family (CI-scaled), where
+    /// The medium axis on the dense family (CI-scaled), where
     /// same-timestamp MAC timers are plentiful enough that hopping
     /// actually composes multi-timer windows.
     #[test]
@@ -264,6 +247,6 @@ proptest! {
             ProtocolKind::Srp, seed, 0, false, SweepParam::Nodes, nodes,
         );
         s.end = SimTime::from_secs(20);
-        widening_axis_agrees(s)?;
+        parallel_agrees(s, &[MediumKind::SpatialGrid, MediumKind::BruteForce])?;
     }
 }
