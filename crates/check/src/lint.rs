@@ -22,7 +22,9 @@
 //! Known-legitimate uses (e.g. `Instant` for progress reporting in the
 //! runner, or the deterministic-hasher wrapper itself importing std's
 //! containers) are declared in `lint-allow.txt` at the crate root as
-//! `<path-fragment> <token>` pairs.
+//! `<path-fragment> <token>` pairs. An entry that no longer suppresses
+//! anything is itself an error ([`scan_workspace`]), so deleting the code
+//! an exemption covered cannot leave the exemption behind.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -208,6 +210,17 @@ fn looks_like_char_literal(rest: &[u8]) -> bool {
 
 /// Scans one file's source text. `rel` is its workspace-relative path.
 pub fn scan_source(rel: &Path, src: &str, allow: &[AllowEntry]) -> Vec<Finding> {
+    scan_source_marking(rel, src, allow, &mut vec![false; allow.len()])
+}
+
+/// [`scan_source`], additionally setting `used[i]` for every allowlist
+/// entry `i` that suppressed at least one hit.
+fn scan_source_marking(
+    rel: &Path,
+    src: &str,
+    allow: &[AllowEntry],
+    used: &mut [bool],
+) -> Vec<Finding> {
     let stripped = strip_comments(src);
     let rel_str = rel.to_string_lossy();
     let mut out = Vec::new();
@@ -224,10 +237,14 @@ pub fn scan_source(rel: &Path, src: &str, allow: &[AllowEntry]) -> Vec<Finding> 
                 if !(pre_ok && post_ok) {
                     continue;
                 }
-                if allow
-                    .iter()
-                    .any(|a| a.token == token && rel_str.contains(&a.path_frag))
-                {
+                let mut allowed = false;
+                for (a, used) in allow.iter().zip(used.iter_mut()) {
+                    if a.token == token && rel_str.contains(&a.path_frag) {
+                        allowed = true;
+                        *used = true;
+                    }
+                }
+                if allowed {
                     continue;
                 }
                 out.push(Finding {
@@ -259,14 +276,34 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Errors on allowlist entries that suppressed nothing.
+fn stale_entries(allow: &[AllowEntry], used: &[bool]) -> Result<(), String> {
+    let stale: Vec<String> = allow
+        .iter()
+        .zip(used)
+        .filter(|&(_, &used)| !used)
+        .map(|(a, _)| format!("'{} {}'", a.path_frag, a.token))
+        .collect();
+    if stale.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "lint-allow.txt: stale entries (no scanned source line matches; delete each line and \
+         its comment): {}",
+        stale.join(", ")
+    ))
+}
+
 /// Scans every [`SCAN_ROOTS`] tree under `workspace_root`. Returns all
-/// findings (empty = clean).
+/// findings (empty = clean); an allowlist entry that matched no source
+/// line is an error.
 pub fn scan_workspace(workspace_root: &Path) -> Result<Vec<Finding>, String> {
     let allow_path = workspace_root.join("crates/check/lint-allow.txt");
     let allow = match std::fs::read_to_string(&allow_path) {
         Ok(s) => parse_allowlist(&s)?,
         Err(e) => return Err(format!("cannot read {}: {e}", allow_path.display())),
     };
+    let mut used = vec![false; allow.len()];
     let mut findings = Vec::new();
     for root in SCAN_ROOTS {
         let dir = workspace_root.join(root);
@@ -276,9 +313,10 @@ pub fn scan_workspace(workspace_root: &Path) -> Result<Vec<Finding>, String> {
             let src =
                 std::fs::read_to_string(&f).map_err(|e| format!("reading {}: {e}", f.display()))?;
             let rel = f.strip_prefix(workspace_root).unwrap_or(&f);
-            findings.extend(scan_source(rel, &src, &allow));
+            findings.extend(scan_source_marking(rel, &src, &allow, &mut used));
         }
     }
+    stale_entries(&allow, &used)?;
     Ok(findings)
 }
 
@@ -323,5 +361,27 @@ mod tests {
         assert_eq!(hit[0].token, "HashMap");
         assert!(parse_allowlist("x.rs NotAToken\n").is_err());
         assert!(parse_allowlist("just-one-field\n").is_err());
+    }
+
+    #[test]
+    fn allowlist_entry_matching_no_source_line_is_an_error() {
+        let allow =
+            parse_allowlist("runner/src/sim.rs Instant\nnetsim/src/spatial.rs HashMap\n").unwrap();
+        let mut used = vec![false; allow.len()];
+        for (rel, src) in [
+            ("crates/runner/src/sim.rs", "let t = Instant::now();\n"),
+            // The path matches, but the token survives only in a comment.
+            (
+                "crates/netsim/src/spatial.rs",
+                "// no HashMap here any more\n",
+            ),
+        ] {
+            assert!(scan_source_marking(Path::new(rel), src, &allow, &mut used).is_empty());
+        }
+        assert_eq!(used, [true, false]);
+        let err = stale_entries(&allow, &used).unwrap_err();
+        assert!(err.contains("'netsim/src/spatial.rs HashMap'"), "{err}");
+        assert!(!err.contains("sim.rs"), "{err}");
+        assert!(stale_entries(&allow[..1], &used[..1]).is_ok());
     }
 }

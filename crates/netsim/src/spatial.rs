@@ -2,9 +2,22 @@
 //!
 //! The simulator's hottest question is "which nodes lie within
 //! carrier-sense range of this transmitter?". A brute-force scan answers
-//! it in O(N) per transmission; this index answers it in O(degree) by
+//! it in O(N) per transmission; this index answers it in time
+//! proportional to the nodes bucketed around the transmitter, by
 //! bucketing nodes into square cells and scanning only the block of
 //! cells that can intersect the query disc.
+//!
+//! Buckets live in one flat, x-major array over the bounding box of the
+//! occupied cell keys: cell `(kx, ky)` is bucket
+//! `(kx − origin.x) · dims.y + (ky − origin.y)`, so a lookup is two
+//! subtractions and a multiply, and the inner `ky` loop of a candidate
+//! scan reads adjacent buckets. The box is fixed at construction to the
+//! cells the initial points occupy; a cell outside it is simply empty to
+//! a query, and an [`SpatialIndex::update`] that carries a node outside it
+//! regrows the array to the union of the old box and the new cell (every
+//! bucket is moved once — rare, because mobility regions are bounded and
+//! the initial placement already spans them). Keys are signed, so nothing
+//! here assumes the positive quadrant.
 //!
 //! The index is deliberately *coarse*: it tracks which cell each node is
 //! in, not an exact position, so a node only needs re-bucketing when it
@@ -12,57 +25,38 @@
 //! harness derives them from mobility trajectories) and filter the
 //! candidate set by true distance — see `slr-radio`'s `NeighborQuery`
 //! trait for the contract. Candidate enumeration visits cells in a fixed
-//! row-major order, so results are deterministic; callers that need
-//! index-sorted neighbors sort the filtered survivors (a handful of
+//! x-major order, so results are deterministic; callers that need
+//! index-sorted neighbors order the filtered survivors (a handful of
 //! elements, not N).
 //!
 //! Points are plain `(x, y)` meter pairs: this crate sits below the
 //! geometry layer and must not depend on it.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use crate::hash::FastHasher;
-
 /// Integer cell coordinates (may be negative: positions are not required
 /// to sit in the positive quadrant).
 type CellKey = (i64, i64);
-
-// Cell keys are small, attacker-free integers: the crate-wide
-// [`FastHasher`] (which the SipHash-shy protocol and harness tables use
-// too) replaces the map's default hasher.
-type CellMap = HashMap<CellKey, Vec<usize>, BuildHasherDefault<FastHasher>>;
-
-/// Number of bucket-storage shards (power of two). At 100k+ nodes a
-/// single cell map concentrates every bucket in one allocation whose
-/// doubling resize stalls the event loop and strands up to half the
-/// table as dead capacity; sixteen shards cap the largest single resize
-/// at 1/16 of the cells while leaving lookups O(1).
-const SHARDS: usize = 16;
 
 /// A grid-bucketed index over `n` movable points.
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     /// Cell side length in meters.
     cell_m: f64,
-    /// Cell → the nodes currently bucketed in it, sharded by cell-key
-    /// hash. Only ever *indexed* by key (never iterated), so neither the
-    /// shard split nor the maps' internal order can leak into results.
-    cells: Vec<CellMap>,
+    /// Key of the box's minimum corner (bucket 0).
+    origin: CellKey,
+    /// Box extent in cells along x and y; `(0, 0)` over no points.
+    dims: (i64, i64),
+    /// The nodes currently bucketed in each cell of the box, x-major.
+    /// Node ids are stored as `u32` (checked at construction): buckets
+    /// are the bulk of the index and the scan is bandwidth-bound.
+    cells: Vec<Vec<u32>>,
     /// Per-node current cell key.
     keys: Vec<CellKey>,
     /// Per-node last-bucketed position (diagnostics and standalone use).
     points: Vec<(f64, f64)>,
 }
 
-/// The shard holding `key`'s bucket. Uses the hash's *top* bits: the
-/// shard maps index buckets by the low bits, so carving the shard out of
-/// those would put every key of a shard in the same bucket class.
-fn shard_of(key: CellKey) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FastHasher::default();
-    key.hash(&mut h);
-    (h.finish() >> 60) as usize & (SHARDS - 1)
+fn cell_key(cell_m: f64, p: (f64, f64)) -> CellKey {
+    ((p.0 / cell_m).floor() as i64, (p.1 / cell_m).floor() as i64)
 }
 
 impl SpatialIndex {
@@ -70,28 +64,82 @@ impl SpatialIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_m` is not positive and finite.
+    /// Panics if `cell_m` is not positive and finite, or if there are
+    /// more than `u32::MAX` points.
     pub fn new(cell_m: f64, points: &[(f64, f64)]) -> Self {
         assert!(
             cell_m.is_finite() && cell_m > 0.0,
             "cell size must be positive, got {cell_m}"
         );
+        assert!(
+            u32::try_from(points.len()).is_ok(),
+            "node ids are stored as u32, got {} points",
+            points.len()
+        );
         let mut index = SpatialIndex {
             cell_m,
-            cells: (0..SHARDS).map(|_| CellMap::default()).collect(),
-            keys: Vec::with_capacity(points.len()),
-            points: Vec::with_capacity(points.len()),
+            origin: (0, 0),
+            dims: (0, 0),
+            cells: Vec::new(),
+            keys: points.iter().map(|&p| cell_key(cell_m, p)).collect(),
+            points: points.to_vec(),
         };
-        for &p in points {
-            let key = index.key_of(p);
-            index.cells[shard_of(key)]
-                .entry(key)
-                .or_default()
-                .push(index.keys.len());
-            index.keys.push(key);
-            index.points.push(p);
+        if let Some(&first) = index.keys.first() {
+            let (lo, hi) = index.keys.iter().fold((first, first), |(lo, hi), k| {
+                (
+                    (lo.0.min(k.0), lo.1.min(k.1)),
+                    (hi.0.max(k.0), hi.1.max(k.1)),
+                )
+            });
+            index.reset_box(lo, hi);
+        }
+        for node in 0..index.keys.len() {
+            let slot = index.slot(index.keys[node]).expect("box spans every key");
+            index.cells[slot].push(node as u32);
         }
         index
+    }
+
+    /// Resets the box to the key rectangle `lo..=hi`, every bucket empty.
+    fn reset_box(&mut self, lo: CellKey, hi: CellKey) {
+        let extent = |lo: i64, hi: i64| hi.checked_sub(lo).and_then(|d| d.checked_add(1));
+        let (w, h) = extent(lo.0, hi.0)
+            .zip(extent(lo.1, hi.1))
+            .expect("bounding box of the cell keys overflows");
+        let len = w
+            .checked_mul(h)
+            .and_then(|n| usize::try_from(n).ok())
+            .expect("bounding box of the cell keys overflows");
+        self.origin = lo;
+        self.dims = (w, h);
+        self.cells = vec![Vec::new(); len];
+    }
+
+    /// The bucket holding cell `key`, or `None` outside the box.
+    fn slot(&self, key: CellKey) -> Option<usize> {
+        let dx = key.0.checked_sub(self.origin.0)?;
+        let dy = key.1.checked_sub(self.origin.1)?;
+        ((0..self.dims.0).contains(&dx) && (0..self.dims.1).contains(&dy))
+            .then(|| (dx * self.dims.1 + dy) as usize)
+    }
+
+    /// Regrows the box to the union of itself and `key`, moving every
+    /// bucket to its new slot.
+    fn grow_to(&mut self, key: CellKey) {
+        let (old_origin, old_dims) = (self.origin, self.dims);
+        let lo = (old_origin.0.min(key.0), old_origin.1.min(key.1));
+        let hi = (
+            (old_origin.0 + old_dims.0 - 1).max(key.0),
+            (old_origin.1 + old_dims.1 - 1).max(key.1),
+        );
+        let old = std::mem::take(&mut self.cells);
+        self.reset_box(lo, hi);
+        for (i, bucket) in old.into_iter().enumerate() {
+            let i = i as i64;
+            let key = (old_origin.0 + i / old_dims.1, old_origin.1 + i % old_dims.1);
+            let slot = self.slot(key).expect("grown box contains the old one");
+            self.cells[slot] = bucket;
+        }
     }
 
     /// The cell side length in meters.
@@ -116,10 +164,7 @@ impl SpatialIndex {
 
     /// The integer cell coordinates containing position `p`.
     pub fn key_of(&self, p: (f64, f64)) -> CellKey {
-        (
-            (p.0 / self.cell_m).floor() as i64,
-            (p.1 / self.cell_m).floor() as i64,
-        )
+        cell_key(self.cell_m, p)
     }
 
     /// Moves `node` to position `p`, re-bucketing it iff its cell changed.
@@ -131,38 +176,31 @@ impl SpatialIndex {
         if new_key == old_key {
             return false;
         }
-        let old_shard = &mut self.cells[shard_of(old_key)];
-        let old_cell = old_shard.get_mut(&old_key).expect("node's cell exists");
+        let old_slot = self.slot(old_key).expect("node's cell is inside the box");
+        let old_cell = &mut self.cells[old_slot];
         let at = old_cell
             .iter()
-            .position(|&v| v == node)
+            .position(|&v| v as usize == node)
             .expect("node listed in its cell");
         old_cell.swap_remove(at);
-        if old_cell.is_empty() {
-            old_shard.remove(&old_key);
-        }
-        self.cells[shard_of(new_key)]
-            .entry(new_key)
-            .or_default()
-            .push(node);
+        let new_slot = self.slot(new_key).unwrap_or_else(|| {
+            self.grow_to(new_key);
+            self.slot(new_key).expect("box grown to the new cell")
+        });
+        self.cells[new_slot].push(node as u32);
         self.keys[node] = new_key;
         true
     }
 
-    /// Live heap bytes held by the index (bucket shards including their
-    /// node vectors, plus the per-node key/point tables).
+    /// Live heap bytes held by the index (the bucket array and its node
+    /// vectors, plus the per-node key/point tables).
     pub fn mem_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(CellKey, Vec<usize>)>() + 1;
-        self.cells
-            .iter()
-            .map(|shard| {
-                shard.capacity() * entry
-                    + shard
-                        .values()
-                        .map(|v| v.capacity() * std::mem::size_of::<usize>())
-                        .sum::<usize>()
-            })
-            .sum::<usize>()
+        self.cells.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self
+                .cells
+                .iter()
+                .map(|c| c.capacity() * std::mem::size_of::<u32>())
+                .sum::<usize>()
             + self.keys.capacity() * std::mem::size_of::<CellKey>()
             + self.points.capacity() * std::mem::size_of::<(f64, f64)>()
     }
@@ -175,38 +213,46 @@ impl SpatialIndex {
     pub fn candidates_within(&self, center: (f64, f64), radius_m: f64, out: &mut Vec<usize>) {
         let (cx, cy) = self.key_of(center);
         // A cell at offset k has nearest distance > (k−1)·cell, so cells
-        // beyond ceil(radius/cell) cannot intersect the disc. Within the
-        // block, corner cells whose nearest point to `center` provably
-        // exceeds the radius are culled geometrically before the map
-        // lookup — at half-range cells that skips ~40% of the block (and
+        // beyond ceil(radius/cell) cannot intersect the disc; the block is
+        // clipped to the box, outside which every cell is empty. Within
+        // the block, corner cells whose nearest point to `center` provably
+        // exceeds the radius are culled geometrically before the bucket is
+        // read — at half-range cells that skips ~40% of the block (and
         // all their candidates). The bound is conservative (a meter of
         // slack over the exact nearest distance), so no in-range node can
         // be lost to floating-point error.
         let r = (radius_m / self.cell_m).ceil() as i64;
         let limit_sq = (radius_m + 1.0) * (radius_m + 1.0);
-        for dx in -r..=r {
-            let gap_x = if dx > 0 {
-                (cx + dx) as f64 * self.cell_m - center.0
-            } else if dx < 0 {
-                center.0 - (cx + dx + 1) as f64 * self.cell_m
+        let (ox, oy) = self.origin;
+        let (w, h) = self.dims;
+        let (x_lo, x_hi) = (
+            cx.saturating_sub(r).max(ox),
+            cx.saturating_add(r).min(ox + w - 1),
+        );
+        let (y_lo, y_hi) = (
+            cy.saturating_sub(r).max(oy),
+            cy.saturating_add(r).min(oy + h - 1),
+        );
+        // Distance from `c` to the nearest edge of cell column/row `k`
+        // when `k` is not the center's own (`k0`).
+        let gap = |k: i64, k0: i64, c: f64| {
+            if k > k0 {
+                k as f64 * self.cell_m - c
+            } else if k < k0 {
+                c - (k + 1) as f64 * self.cell_m
             } else {
                 0.0
-            };
-            for dy in -r..=r {
-                let gap_y = if dy > 0 {
-                    (cy + dy) as f64 * self.cell_m - center.1
-                } else if dy < 0 {
-                    center.1 - (cy + dy + 1) as f64 * self.cell_m
-                } else {
-                    0.0
-                };
+            }
+        };
+        for kx in x_lo..=x_hi {
+            let gap_x = gap(kx, cx, center.0);
+            let column = &self.cells[((kx - ox) * h) as usize..][..h as usize];
+            for ky in y_lo..=y_hi {
+                let gap_y = gap(ky, cy, center.1);
                 if gap_x * gap_x + gap_y * gap_y > limit_sq {
                     continue;
                 }
-                let key = (cx + dx, cy + dy);
-                if let Some(cell) = self.cells[shard_of(key)].get(&key) {
-                    out.extend_from_slice(cell);
-                }
+                out.extend(column[(ky - oy) as usize].iter().map(|&v| v as usize));
             }
         }
     }
@@ -346,6 +392,80 @@ mod tests {
             index.neighbors_within(node, 700.0, &mut out);
             assert_eq!(out, brute(&points, node, 700.0));
         }
+    }
+
+    #[test]
+    fn update_outside_the_initial_box_regrows_it() {
+        // A 3 × 3-cell box around the origin; nodes then jump several
+        // cells beyond it in both signs on both axes.
+        let mut points = random_points(30, 150.0, 11);
+        let mut index = SpatialIndex::new(100.0, &points);
+        let box_before = (index.origin, index.dims);
+        for (node, to) in [
+            (0, (-1234.0, 40.0)),
+            (1, (60.0, 2345.0)),
+            (2, (1810.0, -1790.0)),
+            (3, (-1200.0, 35.0)),
+        ] {
+            points[node] = to;
+            assert!(index.update(node, to));
+        }
+        assert_ne!((index.origin, index.dims), box_before, "box regrew");
+        assert_eq!(index.origin, (-13, -18));
+        assert_eq!(index.dims, (32, 42));
+        let mut out = Vec::new();
+        for node in 0..points.len() {
+            for range in [90.0, 300.0] {
+                out.clear();
+                index.neighbors_within(node, range, &mut out);
+                assert_eq!(out, brute(&points, node, range), "node {node}");
+            }
+        }
+        // And back in: the box never shrinks, results stay exact.
+        points[0] = (10.0, 10.0);
+        index.update(0, points[0]);
+        out.clear();
+        index.neighbors_within(0, 300.0, &mut out);
+        assert_eq!(out, brute(&points, 0, 300.0));
+    }
+
+    #[test]
+    fn zero_and_one_point_indexes_answer_queries() {
+        let empty = SpatialIndex::new(100.0, &[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.mem_bytes(), 0);
+        let mut out = Vec::new();
+        empty.candidates_within((-250.0, 30.0), 500.0, &mut out);
+        assert!(out.is_empty());
+
+        let mut one = SpatialIndex::new(100.0, &[(-40.0, 950.0)]);
+        assert_eq!((one.origin, one.dims), ((-1, 9), (1, 1)));
+        one.candidates_within((0.0, 900.0), 150.0, &mut out);
+        assert_eq!(out, vec![0]);
+        out.clear();
+        one.candidates_within((5000.0, 5000.0), 150.0, &mut out);
+        assert!(out.is_empty(), "the block lies wholly outside the box");
+        one.neighbors_within(0, 500.0, &mut out);
+        assert!(out.is_empty(), "a node is not its own neighbor");
+        assert!(one.update(0, (730.0, -10.0)));
+        one.candidates_within((700.0, 0.0), 50.0, &mut out);
+        assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn mem_bytes_is_the_sum_of_capacities() {
+        let points = random_points(200, 900.0, 3);
+        let mut index = SpatialIndex::new(250.0, &points);
+        index.update(7, (4000.0, -4000.0));
+        let buckets: usize = index.cells.iter().map(|c| c.capacity() * 4).sum();
+        assert!(buckets >= 200 * 4);
+        assert_eq!(
+            index.mem_bytes(),
+            index.cells.capacity() * 24
+                + buckets
+                + index.keys.capacity() * 16
+                + index.points.capacity() * 16
+        );
     }
 
     #[test]

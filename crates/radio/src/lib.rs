@@ -10,7 +10,8 @@
 //! * [`medium::NeighborQuery`] — how the channel sees space: exact
 //!   positions plus carrier-sense-range neighbor sets, answered by a
 //!   brute-force scan (the reference oracle) or a grid-bucketed spatial
-//!   index (O(degree) per transmission instead of O(N));
+//!   index (cost per transmission follows the nodes bucketed around
+//!   the transmitter instead of N);
 //! * [`mac::Mac`] — a DCF-style MAC: DIFS + slotted binary-exponential
 //!   backoff with freezing, NAV, RTS/CTS above a size threshold,
 //!   SIFS-spaced ACKs with retry limits, link-failure notification to the
@@ -34,7 +35,5 @@ pub use channel::{
 };
 pub use frame::{Frame, FrameKind};
 pub use mac::{DropReason, Mac, MacConfig, MacCounters, MacEffect, MacTimer};
-pub use medium::{
-    BruteForceMedium, NeighborQuery, PrecomputedQuery, StaticGridMedium, ValidatingQuery,
-};
+pub use medium::{BruteForceMedium, NeighborQuery, PrecomputedQuery, ValidatingQuery};
 pub use phy::PhyConfig;

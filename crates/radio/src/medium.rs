@@ -6,8 +6,9 @@
 //! carrier-sense range of a transmitter. This trait abstracts both, so
 //! the medium can be backed by a brute-force scan over a position slice
 //! (the reference oracle — O(N) per transmission), by a grid-bucketed
-//! [`SpatialIndex`](slr_netsim::SpatialIndex) (O(degree); the harness's
-//! production path), or by a [`ValidatingQuery`] that runs both and
+//! [`SpatialIndex`](slr_netsim::SpatialIndex) (cost follows the nodes
+//! bucketed around the transmitter; the harness's production path,
+//! `slr_runner::medium`), or by a [`ValidatingQuery`] that runs both and
 //! panics on any disagreement.
 //!
 //! ## Determinism contract
@@ -21,7 +22,6 @@
 //! the brute-force scan.
 
 use slr_mobility::Position;
-use slr_netsim::SpatialIndex;
 
 /// Position lookup plus range queries over a set of nodes.
 pub trait NeighborQuery {
@@ -61,53 +61,6 @@ impl NeighborQuery for BruteForceMedium<'_> {
                 out.push((v, d));
             }
         }
-    }
-}
-
-/// A static grid-indexed medium: positions bucketed in a
-/// [`SpatialIndex`] at construction. Suitable when positions do not move
-/// between queries (static topologies, micro-benchmarks); the harness
-/// uses its own incrementally-updated tracker for mobile scenarios.
-#[derive(Debug, Clone)]
-pub struct StaticGridMedium {
-    positions: Vec<Position>,
-    index: SpatialIndex,
-}
-
-impl StaticGridMedium {
-    /// Builds the medium; `cell_m` must be at least the largest query
-    /// range (the channel queries at carrier-sense range).
-    pub fn new(positions: Vec<Position>, cell_m: f64) -> Self {
-        let points: Vec<(f64, f64)> = positions.iter().map(|p| (p.x, p.y)).collect();
-        StaticGridMedium {
-            index: SpatialIndex::new(cell_m, &points),
-            positions,
-        }
-    }
-}
-
-impl NeighborQuery for StaticGridMedium {
-    fn node_count(&self) -> usize {
-        self.positions.len()
-    }
-
-    fn position(&self, node: usize) -> Position {
-        self.positions[node]
-    }
-
-    fn neighbors_within(&self, node: usize, range: f64, out: &mut Vec<(usize, f64)>) {
-        let center = self.positions[node];
-        let start = out.len();
-        let mut candidates = Vec::new();
-        self.index
-            .candidates_within((center.x, center.y), range, &mut candidates);
-        for v in candidates {
-            let d = center.distance(&self.positions[v]);
-            if v != node && d <= range {
-                out.push((v, d));
-            }
-        }
-        out[start..].sort_unstable_by_key(|&(v, _)| v);
     }
 }
 
@@ -206,6 +159,36 @@ impl NeighborQuery for PrecomputedQuery<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slr_netsim::SpatialIndex;
+
+    /// Test double for the "fast" side of [`ValidatingQuery`]: a fixed
+    /// point set answered by the netsim index.
+    struct StaticGrid(SpatialIndex);
+
+    impl StaticGrid {
+        fn new(positions: Vec<Position>, cell_m: f64) -> Self {
+            let points: Vec<(f64, f64)> = positions.iter().map(|p| (p.x, p.y)).collect();
+            StaticGrid(SpatialIndex::new(cell_m, &points))
+        }
+    }
+
+    impl NeighborQuery for StaticGrid {
+        fn node_count(&self) -> usize {
+            self.0.len()
+        }
+
+        fn position(&self, node: usize) -> Position {
+            let (x, y) = self.0.point(node);
+            Position::new(x, y)
+        }
+
+        fn neighbors_within(&self, node: usize, range: f64, out: &mut Vec<(usize, f64)>) {
+            let mut ids = Vec::new();
+            self.0.neighbors_within(node, range, &mut ids);
+            let center = self.position(node);
+            out.extend(ids.iter().map(|&v| (v, center.distance(&self.position(v)))));
+        }
+    }
 
     fn positions() -> Vec<Position> {
         vec![
@@ -230,7 +213,7 @@ mod tests {
     #[test]
     fn static_grid_matches_brute_force() {
         let pos = positions();
-        let grid = StaticGridMedium::new(pos.clone(), 550.0);
+        let grid = StaticGrid::new(pos.clone(), 550.0);
         for node in 0..pos.len() {
             for range in [250.0, 550.0] {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -244,7 +227,7 @@ mod tests {
     #[test]
     fn validating_query_passes_on_agreement() {
         let pos = positions();
-        let grid = StaticGridMedium::new(pos.clone(), 550.0);
+        let grid = StaticGrid::new(pos.clone(), 550.0);
         let v = ValidatingQuery {
             fast: &grid,
             oracle: &BruteForceMedium(&pos),
@@ -286,7 +269,7 @@ mod tests {
         let pos = positions();
         let mut wrong = pos.clone();
         wrong[2] = Position::new(5000.0, 0.0); // stale index position
-        let grid = StaticGridMedium::new(wrong, 550.0);
+        let grid = StaticGrid::new(wrong, 550.0);
         let v = ValidatingQuery {
             fast: &grid,
             oracle: &BruteForceMedium(&pos),

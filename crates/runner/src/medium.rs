@@ -1,5 +1,6 @@
 //! Incremental position tracking: the harness-side medium that answers
-//! the channel's neighbor queries in O(degree) instead of O(N).
+//! the channel's neighbor queries in O(candidates) — the nodes bucketed
+//! around the transmitter — instead of O(N).
 //!
 //! The old harness kept a full `Vec<Position>` snapshot, rebuilt every
 //! 100 ms of virtual time — an O(N) refresh feeding an O(N) scan in
@@ -24,10 +25,21 @@
 //!   positions: [`MediumView`] evaluates the trajectory at the query
 //!   instant for the transmitter and each candidate, filters by true
 //!   distance with the same arithmetic as the brute-force scan, and
-//!   sorts the survivors. The result is therefore *bit-identical* to
+//!   emits the survivors in ascending node order through a two-level
+//!   bitmap (see `QueryScratch`). The result is therefore
+//!   *bit-identical* to
 //!   [`BruteForceMedium`](slr_radio::medium::BruteForceMedium) over
 //!   `positions_at(now)` — the equivalence proptests in the workspace
 //!   root enforce exactly that.
+//!
+//! **What one query costs.** The candidate scan reads at most 5 × 5
+//! adjacent buckets of a flat grid, the filter is one distance per
+//! candidate, and the emit visits one summary word per 4 096 node ids
+//! between the lowest and highest survivor plus one bitmap word per
+//! word that holds a survivor. Node ids are scenario-order, so a
+//! transmitter's survivors are spread over all of `0..N`; the only term
+//! that grows with N is still that `N / 4096` (25 words at 100 000
+//! nodes), and a unit test below counts the words to hold it there.
 //!
 //! The one-meter scan padding ([`CELL_PAD_M`]) absorbs floating-point
 //! slack in crossing prediction: a node is guaranteed bucketed within
@@ -79,16 +91,29 @@ pub struct PositionTracker {
     generation: u64,
 }
 
-/// Per-query working memory: candidate list, plus an index bitmap and a
-/// distance table used to emit survivors in ascending node order without
-/// sorting (survivor sets are small but sorts of ~50 pairs were the
-/// single most expensive step of a query).
+/// Per-query working memory: candidate list, a distance table, and a
+/// two-level bitmap over node ids that emits survivors in ascending node
+/// order without sorting them (survivor sets are small, but sorting ~50
+/// pairs was the single most expensive step of a query).
+///
+/// Bit `v` of `bitmap` marks node `v` a survivor; bit `w` of `summary`
+/// marks `bitmap[w]` non-zero. Survivor ids are spread over all of
+/// `0..N`, so walking `bitmap` alone between the lowest and highest
+/// marked word is an O(N/64) sweep per query — ~1 560 words to emit ~47
+/// neighbours at 100 000 nodes. The summary level makes the emit
+/// output-sensitive: `N / 4096` summary words, then only the set words,
+/// then only the set bits. Both levels are cleared as they are read, so
+/// every query starts from all-zero scratch.
 #[derive(Default)]
 struct QueryScratch {
     candidates: Vec<usize>,
     cand_dist: Vec<f64>,
     dist: Vec<f64>,
     bitmap: Vec<u64>,
+    summary: Vec<u64>,
+    /// Bitmap and summary words the emit has read, over all queries.
+    #[cfg(test)]
+    words_visited: usize,
 }
 
 impl PositionTracker {
@@ -118,10 +143,10 @@ impl PositionTracker {
             deadlines,
             segments,
             scratch: RefCell::new(QueryScratch {
-                candidates: Vec::new(),
-                cand_dist: Vec::new(),
                 dist: vec![0.0; script.len()],
                 bitmap: vec![0; script.len().div_ceil(64)],
+                summary: vec![0; script.len().div_ceil(64 * 64)],
+                ..QueryScratch::default()
             }),
             max_range_m,
             generation: 0,
@@ -137,6 +162,7 @@ impl PositionTracker {
             + self.segments.capacity() * std::mem::size_of::<Segment>()
             + (scratch.candidates.capacity() + scratch.bitmap.capacity()) * 8
             + (scratch.cand_dist.capacity() + scratch.dist.capacity()) * 8
+            + scratch.summary.capacity() * 8
     }
 
     /// Brings every bucket up to date for queries at `now`: processes all
@@ -347,6 +373,9 @@ impl NeighborQuery for MediumView<'_> {
             cand_dist,
             dist,
             bitmap,
+            summary,
+            #[cfg(test)]
+            words_visited,
         } = &mut *scratch;
         candidates.clear();
         // Nodes are bucketed within CELL_PAD_M of their true position
@@ -364,28 +393,39 @@ impl NeighborQuery for MediumView<'_> {
                 .iter()
                 .map(|&v| center.distance(&self.tracker.position(v, self.now))),
         );
-        // Pass 2: mark survivors in the bitmap, branchlessly (survival
-        // is ~50/50, so a data dependency beats a mispredicted branch),
-        // to emit them in ascending node order without a sort.
+        // Pass 2: mark survivors in both bitmap levels, branchlessly
+        // (survival is ~50/50, so a data dependency beats a mispredicted
+        // branch), to emit them in ascending node order without a sort.
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for (&v, &d) in candidates.iter().zip(cand_dist.iter()) {
             let keep = (v != node) & (d <= range);
             let word = v >> 6;
             dist[v] = d;
             bitmap[word] |= (keep as u64) << (v & 63);
-            lo = lo.min(if keep { word } else { usize::MAX });
-            hi = hi.max(if keep { word } else { 0 });
+            summary[word >> 6] |= (keep as u64) << (word & 63);
+            lo = lo.min(if keep { word >> 6 } else { usize::MAX });
+            hi = hi.max(if keep { word >> 6 } else { 0 });
         }
         if lo > hi {
             return;
         }
-        for (word, bits) in bitmap[lo..=hi].iter_mut().enumerate() {
-            let mut b = *bits;
-            *bits = 0;
-            while b != 0 {
-                let v = ((lo + word) << 6) + b.trailing_zeros() as usize;
-                out.push((v, dist[v]));
-                b &= b - 1;
+        // Emit: summary words → set bitmap words → set bits, clearing
+        // each word as it is read.
+        for (s, set_words) in summary[lo..=hi].iter_mut().enumerate() {
+            let mut words = std::mem::take(set_words);
+            #[cfg(test)]
+            {
+                *words_visited += 1 + words.count_ones() as usize;
+            }
+            while words != 0 {
+                let word = ((lo + s) << 6) + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let mut bits = std::mem::take(&mut bitmap[word]);
+                while bits != 0 {
+                    let v = (word << 6) + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    out.push((v, dist[v]));
+                }
             }
         }
     }
@@ -427,6 +467,116 @@ mod tests {
                     assert_eq!(view.position(node), brute.position(node));
                 }
             }
+        }
+    }
+
+    /// `n` nodes uniform over a disc at the dense family's density, in
+    /// the positive quadrant (waypoint terrains start at the origin).
+    fn dense_disc(n: usize, seed: u64) -> (Vec<Position>, f64) {
+        use rand::Rng;
+        let area = n as f64 * crate::registry::Family::DENSE_AREA_PER_NODE_M2;
+        let radius = (area / std::f64::consts::PI).sqrt();
+        let mut rng = stream(seed, "medium-test", 1);
+        let positions = (0..n)
+            .map(|_| {
+                let r = radius * rng.gen_range(0.0f64..1.0).sqrt();
+                let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+                Position::new(radius + r * theta.cos(), radius + r * theta.sin())
+            })
+            .collect();
+        (positions, radius)
+    }
+
+    fn assert_scratch_is_zero(tracker: &PositionTracker) {
+        let scratch = tracker.scratch.borrow();
+        assert!(scratch.bitmap.iter().all(|&w| w == 0), "leaked bitmap bit");
+        assert!(
+            scratch.summary.iter().all(|&w| w == 0),
+            "leaked summary bit"
+        );
+    }
+
+    #[test]
+    fn two_level_emit_matches_brute_force_past_the_summary_boundary() {
+        // 157 bitmap words and 3 summary words; every 200th node roams.
+        const N: usize = 10_000;
+        let (positions, radius) = dense_disc(N, 5);
+        let mut script = MobilityScript::stationary(&positions);
+        let cfg = WaypointConfig {
+            terrain: slr_mobility::Terrain::new(2.0 * radius, 2.0 * radius),
+            duration: SimDuration::from_secs(70),
+            ..WaypointConfig::default()
+        };
+        let mut rng = stream(5, "medium-test", 2);
+        for v in (0..N).step_by(200) {
+            script.replace_trajectory(
+                v,
+                slr_mobility::generate_trajectory_from(positions[v], &cfg, &mut rng),
+            );
+        }
+        let mut tracker = PositionTracker::new(&script, 550.0);
+        assert_eq!(tracker.scratch.borrow().summary.len(), 3);
+        let nodes: Vec<usize> = [0, 63, 64, 4095, 4096, 8191, 8192, N - 1]
+            .into_iter()
+            .chain((0..N).step_by(397))
+            .chain((0..N).step_by(1400)) // movers
+            .collect();
+        let mut now_positions = Vec::new();
+        let (mut serial, mut spec, mut expect) = (Vec::new(), Vec::new(), Vec::new());
+        let mut candidates = Vec::new();
+        for secs in [0, 7, 33, 61] {
+            let now = SimTime::from_secs(secs);
+            tracker.sync_to(&script, now);
+            script.positions_into(now, &mut now_positions);
+            let brute = BruteForceMedium(&now_positions);
+            for &node in &nodes {
+                for range in [250.0, 550.0] {
+                    serial.clear();
+                    spec.clear();
+                    expect.clear();
+                    MediumView::new(&tracker, &script, now).neighbors_within(
+                        node,
+                        range,
+                        &mut serial,
+                    );
+                    assert_scratch_is_zero(&tracker);
+                    tracker
+                        .view()
+                        .speculate_query(node, now, range, &mut candidates, &mut spec);
+                    brute.neighbors_within(node, range, &mut expect);
+                    assert_eq!(serial, expect, "t={secs}s node {node} range {range}");
+                    assert_eq!(spec, expect, "t={secs}s node {node} range {range}");
+                }
+            }
+        }
+        assert!(tracker.generation() > 0, "the movers crossed cells");
+    }
+
+    #[test]
+    fn emit_cost_follows_survivors_not_node_count() {
+        // Equal density, 100× the nodes: the words the emit reads per
+        // query may grow by the summary level (one word per 4 096 ids)
+        // and nothing else. A plain lo..=hi walk over the bitmap reads
+        // ~1 500 words per query at 100 000 nodes.
+        for n in [1_000usize, 100_000] {
+            let (positions, _) = dense_disc(n, 9);
+            let script = MobilityScript::stationary(&positions);
+            let tracker = PositionTracker::new(&script, 550.0);
+            let view = MediumView::new(&tracker, &script, SimTime::ZERO);
+            let mut out = Vec::new();
+            let (mut queries, mut survivors) = (0usize, 0usize);
+            for node in (0..n).step_by(n / 250) {
+                out.clear();
+                view.neighbors_within(node, 550.0, &mut out);
+                queries += 1;
+                survivors += out.len();
+            }
+            let visited = tracker.scratch.borrow().words_visited;
+            assert!(survivors > 20 * queries, "dense enough to mean something");
+            assert!(
+                visited <= 2 * survivors + queries * (n / 4096 + 2),
+                "n={n}: {visited} words visited for {survivors} survivors over {queries} queries"
+            );
         }
     }
 

@@ -128,7 +128,8 @@ fn build_protocol(scenario: &Scenario, mask: &[bool], node: usize) -> Box<dyn Ro
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediumKind {
     /// The grid-bucketed spatial index with incremental position
-    /// tracking (O(degree) per transmission; the production path).
+    /// tracking (per-transmission cost follows the transmitter's
+    /// candidates, not N; the production path).
     #[default]
     SpatialGrid,
     /// The brute-force O(N) scan over exact positions — the reference
