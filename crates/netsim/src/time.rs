@@ -8,6 +8,22 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// The most whole seconds a [`SimTime`] or [`SimDuration`] can hold
+/// (about 584 years).
+pub const MAX_SECS: u64 = u64::MAX / NANOS_PER_SEC;
+
+/// `n` units of `unit` nanoseconds each. The integer constructors are
+/// handed constants and validated inputs only, so overflow is a bug in
+/// the caller: it panics rather than wrap to a short time.
+const fn scale(n: u64, unit: u64) -> u64 {
+    match n.checked_mul(unit) {
+        Some(ns) => ns,
+        None => panic!("simulated time overflows u64 nanoseconds (about 584 years)"),
+    }
+}
+
 /// An absolute simulation instant (nanoseconds since start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -27,19 +43,22 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates an instant from whole microseconds.
+    /// Creates an instant from whole microseconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
+        SimTime(scale(us, 1_000))
     }
 
-    /// Creates an instant from whole milliseconds.
+    /// Creates an instant from whole milliseconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
+        SimTime(scale(ms, 1_000_000))
     }
 
-    /// Creates an instant from whole seconds.
+    /// Creates an instant from whole seconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        SimTime(scale(s, NANOS_PER_SEC))
     }
 
     /// Creates an instant from fractional seconds.
@@ -82,19 +101,22 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Creates a span from whole microseconds.
+    /// Creates a span from whole microseconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration(scale(us, 1_000))
     }
 
-    /// Creates a span from whole milliseconds.
+    /// Creates a span from whole milliseconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(scale(ms, 1_000_000))
     }
 
-    /// Creates a span from whole seconds.
+    /// Creates a span from whole seconds; panics if that overflows
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(scale(s, NANOS_PER_SEC))
     }
 
     /// Creates a span from fractional seconds.
@@ -177,6 +199,28 @@ mod tests {
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         assert!((SimTime::from_secs_f64(1.25).as_secs_f64() - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn max_secs_is_the_last_whole_second_that_fits() {
+        assert_eq!(MAX_SECS, 18_446_744_073);
+        assert_eq!(
+            SimTime::from_secs(MAX_SECS).as_nanos(),
+            18_446_744_073_000_000_000
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 nanoseconds")]
+    fn overflowing_seconds_panic_instead_of_wrapping() {
+        // 18 446 744 074 s wraps to 0.29 s in unchecked arithmetic.
+        let _ = SimTime::from_secs(18_446_744_074);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 nanoseconds")]
+    fn overflowing_millis_panic_instead_of_wrapping() {
+        let _ = SimDuration::from_millis(u64::MAX / 1_000_000 + 1);
     }
 
     #[test]

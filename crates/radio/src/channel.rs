@@ -8,16 +8,17 @@
 //! ≥ `capture_ratio` under the d⁻⁴ law). Everything else is a collision.
 //!
 //! The channel is a passive state machine: the harness calls
-//! [`Channel::begin_tx`] when a MAC starts transmitting, schedules the
-//! returned end event(s) on its simulator, and calls [`Channel::finish_rx`]
-//! / [`Channel::finish_tx`] when they fire.
+//! [`Channel::begin_tx`] when a MAC starts transmitting and schedules one
+//! end event per transmission on its simulator.
 //!
 //! The channel retains each transmission's ordered receiver set (ascending
 //! node index, the order the harness must complete them in) together with
-//! the in-flight frame, so a harness can schedule **one** end event per
-//! transmission and walk [`Channel::tx_receivers`] at fire time instead of
-//! scheduling a heap event per receiver. Receiver vectors are recycled
-//! through an internal pool — steady-state transmissions allocate nothing.
+//! the in-flight frame. When the end event fires, the harness detaches the
+//! set ([`Channel::take_tx_receivers`]), completes each receiver's signal
+//! ([`Channel::finish_rx_batched`]), hands the set back
+//! ([`Channel::recycle_receivers`]) and retires the transmission
+//! ([`Channel::finish_tx_batched`]). Receiver vectors are recycled through
+//! an internal pool — steady-state transmissions allocate nothing.
 
 use std::collections::VecDeque;
 
@@ -54,8 +55,8 @@ const NO_SIGNAL: Signal = Signal {
 /// every touch (~100 node-state touches per transmission).
 const INLINE_SIGNALS: usize = 3;
 
-/// Per-node radio state: everything `begin_tx` and `finish_rx` touch for
-/// one node, laid out together.
+/// Per-node radio state: everything `begin_tx` and a signal completion
+/// touch for one node, laid out together.
 #[derive(Debug, Clone)]
 struct NodeState {
     /// End time of the node's own current transmission (`SimTime::ZERO`
@@ -184,7 +185,7 @@ pub struct Channel<P> {
     /// In-flight transmissions, indexed by `tx_id - in_flight_base`.
     /// Transmission ids are monotone and live for one airtime, so the
     /// window stays short; a ring of `Option`s replaces the old hash map
-    /// (one hash per release was measurable at dense scale).
+    /// (one hash per lookup was measurable at dense scale).
     in_flight: VecDeque<Option<InFlight<P>>>,
     /// Transmission id of `in_flight[0]`.
     in_flight_base: u64,
@@ -200,7 +201,6 @@ pub struct Channel<P> {
 
 struct InFlight<P> {
     frame: Frame<P>,
-    refs: usize,
     /// The perceiving nodes in ascending index order — the order their
     /// signals must be completed in.
     receivers: Vec<Receiver>,
@@ -260,11 +260,9 @@ impl<P: Clone> Channel<P> {
     /// exact node positions at `now` and the carrier-sense-range neighbor
     /// set ([`BruteForceMedium`](crate::medium::BruteForceMedium) over a
     /// position slice is the reference implementation). The caller must
-    /// either schedule one batched completion event and walk
-    /// [`Channel::tx_receivers`] when it fires, or schedule
-    /// `finish_rx(node, tx_id)` at `now + airtime` per receiver plus
-    /// `finish_tx(tx_id)` after them; in both cases receivers complete in
-    /// ascending node order, then the transmitter.
+    /// schedule one completion event at `now + airtime` and, when it
+    /// fires, complete the receivers in ascending node order, then the
+    /// transmitter (see the module docs).
     pub fn begin_tx(
         &mut self,
         frame: Frame<P>,
@@ -347,11 +345,8 @@ impl<P: Clone> Channel<P> {
 
         let receiver_count = receivers.len();
         debug_assert_eq!(id.0, self.in_flight_base + self.in_flight.len() as u64);
-        self.in_flight.push_back(Some(InFlight {
-            frame,
-            refs: receiver_count + 1,
-            receivers,
-        }));
+        self.in_flight
+            .push_back(Some(InFlight { frame, receivers }));
         BeginTx {
             tx_id: id,
             airtime,
@@ -367,9 +362,10 @@ impl<P: Clone> Channel<P> {
     }
 
     /// Detaches `tx_id`'s receiver set so the harness can walk it while
-    /// calling back into the channel ([`Channel::finish_rx`] per entry,
-    /// then [`Channel::finish_tx`]). Return it afterwards via
-    /// [`Channel::recycle_receivers`] to keep transmissions allocation-free.
+    /// calling back into the channel ([`Channel::finish_rx_batched`] per
+    /// entry, then [`Channel::finish_tx_batched`]). Return it afterwards
+    /// via [`Channel::recycle_receivers`] to keep transmissions
+    /// allocation-free.
     pub fn take_tx_receivers(&mut self, tx_id: TxId) -> Vec<Receiver> {
         let idx = self.index_of(tx_id);
         let entry = self.in_flight[idx]
@@ -398,9 +394,11 @@ impl<P: Clone> Channel<P> {
         }
     }
 
-    /// Signal completion shared by every engine path; `release` is the
-    /// per-receiver refcount bookkeeping the batched walk skips.
-    fn finish_rx_inner(&mut self, node: usize, tx_id: TxId, now: SimTime) -> FinishRx<P> {
+    /// Completes the signal of transmission `tx_id` at `node`, one
+    /// receiver of the completion walk: the caller completes every
+    /// receiver of `tx_id` and ends the walk with
+    /// [`Channel::finish_tx_batched`].
+    pub fn finish_rx_batched(&mut self, node: usize, tx_id: TxId, now: SimTime) -> FinishRx<P> {
         let frames = TxFrames {
             in_flight: &self.in_flight,
             base: self.in_flight_base,
@@ -415,24 +413,8 @@ impl<P: Clone> Channel<P> {
         )
     }
 
-    /// Completes the signal of transmission `tx_id` at `node`.
-    pub fn finish_rx(&mut self, node: usize, tx_id: TxId, now: SimTime) -> FinishRx<P> {
-        let r = self.finish_rx_inner(node, tx_id, now);
-        self.release(tx_id);
-        r
-    }
-
-    /// [`Channel::finish_rx`] for the batched completion walk: the caller
-    /// guarantees every receiver of `tx_id` completes in this walk and
-    /// ends it with [`Channel::finish_tx_batched`], so the per-receiver
-    /// refcount update is skipped (it was measurable: one in-flight-table
-    /// touch per receiver per transmission).
-    pub fn finish_rx_batched(&mut self, node: usize, tx_id: TxId, now: SimTime) -> FinishRx<P> {
-        self.finish_rx_inner(node, tx_id, now)
-    }
-
-    /// Ends a batched completion walk: retires `tx_id` outright (the
-    /// walk's receivers did not touch the refcount).
+    /// Ends a completion walk: retires `tx_id` and advances the in-flight
+    /// window past completed transmissions.
     pub fn finish_tx_batched(&mut self, tx_id: TxId) {
         let idx = self.index_of(tx_id);
         // The walk detached the receiver vector already; dropping the
@@ -442,11 +424,6 @@ impl<P: Clone> Channel<P> {
             self.in_flight.pop_front();
             self.in_flight_base += 1;
         }
-    }
-
-    /// Completes the transmitter side of `tx_id`.
-    pub fn finish_tx(&mut self, tx_id: TxId) {
-        self.release(tx_id);
     }
 
     /// Splits the per-node radio state into disjoint shards at the given
@@ -503,21 +480,6 @@ impl<P: Clone> Channel<P> {
         self.in_flight[self.index_of(tx_id)]
             .as_ref()
             .expect("in-flight tx")
-    }
-
-    fn release(&mut self, tx_id: TxId) {
-        let idx = self.index_of(tx_id);
-        let entry = self.in_flight[idx].as_mut().expect("release of unknown tx");
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            let done = self.in_flight[idx].take().expect("checked above");
-            self.recycle_receivers(done.receivers);
-            // Advance the window past completed transmissions.
-            while matches!(self.in_flight.front(), Some(None)) {
-                self.in_flight.pop_front();
-                self.in_flight_base += 1;
-            }
-        }
     }
 }
 
@@ -591,10 +553,10 @@ impl ChannelShard<'_> {
     }
 }
 
-/// The one signal-completion routine behind [`Channel::finish_rx`],
-/// [`Channel::finish_rx_batched`] and [`ChannelShard::finish_rx`]: every
-/// engine — per-receiver, batched, parallel — completes receivers through
-/// this exact code, which is what their bit-identity rests on.
+/// The one signal-completion routine behind [`Channel::finish_rx_batched`]
+/// and [`ChannelShard::finish_rx`]: both engines — batched and parallel —
+/// complete receivers through this exact code, which is what their
+/// bit-identity rests on.
 fn complete_signal<P: Clone>(
     n: &mut NodeState,
     frames: &TxFrames<'_, P>,
@@ -671,11 +633,11 @@ mod tests {
         assert_eq!((b.receiver_count, b.fresh_busy), (1, 1));
         assert!(ch.is_busy(1));
         let end = t0 + b.airtime;
-        let r = ch.finish_rx(1, b.tx_id, end);
+        let r = ch.finish_rx_batched(1, b.tx_id, end);
         assert!(r.frame.is_some());
         assert!(r.became_idle);
         assert!(!r.collided);
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(b.tx_id);
         assert_eq!(ch.stats.delivered, 1);
         assert_eq!(ch.stats.collisions, 0);
     }
@@ -701,9 +663,9 @@ mod tests {
             !ch.is_busy(1),
             "gated signal must not occupy node 1's medium"
         );
-        let r = ch.finish_rx(2, b.tx_id, SimTime::ZERO + b.airtime);
+        let r = ch.finish_rx_batched(2, b.tx_id, SimTime::ZERO + b.airtime);
         assert!(r.frame.is_some());
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(b.tx_id);
         assert_eq!(ch.stats.delivered, 1);
         assert_eq!(ch.stats.collisions, 0);
     }
@@ -716,10 +678,10 @@ mod tests {
         let b = ch.begin_tx(frame(0, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         assert_eq!(b.receiver_count, 1);
         assert!(ch.is_busy(1));
-        let r = ch.finish_rx(1, b.tx_id, SimTime::ZERO + b.airtime);
+        let r = ch.finish_rx_batched(1, b.tx_id, SimTime::ZERO + b.airtime);
         assert!(r.frame.is_none());
         assert!(!r.collided, "sub-threshold signal is not a collision");
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(b.tx_id);
     }
 
     #[test]
@@ -730,13 +692,13 @@ mod tests {
         let a = ch.begin_tx(frame(0, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let b = ch.begin_tx(frame(2, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let end = SimTime::ZERO + a.airtime;
-        let ra = ch.finish_rx(1, a.tx_id, end);
-        let rb = ch.finish_rx(1, b.tx_id, end);
+        let ra = ch.finish_rx_batched(1, a.tx_id, end);
+        let rb = ch.finish_rx_batched(1, b.tx_id, end);
         assert!(ra.frame.is_none() && rb.frame.is_none());
         assert!(ra.collided && rb.collided);
         assert_eq!(ch.stats.collisions, 2);
-        ch.finish_tx(a.tx_id);
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(a.tx_id);
+        ch.finish_tx_batched(b.tx_id);
     }
 
     #[test]
@@ -748,12 +710,12 @@ mod tests {
         let a = ch.begin_tx(frame(0, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let b = ch.begin_tx(frame(2, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let end = SimTime::ZERO + a.airtime;
-        let ra = ch.finish_rx(1, a.tx_id, end);
-        let rb = ch.finish_rx(1, b.tx_id, end);
+        let ra = ch.finish_rx_batched(1, a.tx_id, end);
+        let rb = ch.finish_rx_batched(1, b.tx_id, end);
         assert!(ra.frame.is_some(), "strong frame should capture");
         assert!(rb.frame.is_none(), "weak frame is lost");
-        ch.finish_tx(a.tx_id);
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(a.tx_id);
+        ch.finish_tx_batched(b.tx_id);
     }
 
     #[test]
@@ -765,13 +727,13 @@ mod tests {
         // Node 0 transmits to node 1 while node 1 is busy sending.
         let a = ch.begin_tx(frame(0, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let end = SimTime::ZERO + a.airtime;
-        let r = ch.finish_rx(1, a.tx_id, end);
+        let r = ch.finish_rx_batched(1, a.tx_id, end);
         assert!(r.frame.is_none(), "transmitting node cannot receive");
         // Drain remaining bookkeeping.
-        let r0 = ch.finish_rx(0, own.tx_id, SimTime::ZERO + own.airtime);
+        let r0 = ch.finish_rx_batched(0, own.tx_id, SimTime::ZERO + own.airtime);
         assert!(r0.frame.is_none(), "0 was transmitting too");
-        ch.finish_tx(own.tx_id);
-        ch.finish_tx(a.tx_id);
+        ch.finish_tx_batched(own.tx_id);
+        ch.finish_tx_batched(a.tx_id);
     }
 
     #[test]
@@ -788,15 +750,15 @@ mod tests {
         assert_eq!(b.fresh_busy, 1);
         // End of first signal at node 2: still busy with second.
         let end = SimTime::ZERO + a.airtime;
-        let r = ch.finish_rx(2, a.tx_id, end);
+        let r = ch.finish_rx_batched(2, a.tx_id, end);
         assert!(!r.became_idle);
-        let r2 = ch.finish_rx(2, b.tx_id, SimTime::ZERO + b.airtime);
+        let r2 = ch.finish_rx_batched(2, b.tx_id, SimTime::ZERO + b.airtime);
         assert!(r2.became_idle);
         // Cleanup others.
-        ch.finish_rx(1, a.tx_id, end);
-        ch.finish_rx(0, b.tx_id, SimTime::ZERO + b.airtime);
-        ch.finish_tx(a.tx_id);
-        ch.finish_tx(b.tx_id);
+        ch.finish_rx_batched(1, a.tx_id, end);
+        ch.finish_rx_batched(0, b.tx_id, SimTime::ZERO + b.airtime);
+        ch.finish_tx_batched(a.tx_id);
+        ch.finish_tx_batched(b.tx_id);
     }
 
     #[test]
@@ -812,11 +774,11 @@ mod tests {
         assert_eq!(set.len(), 2);
         let end = SimTime::ZERO + b.airtime;
         for r in &set {
-            let fin = ch.finish_rx(r.node as usize, b.tx_id, end);
+            let fin = ch.finish_rx_batched(r.node as usize, b.tx_id, end);
             assert!(fin.frame.is_some());
         }
         ch.recycle_receivers(set);
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(b.tx_id);
         assert_eq!(ch.stats.delivered, 2);
         // The window advanced: a new tx starts cleanly.
         let c = ch.begin_tx(frame(1, None), end, &BruteForceMedium(&pos));
@@ -880,11 +842,11 @@ mod tests {
         // medium but can no longer be decoded.
         ch.crash_receiver(1);
         assert!(ch.is_busy(1), "RF energy outlives the crashed radio");
-        let r = ch.finish_rx(1, b.tx_id, SimTime::ZERO + b.airtime);
+        let r = ch.finish_rx_batched(1, b.tx_id, SimTime::ZERO + b.airtime);
         assert!(r.frame.is_none(), "dead radio cannot decode");
         assert!(!r.collided, "an undecodable signal is not a collision");
         assert!(r.became_idle);
-        ch.finish_tx(b.tx_id);
+        ch.finish_tx_batched(b.tx_id);
         assert_eq!(ch.stats.delivered, 0);
         assert_eq!(ch.stats.collisions, 0);
     }
@@ -900,15 +862,15 @@ mod tests {
         ch.crash_receiver(1);
         let b = ch.begin_tx(frame(2, Some(1)), SimTime::ZERO, &BruteForceMedium(&pos));
         let end = SimTime::ZERO + a.airtime;
-        let ra = ch.finish_rx(1, a.tx_id, end);
+        let ra = ch.finish_rx_batched(1, a.tx_id, end);
         assert!(ra.frame.is_none() && !ra.collided, "quarantined");
         // The weak frame was corrupted by the strong lingering signal;
         // node 1 rejoined in the meantime, so it *does* count a collision.
-        let rb = ch.finish_rx(1, b.tx_id, SimTime::ZERO + b.airtime);
+        let rb = ch.finish_rx_batched(1, b.tx_id, SimTime::ZERO + b.airtime);
         assert!(rb.frame.is_none());
         assert!(rb.collided, "post-rejoin loss to interference is real");
-        ch.finish_rx(2, a.tx_id, end);
-        ch.finish_tx(a.tx_id);
-        ch.finish_tx(b.tx_id);
+        ch.finish_rx_batched(2, a.tx_id, end);
+        ch.finish_tx_batched(a.tx_id);
+        ch.finish_tx_batched(b.tx_id);
     }
 }

@@ -9,9 +9,9 @@
 //!   tracking, collisions, capture, half-duplex, busy/idle transitions;
 //! * [`medium::NeighborQuery`] — how the channel sees space: exact
 //!   positions plus carrier-sense-range neighbor sets, answered by a
-//!   brute-force scan (the reference oracle) or a grid-bucketed spatial
-//!   index (cost per transmission follows the nodes bucketed around
-//!   the transmitter instead of N);
+//!   grid-bucketed spatial index (cost per transmission follows the
+//!   nodes bucketed around the transmitter instead of N) and checkable
+//!   against a brute-force scan (the reference oracle);
 //! * [`mac::Mac`] — a DCF-style MAC: DIFS + slotted binary-exponential
 //!   backoff with freezing, NAV, RTS/CTS above a size threshold,
 //!   SIFS-spaced ACKs with retry limits, link-failure notification to the

@@ -4,12 +4,15 @@
 //! [`Channel::begin_tx`](crate::Channel::begin_tx) needs two things from
 //! the world: the exact position of any node, and the set of nodes within
 //! carrier-sense range of a transmitter. This trait abstracts both, so
-//! the medium can be backed by a brute-force scan over a position slice
-//! (the reference oracle — O(N) per transmission), by a grid-bucketed
+//! the medium can be backed by a grid-bucketed
 //! [`SpatialIndex`](slr_netsim::SpatialIndex) (cost follows the nodes
 //! bucketed around the transmitter; the harness's production path,
-//! `slr_runner::medium`), or by a [`ValidatingQuery`] that runs both and
-//! panics on any disagreement.
+//! `slr_runner::medium`), by a [`PrecomputedQuery`] answering one
+//! query from elsewhere, by a brute-force scan over a position slice
+//! ([`BruteForceMedium`], the reference oracle — O(N) per transmission),
+//! or by a [`ValidatingQuery`] that answers from one implementation,
+//! checks every answer against the oracle and panics on any
+//! disagreement.
 //!
 //! ## Determinism contract
 //!
@@ -18,8 +21,8 @@
 //! [`Position::distance`]), and exclude the querying node itself. Two
 //! implementations fed the same positions must therefore produce
 //! bit-identical simulations — the equivalence tests in the workspace
-//! root hold the grid-indexed medium to exactly that standard against
-//! the brute-force scan.
+//! root hold every answer the harness uses to exactly that standard
+//! against the brute-force scan.
 
 use slr_mobility::Position;
 

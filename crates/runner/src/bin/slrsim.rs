@@ -29,11 +29,12 @@
 //!   summaries instead of the text table
 //! * `--oracle` — additionally run SRP trials under the loop-freedom
 //!   oracle (panics on any Theorem 3 violation)
-//! * `--validate-spatial` — debug: cross-check every spatial-index
-//!   neighbor query against the brute-force oracle (pairs well with
-//!   `--oracle`; restores the old O(N)-per-transmission cost)
-//! * `--engine batched|per-receiver|parallel` — transmission-end event
-//!   dispatch; all three are bit-identical, they trade wall clock only
+//! * `--validate-spatial` — debug: cross-check every neighbor query —
+//!   the spatial index's answer or the parallel engine's speculation —
+//!   against the brute-force oracle (pairs well with `--oracle`; adds an
+//!   O(N) scan per transmission)
+//! * `--engine batched|parallel` — transmission-end event dispatch; the
+//!   two are bit-identical, they trade wall clock only
 //! * `--workers N|auto` — intra-trial workers for `--engine parallel`
 //!   (default: the machine's cores, capped at 8; `auto` resolves to the
 //!   host's full parallelism and the JSON echo records the resolved

@@ -65,11 +65,9 @@ pub struct CliOptions {
     /// query against the brute-force oracle (debug; slows trials to the
     /// old O(N·N) cost).
     pub validate_spatial: bool,
-    /// `--engine batched|per-receiver|parallel`: how transmission-end
-    /// events are dispatched (batched by default; per-receiver is the
-    /// retained reference engine, bit-identical but slower at density;
-    /// parallel executes conservative windows on `--workers` threads,
-    /// bit-identical at any worker count).
+    /// `--engine batched|parallel`: how transmission-end events are
+    /// dispatched (batched by default; parallel executes conservative
+    /// windows on `--workers` threads, bit-identical at any worker count).
     pub engine: EngineKind,
     /// `--json`: machine-readable output.
     pub json: bool,
@@ -106,8 +104,8 @@ impl Default for CliOptions {
 impl CliOptions {
     /// Resolves `--workers` to a concrete intra-trial width: the explicit
     /// flag under `--engine parallel`, else the machine's cores capped at
-    /// 8 (where the scaling curve flattens), else 1 for the serial
-    /// engines. The single defaulting policy every front-end shares.
+    /// 8 (where the scaling curve flattens), else 1 for the batched
+    /// engine. The single defaulting policy every front-end shares.
     pub fn effective_workers(&self) -> usize {
         match (self.engine, self.workers) {
             (EngineKind::Parallel, Some(w)) => w,
@@ -128,7 +126,7 @@ pub fn usage(bin: &str) -> String {
          [--dynamics churn[:RATE]|partition[:K]|crash[:N]|none] \
          [--adversary byzantine[:PCT]|sybil[:PCT]|chaos[:PCT]|none] [--paper] \
          [--json] [--oracle] [--validate-spatial] \
-         [--engine batched|per-receiver|parallel] [--workers N|auto] \
+         [--engine batched|parallel] [--workers N|auto] \
          [--list-scenarios]"
     )
 }
@@ -268,11 +266,10 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
             "--engine" => {
                 opts.engine = match take_value()?.as_str() {
                     "batched" => EngineKind::Batched,
-                    "per-receiver" => EngineKind::PerReceiver,
                     "parallel" => EngineKind::Parallel,
                     other => {
                         return Err(format!(
-                            "unknown engine {other:?} (expected batched, per-receiver or parallel)"
+                            "unknown engine {other:?} (expected batched or parallel)"
                         ))
                     }
                 }
@@ -295,8 +292,8 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
         return Err(
             "--workers only applies to --engine parallel: the unified core \
              budget sizes one pool at threads x workers, and only parallel \
-             trials open windows that can occupy the extra cores (serial \
-             engines parallelize across trials via --threads alone)"
+             trials open windows that can occupy the extra cores (the batched \
+             engine parallelizes across trials via --threads alone)"
                 .to_string(),
         );
     }
@@ -491,6 +488,8 @@ mod tests {
         assert!(e.contains("--engine parallel"), "{e}");
         assert!(parse(&["--engine", "parallel", "--workers", "0"]).is_err());
         assert!(parse(&["--engine", "quantum"]).is_err());
+        let e = parse(&["--engine", "per-receiver"]).unwrap_err();
+        assert!(e.contains("batched or parallel"), "{e}");
         assert!(usage("slrsim").contains("--workers"));
     }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use slr_netsim::pool::{with_core_pool, WindowExec};
-use slr_netsim::time::{SimDuration, SimTime};
+use slr_netsim::time::{SimDuration, SimTime, MAX_SECS};
 
 use crate::adversary::AdversarySpec;
 use crate::dynamics::DynamicsSpec;
@@ -117,16 +117,15 @@ pub struct SweepConfig {
     /// point (CLI `--adversary`), fielding misbehaving nodes on any
     /// family.
     pub override_adversary: Option<AdversarySpec>,
-    /// Cross-check every spatial-index neighbor query against the
-    /// brute-force oracle (CLI `--validate-spatial`; debug only — it
-    /// restores the old O(N) scan per transmission on top of the index).
+    /// Cross-check every neighbor query against the brute-force oracle
+    /// (CLI `--validate-spatial`; debug only — it adds an O(N) scan per
+    /// transmission on top of the index).
     pub validate_spatial: bool,
     /// Which transmission-end event engine trials run under (CLI
-    /// `--engine`; the per-receiver oracle is bit-identical but slower
-    /// at density).
+    /// `--engine`).
     pub engine: EngineKind,
     /// Intra-trial workers for [`EngineKind::Parallel`] (CLI `--workers`;
-    /// ignored by the serial engines). Output is bit-identical at any
+    /// ignored by the batched engine). Output is bit-identical at any
     /// worker count; this only trades wall clock. The sweep budgets
     /// `workers × threads` against the available cores — see
     /// [`SweepConfig::core_budget`].
@@ -221,6 +220,14 @@ impl SweepConfig {
             Some(self.values.clone()),
             self.paper_scale,
         )?;
+        if self.trials == 0 {
+            return Err("trials must be at least 1 (a sweep of no trials measures nothing)".into());
+        }
+        if let Some(d) = self.override_duration.filter(|&d| d > MAX_SECS) {
+            return Err(format!(
+                "duration must be at most {MAX_SECS} s (the simulated clock's range), got {d}"
+            ));
+        }
         if self.override_nodes.is_some() && self.param == SweepParam::Nodes {
             return Err("--nodes conflicts with sweeping nodes (drop one)".to_string());
         }
@@ -257,16 +264,32 @@ impl SweepConfig {
                 "workers = {} requires the parallel engine: the unified core \
                  budget sizes one pool at threads x workers and only \
                  parallel trials open windows that can occupy the extra \
-                 cores (serial engines parallelize across trials via \
-                 threads alone)",
+                 cores (the batched engine parallelizes across trials \
+                 via threads alone)",
                 self.workers
             ));
         }
         // Overrides are constant across points, so one probe scenario
         // catches degenerate combinations before they panic a worker.
         let probe = self.scenario_for(ProtocolKind::Srp, self.values[0], 0);
-        if probe.nodes < 2 {
-            return Err(format!("scenario needs >= 2 nodes, got {}", probe.nodes));
+        // The spatial index numbers nodes with `u32` ids.
+        if !(2..=u32::MAX as usize).contains(&probe.nodes) {
+            return Err(format!(
+                "scenario needs 2 to {} nodes, got {}",
+                u32::MAX,
+                probe.nodes
+            ));
+        }
+        // A waypoint pause leg starts before the end and lasts the whole
+        // pause, so the clock must reach past the end by that much.
+        if self.param == SweepParam::Pause {
+            for &v in &self.values {
+                if probe.end.checked_add(SimDuration::from_secs(v)).is_none() {
+                    return Err(format!(
+                        "pause {v} s runs past the simulated clock's range ({MAX_SECS} s)"
+                    ));
+                }
+            }
         }
         if probe.end <= probe.traffic_start {
             return Err(format!(
@@ -280,7 +303,7 @@ impl SweepConfig {
 
     /// The unified core budget: how many threads, the one that calls
     /// [`run_sweep`] included, both cross-trial jobs and intra-trial
-    /// window shards draw from. Serial engines need exactly `threads`.
+    /// window shards draw from. The batched engine needs exactly `threads`.
     /// Under the parallel engine each in-flight trial can additionally
     /// occupy up to `workers - 1` shard thieves, so the budget grows to
     /// `threads × workers`, capped at the host's cores (but never below
@@ -657,9 +680,71 @@ mod tests {
         assert!(ok.validate().is_ok(), "orthogonal overrides are fine");
     }
 
+    /// Seconds from the command line are multiplied into `u64`
+    /// nanoseconds; past the clock's range they used to wrap (a
+    /// `--duration 18446744100` ran a 26.3 s trial).
+    #[test]
+    fn validate_rejects_clock_overflow() {
+        let base = || SweepConfig {
+            values: vec![0],
+            ..SweepConfig::default()
+        };
+        let with_duration = |d| SweepConfig {
+            override_duration: Some(d),
+            ..base()
+        };
+        assert!(with_duration(MAX_SECS).validate().is_ok());
+        for d in [MAX_SECS + 1, 18_446_744_100, u64::MAX] {
+            let e = with_duration(d).validate().unwrap_err();
+            assert!(e.contains("duration"), "{e}");
+        }
+        // Out of range on its own, and in range but past the clock once
+        // the pause leg starts just before the trial's end.
+        for pause in [u64::MAX, MAX_SECS + 1, MAX_SECS] {
+            let cfg = SweepConfig {
+                values: vec![0, pause],
+                ..SweepConfig::default()
+            };
+            let e = cfg.validate().unwrap_err();
+            assert!(e.contains("pause"), "{e}");
+        }
+    }
+
+    /// A sweep of no trials printed a delivery ratio of 0 for every
+    /// point, and a node count past `u32::MAX` panicked allocating.
+    #[test]
+    fn validate_rejects_empty_and_oversized_sweeps() {
+        let e = SweepConfig {
+            trials: 0,
+            values: vec![0],
+            ..SweepConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("trials"), "{e}");
+        let too_many = u64::from(u32::MAX) + 1;
+        let swept = SweepConfig {
+            family: Family::Grid,
+            param: SweepParam::Nodes,
+            values: vec![9, too_many],
+            ..SweepConfig::default()
+        };
+        let e = swept.validate().unwrap_err();
+        assert!(e.contains("nodes"), "{e}");
+        for n in [too_many as usize, usize::MAX] {
+            let overridden = SweepConfig {
+                override_nodes: Some(n),
+                values: vec![0],
+                ..SweepConfig::default()
+            };
+            let e = overridden.validate().unwrap_err();
+            assert!(e.contains("nodes"), "{e}");
+        }
+    }
+
     #[test]
     fn worker_thread_core_budget() {
-        // Serial engines: threads pass through untouched.
+        // The batched engine: threads pass through untouched.
         let cfg = SweepConfig {
             threads: 6,
             ..SweepConfig::default()

@@ -49,6 +49,6 @@ pub use medium::{MediumView, PositionTracker};
 pub use metrics::{MemReport, Metrics, TrialSummary};
 pub use registry::{Family, SweepParam};
 pub use scenario::{MobilitySpec, ProtocolKind, Scenario, TopologySpec, TrafficSpec};
-pub use sim::{EngineKind, MediumKind, Payload, PhaseTimes, Sim};
+pub use sim::{EngineKind, Payload, PhaseTimes, Sim};
 pub use stats::MeanCi;
 pub use trace::{PacketFate, TraceEvent, TraceLog};

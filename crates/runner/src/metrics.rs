@@ -92,7 +92,7 @@ pub struct Metrics {
     pub audit_rejections: u64,
     /// Sum over first-time deliveries of geodesic stretch: hops taken
     /// divided by the minimum hop count at radio range over the
-    /// straight-line src–dst distance. Serial engines only (the parallel
+    /// straight-line src–dst distance. Batched engine only (the parallel
     /// engine's merged delivery ops do not carry the remaining TTL), so —
     /// like `sim_events` — it is diagnostics, not [`TrialSummary`].
     pub stretch_sum: f64,

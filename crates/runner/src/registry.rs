@@ -27,7 +27,7 @@
 //!   the paper's loop-free-at-every-instant thesis.
 
 use slr_mobility::Terrain;
-use slr_netsim::time::{SimDuration, SimTime};
+use slr_netsim::time::{SimDuration, SimTime, MAX_SECS};
 use slr_traffic::ArrivalProcess;
 
 use crate::adversary::AdversarySpec;
@@ -137,8 +137,14 @@ impl SweepParam {
     /// sweep worker with an opaque message deep in script generation).
     pub fn validate_value(&self, value: u64) -> Result<(), String> {
         match self {
-            SweepParam::Pause => Ok(()),
+            SweepParam::Pause if value > MAX_SECS => Err(format!(
+                "pause must be at most {MAX_SECS} s (the simulated clock's range), got {value}"
+            )),
             SweepParam::Nodes if value < 2 => Err(format!("nodes must be >= 2, got {value}")),
+            // The spatial index numbers nodes with `u32` ids.
+            SweepParam::Nodes if value > u64::from(u32::MAX) => {
+                Err(format!("nodes must be at most {}, got {value}", u32::MAX))
+            }
             SweepParam::Flows if value < 1 => Err("flows must be >= 1".to_string()),
             SweepParam::PacketRate if value < 1 => Err("rate must be >= 1 packet/s".to_string()),
             SweepParam::MaxSpeed if value < 1 => Err("speed must be >= 1 m/s".to_string()),

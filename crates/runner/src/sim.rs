@@ -56,13 +56,14 @@ pub enum Payload {
     Data(Arc<DataPacket>),
 }
 
-/// Harness events. Timer and transmitter-end events carry the node's
-/// *crash epoch* at scheduling time: a crash increments the epoch, so
-/// events addressed to the node's pre-crash incarnation are recognized as
-/// stale and only their channel bookkeeping runs. Receiver-side signal
-/// ends carry no epoch — crashed receivers are quarantined channel-side
-/// ([`Channel::crash_receiver`]), and busy/idle transitions track the
-/// physical medium, reaching whichever MAC incarnation is up at fire time.
+/// Harness events. Protocol-timer and transmission-end events carry the
+/// node's *crash epoch* at scheduling time: a crash increments the epoch,
+/// so events addressed to the node's pre-crash incarnation are recognized
+/// as stale and only their channel bookkeeping runs. The receivers of a
+/// transmission are checked against no epoch — crashed receivers are
+/// quarantined channel-side ([`Channel::crash_receiver`]), and busy/idle
+/// transitions track the physical medium, reaching whichever MAC
+/// incarnation is up at fire time.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A scripted application packet enters the network at its source.
@@ -71,16 +72,10 @@ enum Event {
     MacTimer(usize, MacTimer),
     /// A routing-protocol timer fired (node, epoch, token).
     ProtoTimer(usize, u64, u64),
-    /// A transmission finished at the transmitter (node, epoch, tx) —
-    /// the retained per-receiver engine.
-    TxEnd(usize, u64, TxId),
-    /// A signal ended at one receiver (node, tx) — the retained
-    /// per-receiver engine.
-    RxEnd(usize, TxId),
     /// A whole transmission ended (node, epoch, tx): every receiver
     /// signal completes in ascending node order from the channel's
     /// retained receiver set, then the transmitter side — one heap event
-    /// per transmission instead of one per receiver (the batched engine).
+    /// per transmission.
     TxComplete(usize, u64, TxId),
     /// The indexed entry of the dynamics script fires.
     Dynamics(usize),
@@ -96,8 +91,7 @@ enum Work {
 /// must be provably node-local. MAC timers are the only events that can
 /// start a transmission (global: medium query, channel mutation, busy
 /// fan-out to other nodes); dynamics rewire admittance, epochs and whole
-/// node stacks; the per-receiver engine's `RxEnd`/`TxEnd` never coexist
-/// with the parallel engine but are excluded for defense in depth.
+/// node stacks.
 fn window_safe(ev: &Event) -> bool {
     matches!(
         ev,
@@ -124,38 +118,19 @@ fn build_protocol(scenario: &Scenario, mask: &[bool], node: usize) -> Box<dyn Ro
     }
 }
 
-/// Which medium implementation answers the channel's neighbor queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MediumKind {
-    /// The grid-bucketed spatial index with incremental position
-    /// tracking (per-transmission cost follows the transmitter's
-    /// candidates, not N; the production path).
-    #[default]
-    SpatialGrid,
-    /// The brute-force O(N) scan over exact positions — the reference
-    /// oracle the index must match bit-for-bit. Kept for the equivalence
-    /// tests and `--validate-spatial`.
-    BruteForce,
-}
-
-/// How transmission-end processing is driven through the event queue.
-/// Every engine executes the identical per-receiver completion logic in
-/// the identical effective order; they differ only in how heap events
-/// carry it and on which thread it runs, and must therefore produce
-/// bit-identical trials (the equivalence tests in the workspace root hold
-/// them to exactly that, the same way `BruteForceMedium` anchors the
-/// spatial index).
+/// How transmission-end processing is dispatched. Both engines schedule
+/// one `TxComplete` heap event per transmission and execute the identical
+/// receiver-completion logic in the identical effective order; they
+/// differ only in which thread runs it, and must therefore produce
+/// bit-identical trials (the golden corpus and the engine property tests
+/// in the workspace root hold them to exactly that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// One `TxComplete` heap event per transmission: receivers complete
-    /// in ascending node order from the channel's retained receiver set,
-    /// then the transmitter (the serial production path — at dense scale
-    /// the per-receiver events, not the medium, dominated trial time).
+    /// Receivers complete in ascending node order from the channel's
+    /// retained receiver set, then the transmitter, all on the
+    /// dispatching thread (the serial production path).
     #[default]
     Batched,
-    /// One `RxEnd` heap event per receiver plus a `TxEnd` — the original
-    /// scheduling, retained as the reference oracle for the batched path.
-    PerReceiver,
     /// The batched scheduling, dispatched through conservative
     /// same-timestamp windows whose node-local tasks (receiver
     /// completions, protocol reactions, application arrivals, protocol
@@ -174,7 +149,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Batched => "batched",
-            EngineKind::PerReceiver => "per-receiver",
             EngineKind::Parallel => "parallel",
         }
     }
@@ -193,18 +167,16 @@ pub struct Sim {
     traffic: TrafficScript,
     /// Incrementally-maintained spatial index over node positions.
     tracker: PositionTracker,
-    /// Scratch snapshot for the brute-force medium, spatial validation
-    /// and geographic partition recomputes (reused, never reallocated).
+    /// Scratch snapshot for spatial validation and geographic partition
+    /// recomputes (reused, never reallocated).
     snapshot: Vec<Position>,
     /// When the snapshot was last filled (static scripts fill it once).
     snapshot_at: Option<SimTime>,
     /// Whether no node ever moves (snapshot never goes stale).
     static_script: bool,
-    /// Which neighbor-query implementation serves the channel.
-    medium: MediumKind,
-    /// How transmission-end events are scheduled.
+    /// How transmission-end events are dispatched.
     engine: EngineKind,
-    /// Cross-check every grid query against the brute-force oracle.
+    /// Cross-check every neighbor query against the brute-force oracle.
     validate_spatial: bool,
     /// Whether `startup` has run (guards partial stepping via
     /// [`Sim::advance_until`] followed by a full run).
@@ -233,7 +205,7 @@ pub struct Sim {
     /// Compiled dynamics schedule, time-sorted.
     dynamics: Vec<(SimTime, DynAction)>,
     /// Whether any dynamics are scheduled (guards admittance checks and
-    /// the per-receiver gate on the hot path).
+    /// the receiver gate on the hot path).
     has_dynamics: bool,
     /// Which nodes run adversarial scripts this trial (empty when the
     /// trial fields no adversaries; when non-empty, every honest node
@@ -245,7 +217,7 @@ pub struct Sim {
     pending_repair: Option<SimTime>,
     trace: Option<TraceLog>,
     /// Worker count for [`EngineKind::Parallel`] (1 = inline windowed
-    /// execution, no threads). Ignored by the serial engines.
+    /// execution, no threads). Ignored by the batched engine.
     workers: usize,
     /// Reusable window buffers for the parallel engine.
     win: WindowBufs,
@@ -279,7 +251,7 @@ pub struct Sim {
     wstats: WindowStats,
     /// Whether to pay for the serial/parallel wall-clock attribution.
     wstats_timing: bool,
-    /// Per-phase wall-clock accumulators (serial engines only; enabled by
+    /// Per-phase wall-clock accumulators (batched engine only; enabled by
     /// [`Sim::enable_phase_timing`]).
     phase: Option<Box<PhaseTimes>>,
     /// Metrics for the trial.
@@ -606,7 +578,6 @@ impl Sim {
             snapshot: positions,
             snapshot_at: Some(SimTime::ZERO),
             static_script,
-            medium: MediumKind::default(),
             engine: EngineKind::default(),
             validate_spatial: false,
             started: false,
@@ -645,21 +616,8 @@ impl Sim {
         self.trace = Some(TraceLog::new(capacity));
     }
 
-    /// Selects which medium implementation answers the channel's
-    /// neighbor queries (the spatial grid by default; the brute-force
-    /// oracle for equivalence tests).
-    pub fn set_medium(&mut self, medium: MediumKind) {
-        self.medium = medium;
-    }
-
-    /// Builder form of [`Sim::set_medium`].
-    pub fn with_medium(mut self, medium: MediumKind) -> Self {
-        self.set_medium(medium);
-        self
-    }
-
-    /// Selects how transmission-end events are scheduled (batched by
-    /// default; the per-receiver oracle for equivalence tests).
+    /// Selects how transmission-end events are dispatched (batched by
+    /// default).
     pub fn set_engine(&mut self, engine: EngineKind) {
         self.engine = engine;
     }
@@ -675,7 +633,7 @@ impl Sim {
     /// `workers - 1` pooled threads). `1` keeps the windowed dispatch but
     /// runs every task inline. Output is bit-identical across worker
     /// counts by construction; this only trades wall clock. No effect on
-    /// the serial engines.
+    /// the batched engine.
     ///
     /// # Panics
     ///
@@ -700,7 +658,7 @@ impl Sim {
     }
 
     /// Window-occupancy statistics accumulated so far (parallel engine;
-    /// all-zero under the serial engines).
+    /// all-zero under the batched engine).
     pub fn window_stats(&self) -> WindowStats {
         self.wstats
     }
@@ -719,16 +677,17 @@ impl Sim {
 
     /// Accumulates per-phase wall-clock attribution (medium / signal /
     /// MAC / protocol) during the trial, reported by [`Sim::run_phased`].
-    /// Serial engines only — the parallel engine's workers overlap phases
+    /// Batched engine only — the parallel engine's workers overlap phases
     /// by design, so per-phase wall clock is not well-defined there.
     pub fn enable_phase_timing(&mut self) {
         self.phase = Some(Box::default());
     }
 
-    /// Cross-checks every spatial-index neighbor query against the
-    /// brute-force oracle for the rest of the trial, panicking with a
-    /// diagnostic on the first divergence (`slrsim --validate-spatial`).
-    /// No effect under [`MediumKind::BruteForce`].
+    /// Cross-checks the answer to every neighbor query the channel asks —
+    /// from the spatial index or from a parallel worker's speculation —
+    /// against the brute-force oracle over exact positions for the rest
+    /// of the trial, panicking with a diagnostic on the first divergence
+    /// (`slrsim --validate-spatial`). Output is unchanged.
     pub fn enable_spatial_validation(&mut self) {
         self.validate_spatial = true;
     }
@@ -791,7 +750,7 @@ impl Sim {
     /// Like [`Sim::run_detailed`], additionally reporting where the wall
     /// clock went by harness phase (enables phase timing if the caller
     /// has not already). The attribution behind the benchmark's
-    /// `runner.sim.phase_*_s` metrics; meaningful under the serial engines.
+    /// `runner.sim.phase_*_s` metrics; meaningful under the batched engine.
     pub fn run_phased(mut self) -> (TrialSummary, Metrics, PhaseTimes) {
         if self.phase.is_none() {
             self.enable_phase_timing();
@@ -882,8 +841,8 @@ impl Sim {
     }
 
     /// Processes one unit of work strictly before `end`: a single serial
-    /// event (serial engines; non-hoppable MAC-timer and dynamics events
-    /// under the parallel engine) or one conservative window of
+    /// event (batched engine; lone MAC-timer and dynamics events under
+    /// the parallel engine) or one conservative window of
     /// node-local tasks, possibly widened with independent MAC timers
     /// (see the invariant write-up in [`crate::par`]).
     fn pump(&mut self, end: SimTime, exec: Option<&dyn WindowExec>) -> Pumped {
@@ -897,16 +856,8 @@ impl Sim {
                 None => Pumped::Idle,
             };
         }
-        // MAC-timer hopping needs the incrementally synced tracker that
-        // only the spatial-grid production path maintains; the oracle
-        // media keep the narrow (safe-events-only) windows.
-        let widen = self.medium == MediumKind::SpatialGrid && !self.validate_spatial;
         let (t, head_safe, head_mac) = match self.sim.peek_event() {
-            Some((t, ev)) if t < end => (
-                t,
-                window_safe(ev),
-                widen && matches!(ev, Event::MacTimer(..)),
-            ),
+            Some((t, ev)) if t < end => (t, window_safe(ev), matches!(ev, Event::MacTimer(..))),
             _ => return Pumped::Idle,
         };
         if !head_safe && !head_mac {
@@ -963,7 +914,7 @@ impl Sim {
                     Event::App(i) => Peeked::App(i),
                     Event::ProtoTimer(node, epoch, _) => Peeked::Proto(node, epoch),
                     Event::TxComplete(node, _, tx) => Peeked::Tx(node, tx),
-                    Event::MacTimer(node, _) if widen => Peeked::Mac(node),
+                    Event::MacTimer(node, _) => Peeked::Mac(node),
                     _ => Peeked::Stop,
                 },
                 _ => Peeked::Stop,
@@ -985,10 +936,6 @@ impl Sim {
                 head_pending = false;
             }
             let joins = match peeked {
-                // Without widening no MAC timer can be in the window and
-                // every safe event joins unconditionally (the narrow
-                // window rule the oracle media keep).
-                Peeked::App(_) | Peeked::Proto(..) | Peeked::Tx(..) if !widen => true,
                 Peeked::App(i) => self.mac_clear(self.traffic.packets()[i].src, t),
                 // A stale proto timer is an epoch-gated no-op: no owner.
                 Peeked::Proto(node, epoch) => epoch != self.epochs[node] || self.mac_clear(node, t),
@@ -1208,25 +1155,13 @@ impl Sim {
                 let now = self.sim.now();
                 self.mac_call_drain(node, |mac, fx| mac.on_timer_into(kind, now, fx));
             }
-            Event::TxEnd(node, epoch, tx_id) => {
-                // Channel bookkeeping runs unconditionally; the MAC only
-                // hears about it if the node has not crashed since.
-                self.channel.finish_tx(tx_id);
-                if epoch != self.epochs[node] {
-                    return;
-                }
-                let now = self.sim.now();
-                self.mac_call_drain(node, |mac, fx| mac.on_tx_end_into(now, fx));
-            }
-            Event::RxEnd(node, tx_id) => {
-                self.finish_signal(node, tx_id);
-            }
             Event::TxComplete(node, epoch, tx_id) => {
                 // The whole transmission in one event: each receiver's
                 // signal completes (ascending node order, each one's
-                // effects fully drained before the next — exactly the pop
-                // order the per-receiver engine produces), then the
-                // transmitter side.
+                // effects fully drained before the next), then the
+                // transmitter side. Channel bookkeeping runs
+                // unconditionally; the transmitter's MAC only hears about
+                // it if the node has not crashed since.
                 let now = self.sim.now();
                 let receivers = self.channel.take_tx_receivers(tx_id);
                 for r in &receivers {
@@ -1752,10 +1687,9 @@ impl Sim {
         }
     }
 
-    /// Completes one receiver's signal: channel bookkeeping, then frame
-    /// delivery and busy→idle notification for the node's *current* MAC.
-    /// Shared verbatim by both event engines — their bit-identity rests on
-    /// this being the only receiver-completion path.
+    /// The tail of one receiver's signal completion: frame delivery and
+    /// busy→idle notification for the node's *current* MAC (the parallel
+    /// engine's workers run the same steps in `par::run_task`).
     ///
     /// Crash semantics: a receiver that crashed mid-reception had its
     /// signals quarantined channel-side ([`Channel::crash_receiver`]), so
@@ -1765,16 +1699,6 @@ impl Sim {
     /// was resynced to "busy" on rejoin would otherwise stay deaf to the
     /// medium going quiet and defer forever. A node that is *down* has no
     /// radio to notify; the rejoin path resyncs it from `Channel::is_busy`.
-    fn finish_signal(&mut self, node: usize, tx_id: TxId) {
-        let now = self.sim.now();
-        let t0 = self.ph_t0();
-        let r = self.channel.finish_rx(node, tx_id, now);
-        self.ph_add(t0, PhaseSel::Signal);
-        self.after_finish_rx(node, r, now);
-    }
-
-    /// The engine-independent tail of a signal completion: frame delivery
-    /// and busy→idle notification for the node's current MAC.
     fn after_finish_rx(&mut self, node: usize, r: slr_radio::FinishRx<Payload>, now: SimTime) {
         if self.has_dynamics && !self.admittance.node_is_up(node) {
             return;
@@ -1949,74 +1873,59 @@ impl Sim {
         self.snapshot_at = Some(now);
     }
 
-    /// Starts `frame` on the channel through the configured medium.
+    /// Starts `frame` on the channel.
     ///
-    /// The grid path syncs the incremental tracker and answers from the
-    /// spatial index; the brute-force path refreshes the exact full
-    /// snapshot and scans it. Under `--validate-spatial` every grid
-    /// query is cross-checked against the brute-force oracle. Scenarios
-    /// without a dynamics schedule skip the admittance gate entirely —
-    /// this is the simulator's hottest loop.
+    /// Syncs the incremental tracker and answers from the spatial index,
+    /// or from a worker's speculation staged for this transmitter. Under
+    /// `--validate-spatial` whichever of the two answers is cross-checked
+    /// against the brute-force oracle over the exact full snapshot.
+    /// Scenarios without a dynamics schedule skip the admittance gate
+    /// entirely — this is the simulator's hottest loop.
     fn begin_tx_on_medium(&mut self, frame: Frame<Payload>, now: SimTime) -> BeginTx {
-        let gated = self.has_dynamics;
-        let validate = self.validate_spatial;
-        if self.medium == MediumKind::BruteForce || validate {
+        let src = frame.src;
+        if self.validate_spatial {
             self.fill_snapshot(now);
         }
-        let adm = &self.admittance;
-        let gate = |s: usize, v: usize| adm.allows(s, v);
-        match self.medium {
-            MediumKind::SpatialGrid => {
-                let src = frame.src;
-                self.tracker.sync_to(&self.mobility, now);
-                // Consume a staged speculative neighbor set iff it is for
-                // this transmitter and the tracker generation has not
-                // moved since the workers computed it.
-                let spec_fresh = match self.spec_node {
-                    Some((n, generation)) if n as usize == src => {
-                        if generation == self.tracker.generation() {
-                            self.wstats.spec_hits += 1;
-                            true
-                        } else {
-                            self.wstats.spec_misses += 1;
-                            false
-                        }
-                    }
-                    _ => false,
-                };
-                let view = MediumView::new(&self.tracker, &self.mobility, now);
-                let oracle = BruteForceMedium(&self.snapshot);
-                let checked = ValidatingQuery {
-                    fast: &view,
-                    oracle: &oracle,
-                };
-                let pre = PrecomputedQuery {
-                    inner: &view,
-                    src,
-                    range: self.scenario.mac.phy.cs_range_m,
-                    pairs: &self.spec_buf,
-                };
-                let medium: &dyn NeighborQuery = if validate {
-                    &checked
-                } else if spec_fresh {
-                    &pre
+        self.tracker.sync_to(&self.mobility, now);
+        // Consume a staged speculative neighbor set iff it is for this
+        // transmitter and the tracker generation has not moved since the
+        // workers computed it.
+        let spec_fresh = match self.spec_node {
+            Some((n, generation)) if n as usize == src => {
+                if generation == self.tracker.generation() {
+                    self.wstats.spec_hits += 1;
+                    true
                 } else {
-                    &view
-                };
-                if gated {
-                    self.channel.begin_tx_gated(frame, now, medium, gate)
-                } else {
-                    self.channel.begin_tx(frame, now, medium)
+                    self.wstats.spec_misses += 1;
+                    false
                 }
             }
-            MediumKind::BruteForce => {
-                let medium = BruteForceMedium(&self.snapshot);
-                if gated {
-                    self.channel.begin_tx_gated(frame, now, &medium, gate)
-                } else {
-                    self.channel.begin_tx(frame, now, &medium)
-                }
-            }
+            _ => false,
+        };
+        let view = MediumView::new(&self.tracker, &self.mobility, now);
+        let pre = PrecomputedQuery {
+            inner: &view,
+            src,
+            range: self.scenario.mac.phy.cs_range_m,
+            pairs: &self.spec_buf,
+        };
+        let answer: &dyn NeighborQuery = if spec_fresh { &pre } else { &view };
+        let oracle = BruteForceMedium(&self.snapshot);
+        let checked = ValidatingQuery {
+            fast: answer,
+            oracle: &oracle,
+        };
+        let medium: &dyn NeighborQuery = if self.validate_spatial {
+            &checked
+        } else {
+            answer
+        };
+        if self.has_dynamics {
+            let adm = &self.admittance;
+            self.channel
+                .begin_tx_gated(frame, now, medium, |s, v| adm.allows(s, v))
+        } else {
+            self.channel.begin_tx(frame, now, medium)
         }
     }
 
@@ -2037,34 +1946,18 @@ impl Sim {
                 let begin = self.begin_tx_on_medium(frame, now);
                 self.ph_add(t0, PhaseSel::Medium);
                 let end_at = now + begin.airtime;
-                match self.engine {
-                    // The parallel engine schedules exactly like the
-                    // batched one; only dispatch differs. During a window
-                    // merge the insertion joins the pend buffer (never
-                    // cancelled, so no kill-scan bookkeeping).
-                    EngineKind::Batched | EngineKind::Parallel => {
-                        let ev = Event::TxComplete(node, self.epochs[node], begin.tx_id);
-                        if self.merging {
-                            self.pend.push(Pend {
-                                time: end_at,
-                                event: ev,
-                                dead: false,
-                                mac: None,
-                            });
-                        } else {
-                            self.sim.schedule_at(end_at, ev);
-                        }
-                    }
-                    EngineKind::PerReceiver => {
-                        for r in self.channel.tx_receivers(begin.tx_id) {
-                            self.sim
-                                .schedule_at(end_at, Event::RxEnd(r.node as usize, begin.tx_id));
-                        }
-                        self.sim.schedule_at(
-                            end_at,
-                            Event::TxEnd(node, self.epochs[node], begin.tx_id),
-                        );
-                    }
+                // During a window merge the insertion joins the pend
+                // buffer (never cancelled, so no kill-scan bookkeeping).
+                let ev = Event::TxComplete(node, self.epochs[node], begin.tx_id);
+                if self.merging {
+                    self.pend.push(Pend {
+                        time: end_at,
+                        event: ev,
+                        dead: false,
+                        mac: None,
+                    });
+                } else {
+                    self.sim.schedule_at(end_at, ev);
                 }
                 // Busy fan-out, computed once per tx from the channel's
                 // signal sets: only nodes whose medium actually went

@@ -3,19 +3,18 @@
 //! 1. one quick-scale trial per protocol on the *same* mobility and
 //!    traffic scripts, printing the paper's three metrics;
 //! 2. one `dense`-family SRP trial run under the selected event engine,
-//!    with the batched engine's summary cross-checked bit-for-bit when a
-//!    non-default engine is chosen.
+//!    with the batched engine's summary cross-checked bit-for-bit when the
+//!    parallel engine is chosen.
 //!
 //! ```sh
 //! cargo run --release --example manet_demo
 //! cargo run --release --example manet_demo -- --pause 300
 //! cargo run --release --example manet_demo -- --nodes 400 \
 //!     --engine parallel --workers 4
-//! cargo run --release --example manet_demo -- --engine per-receiver
 //! ```
 //!
 //! Flags (shared parser with `slrsim`): `--pause S` for the per-protocol
-//! comparison; `--engine batched|per-receiver|parallel`, `--workers N`,
+//! comparison; `--engine batched|parallel`, `--workers N`,
 //! `--nodes N`, `--duration S` and `--seed N` for the dense engine demo.
 
 use slr_runner::cli::{parse_cli, usage, CliAction};
@@ -62,14 +61,13 @@ fn main() {
     println!("\nExpected shape (paper §V): SRP best delivery & lowest load;");
     println!("AODV/LDR mid; DSR degrades with mobility; OLSR trades overhead for latency.");
 
-    // Part 2: the dense family under the selected engine. Every engine is
-    // bit-identical by contract; the demo proves it on the spot whenever
-    // a non-default engine is picked.
+    // Part 2: the dense family under the selected engine. Both engines
+    // are bit-identical by contract; the demo proves it on the spot
+    // whenever the parallel engine is picked.
     let nodes = opts.nodes.unwrap_or(300) as u64;
     let workers = opts.effective_workers();
     let engine_name = match opts.engine {
         EngineKind::Batched => "batched".to_string(),
-        EngineKind::PerReceiver => "per-receiver".to_string(),
         EngineKind::Parallel => format!("parallel ({workers} workers)"),
     };
     let dense_scenario = || {

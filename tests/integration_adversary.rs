@@ -37,7 +37,7 @@ fn adversary_trials_bit_identical_across_engines_and_workers() {
         let reference =
             Sim::new(adversarial(family, 25, 5)).run_with_loop_oracle(SimDuration::from_secs(1));
         for (engine, workers) in [
-            (EngineKind::PerReceiver, 1),
+            (EngineKind::Parallel, 1),
             (EngineKind::Parallel, 2),
             (EngineKind::Parallel, 4),
         ] {

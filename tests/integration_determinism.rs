@@ -1,11 +1,11 @@
 //! Reproducibility: identical seeds produce bit-identical results,
 //! mobility/traffic are identical across protocols within a trial, and
-//! the spatial-index medium is bit-equivalent to the brute-force scan.
+//! every spatial-index neighbor query agrees with the brute-force scan.
 
 use slr_netsim::time::SimTime;
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::scenario::{ProtocolKind, Scenario};
-use slr_runner::sim::{MediumKind, Sim};
+use slr_runner::sim::Sim;
 
 #[test]
 fn identical_seeds_reproduce_exactly() {
@@ -37,10 +37,12 @@ fn different_trials_differ() {
     assert_ne!(a, b, "different trials should see different scripts");
 }
 
-/// The tentpole equivalence guarantee, pinned on fixed seeds (the
-/// proptest in `proptest_spatial.rs` fuzzes the same property): the
-/// grid-indexed medium and the brute-force position scan must produce
-/// bit-identical trials — across mobility (stale buckets would shift
+/// The spatial index's equivalence guarantee, pinned on fixed seeds (the
+/// proptest in `proptest_spatial.rs` fuzzes the same property): every
+/// neighbor query the grid-indexed medium answers must equal the
+/// brute-force position scan's (validation panics on the first
+/// divergence), and the checked trial must summarize bit-identically to
+/// the unchecked one — across mobility (stale buckets would shift
 /// receptions), churn dynamics (the admittance gate composes with the
 /// neighbor query), and structured topologies.
 #[test]
@@ -65,11 +67,14 @@ fn spatial_index_matches_brute_force_medium() {
         }),
     ];
     for (name, scenario) in scenarios {
-        let grid = Sim::new(scenario)
-            .with_medium(MediumKind::SpatialGrid)
-            .run();
-        let brute = Sim::new(scenario).with_medium(MediumKind::BruteForce).run();
-        assert_eq!(grid, brute, "{name}: media diverged");
+        let grid = Sim::new(scenario).run();
+        let mut validated = Sim::new(scenario);
+        validated.enable_spatial_validation();
+        assert_eq!(
+            grid,
+            validated.run(),
+            "{name}: validation perturbed the trial"
+        );
         assert!(grid.originated > 0, "{name}: no traffic");
     }
 }

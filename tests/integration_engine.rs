@@ -1,17 +1,15 @@
 //! The event engines' fixed-seed contracts (the proptests in
-//! `proptest_engine.rs` fuzz the same properties):
+//! `proptest_engine.rs` fuzz the same properties, and the golden corpus
+//! in `golden.rs` holds a fixed fleet to recorded summaries under every
+//! engine and worker count):
 //!
-//! * batched vs per-receiver bit-identity on representative scenarios,
-//!   including dynamics families whose crash epochs exercise the event
-//!   quarantine paths;
-//! * parallel vs batched bit-identity at worker counts 1, 2 and 8 — the
-//!   conservative-window discipline and canonical side-effect merge must
-//!   not move a single bit no matter how tasks shard across workers;
+//! * parallel vs batched bit-identity with more workers than nodes, and
+//!   under sub-airtime injected dynamics;
 //! * the crash-mid-reception audit: a node crashing while a signal is in
 //!   flight at its antenna and rejoining — before *or* after that signal
 //!   ends — must come back with a MAC whose carrier view matches the
 //!   channel's ground truth at every instant, without phantom collision
-//!   accounting from the undecodable signal (run under every engine,
+//!   accounting from the undecodable signal (run under both engines,
 //!   including the parallel engine's mixed `advance_until` stepping);
 //! * the CLI JSON regression: the full `run_sweep` + `render_json`
 //!   pipeline (the path behind `slrsim --json`, with and without
@@ -31,66 +29,6 @@ use slr_runner::{run_sweep, DynamicsSpec, SweepConfig, SweepResult, TrialSummary
 use slr_traffic::{PacketSpec, TrafficScript};
 
 use slr_mobility::Position;
-
-/// The fixed-seed equivalence fleet shared by the engine-identity tests.
-fn fixed_scenarios() -> Vec<(&'static str, Scenario)> {
-    vec![
-        ("mobile paper-sweep", {
-            let mut s = Scenario::quick(ProtocolKind::Srp, 0, 77, 0);
-            s.nodes = 40;
-            s.end = SimTime::from_secs(50);
-            s.set_flows(6);
-            s
-        }),
-        (
-            "grid under churn",
-            Family::Churn.scenario_at(ProtocolKind::Aodv, 5, 1, false, SweepParam::ChurnRate, 8),
-        ),
-        (
-            "crash-rejoin",
-            Family::CrashRejoin.scenario_at(ProtocolKind::Srp, 11, 0, false, SweepParam::Nodes, 16),
-        ),
-        ("dense disc (scaled down)", {
-            let mut s =
-                Family::Dense.scenario_at(ProtocolKind::Srp, 9, 0, false, SweepParam::Nodes, 100);
-            s.end = SimTime::from_secs(25);
-            s
-        }),
-    ]
-}
-
-#[test]
-fn batched_engine_matches_per_receiver_on_fixed_scenarios() {
-    for (name, scenario) in fixed_scenarios() {
-        let batched = Sim::new(scenario).with_engine(EngineKind::Batched).run();
-        let per_rx = Sim::new(scenario)
-            .with_engine(EngineKind::PerReceiver)
-            .run();
-        assert_eq!(batched, per_rx, "{name}: engines diverged");
-        assert!(batched.originated > 0, "{name}: no traffic");
-    }
-}
-
-/// The parallel engine's determinism contract, pinned at fixed seeds: the
-/// same trial under `--engine parallel` is bit-identical to `Batched` at
-/// worker counts 1 (inline windows), 2 and 8 (sharded across the pool,
-/// with 8 workers over ≤100 nodes forcing ragged and empty shards).
-#[test]
-fn parallel_engine_matches_batched_on_fixed_scenarios() {
-    for (name, scenario) in fixed_scenarios() {
-        let batched = Sim::new(scenario).with_engine(EngineKind::Batched).run();
-        for workers in [1, 2, 8] {
-            let par = Sim::new(scenario)
-                .with_engine(EngineKind::Parallel)
-                .with_workers(workers)
-                .run();
-            assert_eq!(
-                batched, par,
-                "{name}: parallel@{workers} diverged from batched"
-            );
-        }
-    }
-}
 
 /// More pool workers than nodes: the execution width clamps to the node
 /// count and the surplus workers must idle through every broadcast
@@ -230,18 +168,8 @@ fn crash_mid_reception_rejoin_before_signal_end_batched() {
 }
 
 #[test]
-fn crash_mid_reception_rejoin_before_signal_end_per_receiver() {
-    crash_rejoin_before_signal_end(EngineKind::PerReceiver);
-}
-
-#[test]
 fn crash_mid_reception_rejoin_after_signal_end_batched() {
     crash_rejoin_after_signal_end(EngineKind::Batched);
-}
-
-#[test]
-fn crash_mid_reception_rejoin_after_signal_end_per_receiver() {
-    crash_rejoin_after_signal_end(EngineKind::PerReceiver);
 }
 
 #[test]
@@ -255,7 +183,7 @@ fn crash_mid_reception_rejoin_after_signal_end_parallel() {
 }
 
 /// The same sub-airtime injected schedule must produce bit-identical
-/// trials under every engine (the proptest fuzzes compiled schedules,
+/// trials under both engines (the proptest fuzzes compiled schedules,
 /// which cannot place events inside an airtime window; this pins the
 /// adversarial timing directly — for the parallel engine it also mixes
 /// `advance_until` inline stepping with a pooled full run).
@@ -271,9 +199,7 @@ fn injected_mid_airtime_dynamics_keep_engines_identical() {
         sim.inject_dynamics(t + SimDuration::from_micros(75), DynAction::NodeRejoin(1));
         sim.run_detailed().0
     };
-    let batched = run(EngineKind::Batched);
-    assert_eq!(batched, run(EngineKind::PerReceiver));
-    assert_eq!(batched, run(EngineKind::Parallel));
+    assert_eq!(run(EngineKind::Batched), run(EngineKind::Parallel));
 }
 
 /// Drops the two config-echo lines (`"engine"`, `"workers"`) that

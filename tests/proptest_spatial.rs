@@ -1,8 +1,10 @@
 //! Property tests for the spatial-index medium: over *arbitrary* random
-//! topologies, mobility and churn dynamics, a trial simulated through
-//! the grid-bucketed `SpatialIndex` + incremental `PositionTracker` is
-//! **bit-identical** to the same trial through the brute-force O(N)
-//! position scan (the reference oracle kept in `slr-radio`).
+//! topologies, mobility and churn dynamics, every neighbor query the
+//! grid-bucketed `SpatialIndex` + incremental `PositionTracker` answers
+//! in a trial is cross-checked against the brute-force O(N) position scan
+//! (the reference oracle kept in `slr-radio`), which panics on the first
+//! divergent answer, and the checked trial is **bit-identical** to the
+//! unchecked one.
 //!
 //! This is the contract that makes the index safe to use by default:
 //! the channel's neighbor sets, signal powers, capture decisions and
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::scenario::{MobilitySpec, ProtocolKind, Scenario, TopologySpec};
-use slr_runner::sim::{MediumKind, Sim};
+use slr_runner::sim::Sim;
 use slr_runner::DynamicsSpec;
 
 /// A CI-sized scenario over the fuzzed axes: topology shape, mobility
@@ -58,10 +60,14 @@ fn scenario(
     s
 }
 
+/// Runs `s` with every neighbor query validated against the brute-force
+/// scan, and holds the summary to the unvalidated run's.
 fn media_agree(s: Scenario) -> Result<(), TestCaseError> {
-    let grid = Sim::new(s).with_medium(MediumKind::SpatialGrid).run();
-    let brute = Sim::new(s).with_medium(MediumKind::BruteForce).run();
-    prop_assert_eq!(&grid, &brute, "media diverged on {}", s.describe());
+    let grid = Sim::new(s).run();
+    let mut validated = Sim::new(s);
+    validated.enable_spatial_validation();
+    let validated = validated.run();
+    prop_assert_eq!(&grid, &validated, "validation perturbed {}", s.describe());
     prop_assert!(grid.originated > 0, "no traffic in {}", s.describe());
     Ok(())
 }
