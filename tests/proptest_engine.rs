@@ -126,6 +126,57 @@ proptest! {
         parallel_agrees(s, &[false])?;
     }
 
+    /// The engines agree under AODV with link churn at every fuzzed rate
+    /// (timer cancel/reschedule storms and MAC retry cascades exercise
+    /// the queue's tombstone path).
+    #[test]
+    fn engines_agree_under_churn(
+        seed in 0u64..100_000,
+        nodes in 12usize..=30,
+        topology in 0u8..4,
+        mobile in proptest::bool::ANY,
+        rate in 1u64..=20,
+    ) {
+        let s = scenario(
+            ProtocolKind::Aodv, seed, nodes, topology, mobile, 3, dynamics(1, rate),
+        );
+        parallel_agrees(s, &[false])?;
+    }
+
+    /// The engines agree under node crash–rejoin: crash epochs,
+    /// channel-side signal quarantine and the lazy carrier resync must
+    /// behave identically whether receiver completions run serially or
+    /// on node-local tasks across workers.
+    #[test]
+    fn engines_agree_under_crash_rejoin(
+        seed in 0u64..100_000,
+        nodes in 12usize..=30,
+        topology in 0u8..4,
+        mobile in proptest::bool::ANY,
+        crashes in 1usize..=4,
+    ) {
+        let s = scenario(
+            ProtocolKind::Srp, seed, nodes, topology, mobile, 3,
+            DynamicsSpec::default_crash(crashes),
+        );
+        parallel_agrees(s, &[false])?;
+    }
+
+    /// The dense family itself (scaled down to CI size, run a little
+    /// longer and larger than below) — the workload the batched engine
+    /// exists for.
+    #[test]
+    fn dense_family_engines_agree(
+        seed in 0u64..100_000,
+        nodes in 60u64..=120,
+    ) {
+        let mut s = Family::Dense.scenario_at(
+            ProtocolKind::Srp, seed, 0, false, SweepParam::Nodes, nodes,
+        );
+        s.end = SimTime::from_secs(25);
+        parallel_agrees(s, &[false])?;
+    }
+
     /// The dense family (CI-scaled) under the parallel engine: the
     /// receiver sets here are large enough that windows actually cross
     /// the pool threshold, so this exercises the sharded path (not just
@@ -133,7 +184,7 @@ proptest! {
     #[test]
     fn dense_family_parallel_agrees(
         seed in 0u64..100_000,
-        nodes in 60u64..=120,
+        nodes in 60u64..=100,
     ) {
         let mut s = Family::Dense.scenario_at(
             ProtocolKind::Srp, seed, 0, false, SweepParam::Nodes, nodes,
