@@ -11,7 +11,8 @@
 //! rather than on route discovery permutations.
 
 use slr_netsim::time::SimDuration;
-use slr_protocols::api::{NodeId, RingSchedule};
+use slr_protocols::api::NodeId;
+use slr_protocols::discovery::DiscoveryConfig;
 use slr_protocols::srp::{MultipathPolicy, Srp, SrpConfig};
 
 use crate::model::{Action, Flow, Model, ModelConfig};
@@ -33,13 +34,14 @@ pub fn model_srp_config() -> SrpConfig {
         lie_k: 10_000,
         min_reply_hops: 0,
         route_lifetime: SimDuration::from_secs(2),
-        per_hop_latency: SimDuration::from_secs(1),
         // First-ring TTL (5) already covers every model topology
         // (diameter <= 4), so retries never change the flood shape.
-        ring: RingSchedule::default(),
-        buffer_capacity: 4,
-        buffer_timeout: SimDuration::from_secs(1 << 20),
-        rerr_rate_limit: SimDuration::ZERO,
+        discovery: DiscoveryConfig {
+            per_hop_latency: SimDuration::from_secs(1),
+            buffer_capacity: 4,
+            buffer_timeout: SimDuration::from_secs(1 << 20),
+            rerr_rate_limit: SimDuration::ZERO,
+        },
         probe_on_no_reverse: false,
         multipath: MultipathPolicy::SingleMinHop,
         reduce_den_threshold: 1 << 27,

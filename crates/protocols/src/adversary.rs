@@ -58,8 +58,8 @@ impl AdversaryKind {
     }
 }
 
-/// Timer-token namespace for the wrapper's own timers. SRP owns bit 63,
-/// AODV bit 62, LDR bit 61, DSR bit 60 and OLSR the small integers, so
+/// Timer-token namespace for the wrapper's own timers. Route discovery
+/// (SRP, AODV, DSR, LDR) owns bit 63 and OLSR the small integers, so
 /// bit 59 is free across every inner protocol; the wrapper intercepts
 /// these tokens before the inner machine ever sees them.
 const ADV_TOKEN_BIT: u64 = 1 << 59;

@@ -9,14 +9,14 @@
 //! *own* sequence number before every discovery, which is why Fig. 7 shows
 //! AODV's average node sequence number growing with mobility.
 
-use std::collections::HashMap;
-
 use slr_netsim::time::{SimDuration, SimTime};
+use slr_netsim::{FastHashMap, VecMap};
 
 use crate::api::{
-    ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
-    ProtoStats, RingSchedule, RoutingProtocol,
+    ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
+    RoutingProtocol,
 };
+use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
 
 /// AODV route request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,35 +90,11 @@ impl AodvMessage {
     }
 }
 
-/// AODV tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct AodvConfig {
-    /// Active-route timeout (refresh on use).
-    pub route_lifetime: SimDuration,
-    /// Per-hop latency estimate for ring timeouts.
-    pub per_hop_latency: SimDuration,
-    /// Expanding-ring schedule.
-    pub ring: RingSchedule,
-    /// Route-pending buffer capacity.
-    pub buffer_capacity: usize,
-    /// Maximum buffering time.
-    pub buffer_timeout: SimDuration,
-    /// Minimum spacing between RERRs for the same destination.
-    pub rerr_rate_limit: SimDuration,
-}
+/// AODV runs route discovery on the defaults.
+const DISCOVERY: &DiscoveryConfig = &DiscoveryConfig::DEFAULT;
 
-impl Default for AodvConfig {
-    fn default() -> Self {
-        AodvConfig {
-            route_lifetime: SimDuration::from_secs(10),
-            per_hop_latency: SimDuration::from_millis(40),
-            ring: RingSchedule::default(),
-            buffer_capacity: 64,
-            buffer_timeout: SimDuration::from_secs(30),
-            rerr_rate_limit: SimDuration::from_secs(1),
-        }
-    }
-}
+/// Active-route timeout (refreshed on use).
+const ROUTE_LIFETIME: SimDuration = SimDuration::from_secs(10);
 
 #[derive(Debug, Clone)]
 struct Route {
@@ -130,57 +106,28 @@ struct Route {
     valid: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Discovery {
-    attempt: u32,
-}
-
-const DISCOVERY_TOKEN_BIT: u64 = 1 << 62;
-
-fn discovery_token(dst: NodeId, attempt: u32) -> u64 {
-    DISCOVERY_TOKEN_BIT | ((attempt as u64) << 32) | dst as u64
-}
-
-fn decode_token(token: u64) -> Option<(NodeId, u32)> {
-    if token & DISCOVERY_TOKEN_BIT == 0 {
-        return None;
-    }
-    Some((
-        (token & 0xFFFF_FFFF) as NodeId,
-        ((token >> 32) & 0x3FFF_FFFF) as u32,
-    ))
-}
-
 /// The AODV instance on one node.
 pub struct Aodv {
     node: NodeId,
-    cfg: AodvConfig,
     own_seqno: u64,
     seqno_increments: u64,
     next_rreq_id: u64,
-    routes: HashMap<NodeId, Route>,
-    rreq_seen: HashMap<(NodeId, u64), SimTime>,
-    discoveries: HashMap<NodeId, Discovery>,
-    buffer: PacketBuffer,
-    last_rerr: HashMap<NodeId, SimTime>,
-    discoveries_started: u64,
+    routes: VecMap<NodeId, Route>,
+    rreq_seen: FastHashMap<(NodeId, u64), SimTime>,
+    discovery: Discovery,
 }
 
 impl Aodv {
     /// Creates the AODV instance for `node`.
-    pub fn new(node: NodeId, cfg: AodvConfig) -> Self {
+    pub fn new(node: NodeId) -> Self {
         Aodv {
             node,
-            cfg,
             own_seqno: 0,
             seqno_increments: 0,
             next_rreq_id: 0,
-            routes: HashMap::new(),
-            rreq_seen: HashMap::new(),
-            discoveries: HashMap::new(),
-            buffer: PacketBuffer::new(cfg.buffer_capacity),
-            last_rerr: HashMap::new(),
-            discoveries_started: 0,
+            routes: VecMap::new(),
+            rreq_seen: FastHashMap::default(),
+            discovery: Discovery::new(DISCOVERY),
         }
     }
 
@@ -201,7 +148,6 @@ impl Aodv {
         valid_seqno: bool,
         now: SimTime,
     ) -> bool {
-        let lifetime = self.cfg.route_lifetime;
         match self.routes.get_mut(&t) {
             Some(r) => {
                 let better = !r.valid
@@ -215,13 +161,13 @@ impl Aodv {
                         r.seqno = seqno;
                         r.valid_seqno = true;
                     }
-                    r.expires = now + lifetime;
+                    r.expires = now + ROUTE_LIFETIME;
                     r.valid = true;
                     true
                 } else {
                     // Refresh lifetime of an equivalent route.
                     if r.valid && r.next_hop == next_hop {
-                        r.expires = now + lifetime;
+                        r.expires = now + ROUTE_LIFETIME;
                     }
                     false
                 }
@@ -234,7 +180,7 @@ impl Aodv {
                         hops,
                         seqno,
                         valid_seqno,
-                        expires: now + lifetime,
+                        expires: now + ROUTE_LIFETIME,
                         valid: true,
                     },
                 );
@@ -243,49 +189,33 @@ impl Aodv {
         }
     }
 
-    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Option<Vec<ProtoEffect>> {
+    /// Forwards `packet` along the active route; hands it back if there
+    /// is none.
+    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Forwarded {
         if !self.route_active(packet.dst, now) {
-            return None;
+            return Err(packet);
         }
         if packet.ttl == 0 {
-            return Some(vec![ProtoEffect::DropData {
+            return Ok(vec![ProtoEffect::DropData {
                 packet,
                 reason: DataDropReason::TtlExpired,
             }]);
         }
         let r = self.routes.get_mut(&packet.dst).expect("active");
-        r.expires = now + self.cfg.route_lifetime;
+        r.expires = now + ROUTE_LIFETIME;
         let next_hop = r.next_hop;
         packet.ttl -= 1;
-        Some(vec![ProtoEffect::SendData { packet, next_hop }])
+        Ok(vec![ProtoEffect::SendData { packet, next_hop }])
     }
 
-    fn start_discovery(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        if self.discoveries.contains_key(&dst) {
-            return;
-        }
-        self.discoveries_started += 1;
-        self.send_rreq(dst, 0, now, fx);
-    }
-
-    fn send_rreq(&mut self, dst: NodeId, attempt: u32, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let Some(ttl) = self.cfg.ring.ttl(attempt) else {
-            self.discoveries.remove(&dst);
-            for packet in self.buffer.take_for(dst) {
-                fx.push(ProtoEffect::DropData {
-                    packet,
-                    reason: DataDropReason::NoRoute,
-                });
-            }
-            return;
-        };
+    /// Floods one ring of a discovery and arms its timeout.
+    fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
         // RFC 3561 §6.1: increment own sequence number before originating
         // a route discovery. This is the Fig. 7 growth driver.
         self.own_seqno += 1;
         self.seqno_increments += 1;
         self.next_rreq_id += 1;
-        self.discoveries.insert(dst, Discovery { attempt });
-        let (dst_seqno, unknown) = match self.routes.get(&dst) {
+        let (dst_seqno, unknown) = match self.routes.get(&ring.dst) {
             Some(r) if r.valid_seqno => (r.seqno, false),
             _ => (0, true),
         };
@@ -295,50 +225,24 @@ impl Aodv {
                 orig: self.node,
                 orig_seqno: self.own_seqno,
                 rreq_id: self.next_rreq_id,
-                dst,
+                dst: ring.dst,
                 dst_seqno,
                 unknown,
                 hop_count: 0,
-                ttl,
+                ttl: ring.ttl(),
             })),
             next_hop: None,
         });
-        fx.push(ProtoEffect::SetTimer {
-            token: discovery_token(dst, attempt),
-            delay: self.cfg.ring.timeout(ttl, self.cfg.per_hop_latency),
-        });
+        DISCOVERY.arm(ring, fx);
     }
 
-    fn flush_buffer(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        for packet in self.buffer.take_for(dst) {
-            match self.try_forward(packet, now) {
-                Some(out) => fx.extend(out),
-                None => break,
-            }
+    fn send_rerr(&mut self, lost: Vec<(NodeId, u64)>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
+        if let Some(unreachable) = self.discovery.rerr_due(DISCOVERY, lost, |&(d, _)| d, now) {
+            fx.push(ProtoEffect::SendControl {
+                packet: ControlPacket::Aodv(AodvMessage::Rerr(AodvRerr { unreachable })),
+                next_hop: None,
+            });
         }
-        self.discoveries.remove(&dst);
-    }
-
-    fn send_rerr(&mut self, dests: Vec<(NodeId, u64)>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let fresh: Vec<(NodeId, u64)> = dests
-            .into_iter()
-            .filter(|(d, _)| {
-                self.last_rerr
-                    .get(d)
-                    .map(|t| now.saturating_since(*t) >= self.cfg.rerr_rate_limit)
-                    .unwrap_or(true)
-            })
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        for (d, _) in &fresh {
-            self.last_rerr.insert(*d, now);
-        }
-        fx.push(ProtoEffect::SendControl {
-            packet: ControlPacket::Aodv(AodvMessage::Rerr(AodvRerr { unreachable: fresh })),
-            next_hop: None,
-        });
     }
 
     fn handle_rreq(
@@ -444,7 +348,8 @@ impl Aodv {
         );
 
         if rrep.orig == self.node {
-            self.flush_buffer(rrep.dst, now, &mut fx);
+            let held = self.discovery.settle(rrep.dst);
+            forward_all(held, &mut fx, |p| self.try_forward(p, now));
             return fx;
         }
         // Relay toward the originator along the reverse route.
@@ -473,9 +378,7 @@ impl Aodv {
                 }
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
+        self.send_rerr(lost, now, &mut fx);
         fx
     }
 }
@@ -494,18 +397,14 @@ impl RoutingProtocol for Aodv {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         let mut fx = Vec::new();
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -519,9 +418,10 @@ impl RoutingProtocol for Aodv {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         // No route: RERR to the previous hop, then attempt local repair.
         let mut fx = Vec::new();
         let seqno = self
@@ -535,14 +435,9 @@ impl RoutingProtocol for Aodv {
             })),
             next_hop: Some(from),
         });
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -565,28 +460,14 @@ impl RoutingProtocol for Aodv {
     fn on_timer(&mut self, ctx: &mut ProtoCtx<'_>, token: u64) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        for packet in self.buffer.take_expired(now, self.cfg.buffer_timeout) {
-            fx.push(ProtoEffect::DropData {
-                packet,
-                reason: DataDropReason::BufferTimeout,
-            });
-        }
-        let Some((dst, attempt)) = decode_token(token) else {
+        let Some(due) = self.discovery.on_timer(DISCOVERY, token, now, &mut fx) else {
             return fx;
         };
-        let Some(d) = self.discoveries.get(&dst).copied() else {
-            return fx;
-        };
-        if d.attempt != attempt {
-            return fx;
+        if self.route_active(due.dst, now) {
+            self.discovery.cancel(due.dst);
+        } else if let Some(ring) = self.discovery.retry(due, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        if self.route_active(dst, now) {
-            self.discoveries.remove(&dst);
-            return fx;
-        }
-        self.discoveries.remove(&dst);
-        self.discoveries_started += 1;
-        self.send_rreq(dst, attempt + 1, now, &mut fx);
         fx
     }
 
@@ -606,19 +487,10 @@ impl RoutingProtocol for Aodv {
                 lost.push((*t, r.seqno));
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
+        self.send_rerr(lost, now, &mut fx);
         // Local repair: hold the packet and rediscover from here.
-        if let Some(p) = packet {
-            let dst = p.dst;
-            if let Some(overflow) = self.buffer.push(p, now) {
-                fx.push(ProtoEffect::DropData {
-                    packet: overflow,
-                    reason: DataDropReason::BufferOverflow,
-                });
-            }
-            self.start_discovery(dst, now, &mut fx);
+        if let Some(ring) = packet.and_then(|p| self.discovery.hold(p, now, &mut fx)) {
+            self.send_rreq(ring, now, &mut fx);
         }
         fx
     }
@@ -627,7 +499,7 @@ impl RoutingProtocol for Aodv {
         ProtoStats {
             own_seqno_increments: self.seqno_increments,
             max_fd_denominator: 0,
-            discoveries: self.discoveries_started,
+            discoveries: self.discovery.started(),
             resets_requested: 0,
             adversarial_actions: 0,
             audit_rejections: 0,
@@ -687,9 +559,9 @@ mod tests {
     #[test]
     fn three_node_discovery() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut a = Aodv::new(0, AodvConfig::default());
-        let mut b = Aodv::new(1, AodvConfig::default());
-        let mut c = Aodv::new(2, AodvConfig::default());
+        let mut a = Aodv::new(0);
+        let mut b = Aodv::new(1);
+        let mut c = Aodv::new(2);
 
         let fx = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 2, 1));
         let rreq = rreq_of(&fx).expect("rreq");
@@ -739,18 +611,18 @@ mod tests {
     #[test]
     fn seqno_grows_with_each_discovery() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut a = Aodv::new(0, AodvConfig::default());
+        let mut a = Aodv::new(0);
         let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 5, 1));
         // Ring retries each bump the sequence number again.
-        let _ = a.on_timer(&mut ctx_at(&mut rng, 2), discovery_token(5, 0));
-        let _ = a.on_timer(&mut ctx_at(&mut rng, 4), discovery_token(5, 1));
+        let _ = a.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 5, n: 0 }.token());
+        let _ = a.on_timer(&mut ctx_at(&mut rng, 4), Attempt { dst: 5, n: 1 }.token());
         assert_eq!(a.stats().own_seqno_increments, 3);
     }
 
     #[test]
     fn intermediate_node_replies_with_fresh_route() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut b = Aodv::new(1, AodvConfig::default());
+        let mut b = Aodv::new(1);
         b.update_route(9, 4, 2, 7, true, SimTime::from_secs(1));
         let rreq = AodvRreq {
             orig: 0,
@@ -772,7 +644,7 @@ mod tests {
         assert_eq!(rrep.hop_count, 2);
 
         // A stale route (seqno below request) only relays.
-        let mut c = Aodv::new(2, AodvConfig::default());
+        let mut c = Aodv::new(2);
         c.update_route(9, 4, 2, 3, true, SimTime::from_secs(1));
         let fx = c.on_control_received(
             &mut ctx_at(&mut rng, 1),
@@ -787,7 +659,7 @@ mod tests {
     #[test]
     fn link_failure_invalidates_and_rerrs() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut a = Aodv::new(0, AodvConfig::default());
+        let mut a = Aodv::new(0);
         a.update_route(9, 1, 2, 7, true, SimTime::from_secs(1));
         a.update_route(8, 1, 3, 2, true, SimTime::from_secs(1));
         a.update_route(7, 2, 1, 4, true, SimTime::from_secs(1));
@@ -811,7 +683,7 @@ mod tests {
     #[test]
     fn rerr_propagates_upstream() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut a = Aodv::new(0, AodvConfig::default());
+        let mut a = Aodv::new(0);
         a.update_route(9, 1, 2, 7, true, SimTime::from_secs(1));
         let rerr = AodvRerr {
             unreachable: vec![(9, 8)],
@@ -830,7 +702,7 @@ mod tests {
             }
         )));
         // A RERR from a node that is not our next hop changes nothing.
-        let mut b = Aodv::new(1, AodvConfig::default());
+        let mut b = Aodv::new(1);
         b.update_route(9, 2, 2, 7, true, SimTime::from_secs(1));
         let rerr = AodvRerr {
             unreachable: vec![(9, 8)],
@@ -845,8 +717,100 @@ mod tests {
     }
 
     #[test]
+    fn declined_reply_drops_the_held_packets_instead_of_losing_them() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut a = Aodv::new(0);
+        // A route to 9 with seqno 7 via 1 that has expired but stays valid.
+        a.update_route(9, 1, 2, 7, true, SimTime::from_secs(1));
+        for uid in [1, 2] {
+            let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 12), data(0, 9, uid));
+        }
+        // A reply via another neighbor with the same seqno and no fewer
+        // hops: `update_route` declines it, so the route stays inactive.
+        let fx = a.on_control_received(
+            &mut ctx_at(&mut rng, 12),
+            2,
+            ControlPacket::Aodv(AodvMessage::Rrep(AodvRrep {
+                orig: 0,
+                dst: 9,
+                dst_seqno: 7,
+                hop_count: 2,
+            })),
+        );
+        let dropped: Vec<(u64, DataDropReason)> = fx
+            .iter()
+            .filter_map(|e| match e {
+                ProtoEffect::DropData { packet, reason } => Some((packet.uid, *reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            dropped,
+            [(1, DataDropReason::NoRoute), (2, DataDropReason::NoRoute)],
+            "every packet the flush took must leave a drop record: {fx:?}"
+        );
+    }
+
+    #[test]
+    fn link_failure_reports_destinations_in_ascending_order() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut a = Aodv::new(0);
+        for t in [17, 3, 42, 9, 25, 1, 30, 12] {
+            a.update_route(t, 1, 2, 5, true, SimTime::from_secs(1));
+        }
+        let fx = a.on_link_failure(&mut ctx_at(&mut rng, 2), 1, None);
+        let dests: Vec<NodeId> = fx
+            .iter()
+            .find_map(|e| match e {
+                ProtoEffect::SendControl {
+                    packet: ControlPacket::Aodv(AodvMessage::Rerr(r)),
+                    ..
+                } => Some(r.unreachable.iter().map(|(t, _)| *t).collect()),
+                _ => None,
+            })
+            .expect("rerr broadcast");
+        assert_eq!(dests, [1, 3, 9, 12, 17, 25, 30, 42]);
+    }
+
+    #[test]
+    fn retry_cancels_once_a_route_is_active_and_gives_up_after_the_last_ring() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut a = Aodv::new(0);
+        let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 5, 1));
+        // A route appears before the first ring times out: the timer ends
+        // the discovery without flushing or flooding.
+        a.update_route(5, 3, 1, 4, true, SimTime::from_secs(2));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 5, n: 0 }.token());
+        assert!(fx.is_empty(), "{fx:?}");
+        assert!(a.discovery.is_idle());
+
+        let mut b = Aodv::new(0);
+        let _ = b.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 5, 1));
+        for n in 0..2 {
+            let fx = b.on_timer(
+                &mut ctx_at(&mut rng, 2 + n),
+                Attempt {
+                    dst: 5,
+                    n: n as u32,
+                }
+                .token(),
+            );
+            assert_eq!(rreq_of(&fx).expect("next ring").ttl, [16, 64][n as usize]);
+        }
+        let fx = b.on_timer(&mut ctx_at(&mut rng, 4), Attempt { dst: 5, n: 2 }.token());
+        assert!(matches!(
+            fx[..],
+            [ProtoEffect::DropData {
+                reason: DataDropReason::NoRoute,
+                ..
+            }]
+        ));
+        assert_eq!(b.stats().discoveries, 4);
+    }
+
+    #[test]
     fn routes_expire_without_use() {
-        let mut a = Aodv::new(0, AodvConfig::default());
+        let mut a = Aodv::new(0);
         a.update_route(9, 1, 2, 7, true, SimTime::from_secs(1));
         assert!(a.route_active(9, SimTime::from_secs(5)));
         assert!(!a.route_active(9, SimTime::from_secs(12)));

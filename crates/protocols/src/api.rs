@@ -5,6 +5,9 @@
 //! link-failure notifications; it answers with [`ProtoEffect`]s. This keeps
 //! protocols unit-testable without a radio stack and guarantees identical
 //! treatment in the experiment harness.
+//!
+//! The route-pending buffer, expanding ring, timer tokens and RERR rate
+//! limit the four on-demand protocols share live in [`crate::discovery`].
 
 use rand::rngs::SmallRng;
 
@@ -278,135 +281,9 @@ pub trait RoutingProtocol: Send {
     }
 }
 
-/// A bounded buffer of data packets awaiting routes, with per-packet
-/// timestamps (protocols drop stale packets per their policies).
-#[derive(Debug, Clone, Default)]
-pub struct PacketBuffer {
-    entries: Vec<(DataPacket, SimTime)>,
-    capacity: usize,
-}
-
-impl PacketBuffer {
-    /// Creates a buffer holding at most `capacity` packets.
-    pub fn new(capacity: usize) -> Self {
-        PacketBuffer {
-            entries: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Number of buffered packets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(packet, enqueued_at)` pairs in arrival order
-    /// (introspection for oracles and the model checker's canonical
-    /// state serialization).
-    pub fn iter(&self) -> impl Iterator<Item = (&DataPacket, SimTime)> {
-        self.entries.iter().map(|(p, t)| (p, *t))
-    }
-
-    /// Buffers a packet; returns it back if the buffer is full.
-    pub fn push(&mut self, packet: DataPacket, now: SimTime) -> Option<DataPacket> {
-        if self.entries.len() >= self.capacity {
-            return Some(packet);
-        }
-        self.entries.push((packet, now));
-        None
-    }
-
-    /// Removes and returns every packet destined to `dst`.
-    pub fn take_for(&mut self, dst: NodeId) -> Vec<DataPacket> {
-        let mut taken = Vec::new();
-        self.entries.retain(|(p, _)| {
-            if p.dst == dst {
-                taken.push(p.clone());
-                false
-            } else {
-                true
-            }
-        });
-        taken
-    }
-
-    /// Removes and returns packets buffered longer than `timeout`.
-    pub fn take_expired(&mut self, now: SimTime, timeout: SimDuration) -> Vec<DataPacket> {
-        let mut expired = Vec::new();
-        self.entries.retain(|(p, t)| {
-            if now.saturating_since(*t) > timeout {
-                expired.push(p.clone());
-                false
-            } else {
-                true
-            }
-        });
-        expired
-    }
-
-    /// Whether any packet waits for `dst`.
-    pub fn has_for(&self, dst: NodeId) -> bool {
-        self.entries.iter().any(|(p, _)| p.dst == dst)
-    }
-
-    /// Live heap bytes held by the buffer (capacity, since the allocator
-    /// holds capacity whether or not entries are live).
-    pub fn mem_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(DataPacket, SimTime)>()
-    }
-}
-
-/// The expanding-ring TTL schedule shared by the on-demand protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingSchedule {
-    ttls: [u8; 3],
-}
-
-impl Default for RingSchedule {
-    fn default() -> Self {
-        RingSchedule { ttls: [5, 16, 64] }
-    }
-}
-
-impl RingSchedule {
-    /// TTL for the `attempt`-th try (0-based); `None` when attempts are
-    /// exhausted.
-    pub fn ttl(&self, attempt: u32) -> Option<u8> {
-        self.ttls.get(attempt as usize).copied()
-    }
-
-    /// Retry timeout for a given TTL: `2 × ttl × per-hop latency estimate`
-    /// (Procedure 1 of the paper).
-    pub fn timeout(&self, ttl: u8, per_hop_latency: SimDuration) -> SimDuration {
-        per_hop_latency.saturating_mul(2 * ttl as u64)
-    }
-
-    /// Number of attempts allowed.
-    pub fn attempts(&self) -> u32 {
-        self.ttls.len() as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pkt(src: NodeId, dst: NodeId, uid: u64) -> DataPacket {
-        DataPacket {
-            src,
-            dst,
-            uid,
-            origin_time: SimTime::ZERO,
-            bytes: 512,
-            ttl: DATA_TTL,
-            source_route: None,
-        }
-    }
 
     #[test]
     fn source_route_navigation() {
@@ -424,44 +301,5 @@ mod tests {
     #[should_panic(expected = "at least")]
     fn source_route_too_short() {
         let _ = SourceRoute::new(vec![1]);
-    }
-
-    #[test]
-    fn buffer_caps_and_takes() {
-        let mut b = PacketBuffer::new(2);
-        assert!(b.push(pkt(0, 5, 1), SimTime::ZERO).is_none());
-        assert!(b.push(pkt(0, 6, 2), SimTime::ZERO).is_none());
-        let overflow = b.push(pkt(0, 5, 3), SimTime::ZERO);
-        assert_eq!(overflow.unwrap().uid, 3);
-        assert!(b.has_for(5));
-        let got = b.take_for(5);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].uid, 1);
-        assert!(!b.has_for(5));
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn buffer_expiry() {
-        let mut b = PacketBuffer::new(10);
-        b.push(pkt(0, 5, 1), SimTime::from_secs(0));
-        b.push(pkt(0, 6, 2), SimTime::from_secs(25));
-        let gone = b.take_expired(SimTime::from_secs(31), SimDuration::from_secs(30));
-        assert_eq!(gone.len(), 1);
-        assert_eq!(gone[0].uid, 1);
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn ring_schedule() {
-        let r = RingSchedule::default();
-        assert_eq!(r.ttl(0), Some(5));
-        assert_eq!(r.ttl(2), Some(64));
-        assert_eq!(r.ttl(3), None);
-        assert_eq!(r.attempts(), 3);
-        assert_eq!(
-            r.timeout(5, SimDuration::from_millis(40)),
-            SimDuration::from_millis(400)
-        );
     }
 }

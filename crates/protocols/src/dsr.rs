@@ -12,14 +12,14 @@
 //! the draft's long lifetimes so that behaviour is reproduced rather than
 //! patched.
 
-use std::collections::HashMap;
-
 use slr_netsim::time::{SimDuration, SimTime};
+use slr_netsim::FastHashMap;
 
 use crate::api::{
-    ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
-    ProtoStats, RingSchedule, RoutingProtocol, SourceRoute,
+    ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
+    RoutingProtocol, SourceRoute,
 };
+use crate::discovery::{Attempt, Discovery, DiscoveryConfig};
 
 /// DSR route request with its accumulated route record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,14 +98,6 @@ pub struct DsrConfig {
     pub cache_lifetime: SimDuration,
     /// Salvage attempts allowed per packet.
     pub salvage_limit: u8,
-    /// Per-hop latency estimate for ring timeouts.
-    pub per_hop_latency: SimDuration,
-    /// Expanding-ring schedule.
-    pub ring: RingSchedule,
-    /// Route-pending buffer capacity.
-    pub buffer_capacity: usize,
-    /// Maximum buffering time.
-    pub buffer_timeout: SimDuration,
 }
 
 impl Default for DsrConfig {
@@ -114,39 +106,17 @@ impl Default for DsrConfig {
             cache_capacity: 64,
             cache_lifetime: SimDuration::from_secs(300),
             salvage_limit: 15,
-            per_hop_latency: SimDuration::from_millis(40),
-            ring: RingSchedule::default(),
-            buffer_capacity: 64,
-            buffer_timeout: SimDuration::from_secs(30),
         }
     }
 }
+
+/// DSR runs route discovery on the defaults.
+const DISCOVERY: &DiscoveryConfig = &DiscoveryConfig::DEFAULT;
 
 #[derive(Debug, Clone)]
 struct CachedPath {
     path: Vec<NodeId>,
     expires: SimTime,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Discovery {
-    attempt: u32,
-}
-
-const DISCOVERY_TOKEN_BIT: u64 = 1 << 60;
-
-fn discovery_token(dst: NodeId, attempt: u32) -> u64 {
-    DISCOVERY_TOKEN_BIT | ((attempt as u64) << 32) | dst as u64
-}
-
-fn decode_token(token: u64) -> Option<(NodeId, u32)> {
-    if token & DISCOVERY_TOKEN_BIT == 0 {
-        return None;
-    }
-    Some((
-        (token & 0xFFFF_FFFF) as NodeId,
-        ((token >> 32) & 0x0FFF_FFFF) as u32,
-    ))
 }
 
 /// The DSR instance on one node.
@@ -155,11 +125,9 @@ pub struct Dsr {
     cfg: DsrConfig,
     cache: Vec<CachedPath>,
     next_rreq_id: u64,
-    rreq_seen: HashMap<(NodeId, u64), SimTime>,
-    discoveries: HashMap<NodeId, Discovery>,
-    buffer: PacketBuffer,
-    salvage_counts: HashMap<u64, u8>,
-    discoveries_started: u64,
+    rreq_seen: FastHashMap<(NodeId, u64), SimTime>,
+    discovery: Discovery,
+    salvage_counts: FastHashMap<u64, u8>,
 }
 
 impl Dsr {
@@ -170,11 +138,9 @@ impl Dsr {
             cfg,
             cache: Vec::new(),
             next_rreq_id: 0,
-            rreq_seen: HashMap::new(),
-            discoveries: HashMap::new(),
-            buffer: PacketBuffer::new(cfg.buffer_capacity),
-            salvage_counts: HashMap::new(),
-            discoveries_started: 0,
+            rreq_seen: FastHashMap::default(),
+            discovery: Discovery::new(DISCOVERY),
+            salvage_counts: FastHashMap::default(),
         }
     }
 
@@ -270,55 +236,34 @@ impl Dsr {
         }]
     }
 
-    fn start_discovery(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        if self.discoveries.contains_key(&dst) {
-            return;
-        }
-        self.discoveries_started += 1;
-        self.send_rreq(dst, 0, now, fx);
-    }
-
-    fn send_rreq(&mut self, dst: NodeId, attempt: u32, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let Some(ttl) = self.cfg.ring.ttl(attempt) else {
-            self.discoveries.remove(&dst);
-            for packet in self.buffer.take_for(dst) {
-                fx.push(ProtoEffect::DropData {
-                    packet,
-                    reason: DataDropReason::NoRoute,
-                });
-            }
-            return;
-        };
+    /// Floods one ring of a discovery and arms its timeout.
+    fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
         self.next_rreq_id += 1;
-        self.discoveries.insert(dst, Discovery { attempt });
         self.rreq_seen.insert((self.node, self.next_rreq_id), now);
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Dsr(DsrMessage::Rreq(DsrRreq {
                 orig: self.node,
                 rreq_id: self.next_rreq_id,
-                target: dst,
+                target: ring.dst,
                 route: vec![self.node],
-                ttl,
+                ttl: ring.ttl(),
             })),
             next_hop: None,
         });
-        fx.push(ProtoEffect::SetTimer {
-            token: discovery_token(dst, attempt),
-            delay: self.cfg.ring.timeout(ttl, self.cfg.per_hop_latency),
-        });
+        DISCOVERY.arm(ring, fx);
     }
 
+    /// Ends the discovery for `dst`, sending the packets held for it if
+    /// the cache now has a route; without one they stay held.
     fn flush_buffer(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        while self.buffer.has_for(dst) {
-            let Some(route) = self.find_route(dst, now) else {
-                break;
-            };
-            let packets = self.buffer.take_for(dst);
-            for p in packets {
-                fx.extend(self.send_with_route(p, route.clone()));
+        if self.discovery.buffer().has_for(dst) {
+            if let Some(route) = self.find_route(dst, now) {
+                for p in self.discovery.settle(dst) {
+                    fx.extend(self.send_with_route(p, route.clone()));
+                }
             }
         }
-        self.discoveries.remove(&dst);
+        self.discovery.cancel(dst);
     }
 
     fn handle_rreq(
@@ -477,14 +422,9 @@ impl RoutingProtocol for Dsr {
             return self.send_with_route(packet, route);
         }
         let mut fx = Vec::new();
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -545,28 +485,14 @@ impl RoutingProtocol for Dsr {
     fn on_timer(&mut self, ctx: &mut ProtoCtx<'_>, token: u64) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        for packet in self.buffer.take_expired(now, self.cfg.buffer_timeout) {
-            fx.push(ProtoEffect::DropData {
-                packet,
-                reason: DataDropReason::BufferTimeout,
-            });
-        }
-        let Some((dst, attempt)) = decode_token(token) else {
+        let Some(due) = self.discovery.on_timer(DISCOVERY, token, now, &mut fx) else {
             return fx;
         };
-        let Some(d) = self.discoveries.get(&dst).copied() else {
-            return fx;
-        };
-        if d.attempt != attempt {
-            return fx;
+        if self.find_route(due.dst, now).is_some() {
+            self.flush_buffer(due.dst, now, &mut fx);
+        } else if let Some(ring) = self.discovery.retry(due, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        if self.find_route(dst, now).is_some() {
-            self.flush_buffer(dst, now, &mut fx);
-            return fx;
-        }
-        self.discoveries.remove(&dst);
-        self.discoveries_started += 1;
-        self.send_rreq(dst, attempt + 1, now, &mut fx);
         fx
     }
 
@@ -605,14 +531,9 @@ impl RoutingProtocol for Dsr {
                 return fx;
             }
             // No cached alternative: hold and rediscover.
-            let dst = p.dst;
-            if let Some(overflow) = self.buffer.push(p, now) {
-                fx.push(ProtoEffect::DropData {
-                    packet: overflow,
-                    reason: DataDropReason::BufferOverflow,
-                });
+            if let Some(ring) = self.discovery.hold(p, now, &mut fx) {
+                self.send_rreq(ring, now, &mut fx);
             }
-            self.start_discovery(dst, now, &mut fx);
         } else {
             fx.push(ProtoEffect::DropData {
                 packet: p,
@@ -626,7 +547,7 @@ impl RoutingProtocol for Dsr {
         ProtoStats {
             own_seqno_increments: 0,
             max_fd_denominator: 0,
-            discoveries: self.discoveries_started,
+            discoveries: self.discovery.started(),
             resets_requested: 0,
             adversarial_actions: 0,
             audit_rejections: 0,
@@ -860,6 +781,48 @@ mod tests {
             b.find_route(5, SimTime::from_secs(1)).is_some(),
             "prefix survives"
         );
+    }
+
+    #[test]
+    fn timer_flushes_once_a_route_appears_and_gives_up_after_the_last_ring() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut a = Dsr::new(0, DsrConfig::default());
+        let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
+        // The cache learns a path while the first ring is out (overheard
+        // traffic): the timer sends the held packet instead of retrying.
+        a.cache_path(&[0, 4, 9], SimTime::from_secs(1));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 9, n: 0 }.token());
+        let [ProtoEffect::SendData {
+            packet,
+            next_hop: 4,
+        }] = &fx[..]
+        else {
+            panic!("expected one flushed packet: {fx:?}");
+        };
+        assert_eq!(packet.source_route.as_ref().unwrap().hops, [0, 4, 9]);
+        assert!(a.discovery.is_idle() && a.discovery.buffer().is_empty());
+
+        let mut b = Dsr::new(0, DsrConfig::default());
+        let _ = b.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
+        for n in 0..2 {
+            let fx = b.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 9, n }.token());
+            assert!(matches!(
+                fx[..],
+                [
+                    ProtoEffect::SendControl { .. },
+                    ProtoEffect::SetTimer { .. }
+                ]
+            ));
+        }
+        let fx = b.on_timer(&mut ctx_at(&mut rng, 3), Attempt { dst: 9, n: 2 }.token());
+        assert!(matches!(
+            fx[..],
+            [ProtoEffect::DropData {
+                reason: DataDropReason::NoRoute,
+                ..
+            }]
+        ));
+        assert_eq!(b.stats().discoveries, 4);
     }
 
     #[test]

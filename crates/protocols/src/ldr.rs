@@ -19,14 +19,14 @@
 //! reset-required flag on retry attempts after a first ring fails, which
 //! triggers destination resets at a comparable rate.
 
-use std::collections::HashMap;
-
 use slr_netsim::time::{SimDuration, SimTime};
+use slr_netsim::{FastHashMap, VecMap};
 
 use crate::api::{
-    ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
-    ProtoStats, RingSchedule, RoutingProtocol,
+    ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
+    RoutingProtocol,
 };
+use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
 
 /// LDR route request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,35 +105,11 @@ impl LdrMessage {
     }
 }
 
-/// LDR tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct LdrConfig {
-    /// Active-route lifetime.
-    pub route_lifetime: SimDuration,
-    /// Per-hop latency estimate for ring timeouts.
-    pub per_hop_latency: SimDuration,
-    /// Expanding-ring schedule.
-    pub ring: RingSchedule,
-    /// Route-pending buffer capacity.
-    pub buffer_capacity: usize,
-    /// Maximum buffering time.
-    pub buffer_timeout: SimDuration,
-    /// RERR rate limit per destination.
-    pub rerr_rate_limit: SimDuration,
-}
+/// LDR runs route discovery on the defaults.
+const DISCOVERY: &DiscoveryConfig = &DiscoveryConfig::DEFAULT;
 
-impl Default for LdrConfig {
-    fn default() -> Self {
-        LdrConfig {
-            route_lifetime: SimDuration::from_secs(10),
-            per_hop_latency: SimDuration::from_millis(40),
-            ring: RingSchedule::default(),
-            buffer_capacity: 64,
-            buffer_timeout: SimDuration::from_secs(30),
-            rerr_rate_limit: SimDuration::from_secs(1),
-        }
-    }
-}
+/// Active-route lifetime.
+const ROUTE_LIFETIME: SimDuration = SimDuration::from_secs(10);
 
 /// Per-destination state: the `(sn, fd)` label plus the route.
 #[derive(Debug, Clone)]
@@ -146,27 +122,6 @@ struct DestState {
     expires: SimTime,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Discovery {
-    attempt: u32,
-}
-
-const DISCOVERY_TOKEN_BIT: u64 = 1 << 61;
-
-fn discovery_token(dst: NodeId, attempt: u32) -> u64 {
-    DISCOVERY_TOKEN_BIT | ((attempt as u64) << 32) | dst as u64
-}
-
-fn decode_token(token: u64) -> Option<(NodeId, u32)> {
-    if token & DISCOVERY_TOKEN_BIT == 0 {
-        return None;
-    }
-    Some((
-        (token & 0xFFFF_FFFF) as NodeId,
-        ((token >> 32) & 0x1FFF_FFFF) as u32,
-    ))
-}
-
 /// Engaged-calculation cache: reverse path for replies.
 #[derive(Debug, Clone, Copy)]
 struct RreqCache {
@@ -177,34 +132,26 @@ struct RreqCache {
 /// The LDR instance on one node.
 pub struct Ldr {
     node: NodeId,
-    cfg: LdrConfig,
     own_seqno: u64,
     seqno_increments: u64,
     next_rreq_id: u64,
-    dests: HashMap<NodeId, DestState>,
-    rreq_seen: HashMap<(NodeId, u64), RreqCache>,
-    discoveries: HashMap<NodeId, Discovery>,
-    buffer: PacketBuffer,
-    last_rerr: HashMap<NodeId, SimTime>,
-    discoveries_started: u64,
+    dests: VecMap<NodeId, DestState>,
+    rreq_seen: FastHashMap<(NodeId, u64), RreqCache>,
+    discovery: Discovery,
     resets_requested: u64,
 }
 
 impl Ldr {
     /// Creates the LDR instance for `node`.
-    pub fn new(node: NodeId, cfg: LdrConfig) -> Self {
+    pub fn new(node: NodeId) -> Self {
         Ldr {
             node,
-            cfg,
             own_seqno: 1,
             seqno_increments: 0,
             next_rreq_id: 0,
-            dests: HashMap::new(),
-            rreq_seen: HashMap::new(),
-            discoveries: HashMap::new(),
-            buffer: PacketBuffer::new(cfg.buffer_capacity),
-            last_rerr: HashMap::new(),
-            discoveries_started: 0,
+            dests: VecMap::new(),
+            rreq_seen: FastHashMap::default(),
+            discovery: Discovery::new(DISCOVERY),
             resets_requested: 0,
         }
     }
@@ -226,13 +173,12 @@ impl Ldr {
 
     /// Adopt an advertisement from `from` (already checked feasible).
     fn adopt(&mut self, t: NodeId, from: NodeId, sn: u64, dist: u32, now: SimTime) {
-        let lifetime = self.cfg.route_lifetime;
         let entry = self.dests.entry(t).or_insert(DestState {
             seqno: sn,
             fd: u32::MAX,
             dist: u32::MAX,
             next_hop: None,
-            expires: now + lifetime,
+            expires: now + ROUTE_LIFETIME,
         });
         let new_dist = dist.saturating_add(1);
         if sn > entry.seqno {
@@ -243,54 +189,38 @@ impl Ldr {
         }
         entry.dist = new_dist;
         entry.next_hop = Some(from);
-        entry.expires = now + lifetime;
+        entry.expires = now + ROUTE_LIFETIME;
     }
 
-    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Option<Vec<ProtoEffect>> {
+    /// Forwards `packet` along the active route; hands it back if there
+    /// is none.
+    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Forwarded {
         if !self.route_active(packet.dst, now) {
-            return None;
+            return Err(packet);
         }
         if packet.ttl == 0 {
-            return Some(vec![ProtoEffect::DropData {
+            return Ok(vec![ProtoEffect::DropData {
                 packet,
                 reason: DataDropReason::TtlExpired,
             }]);
         }
         let d = self.dests.get_mut(&packet.dst).expect("active");
-        d.expires = now + self.cfg.route_lifetime;
+        d.expires = now + ROUTE_LIFETIME;
         let next_hop = d.next_hop.expect("active");
         packet.ttl -= 1;
-        Some(vec![ProtoEffect::SendData { packet, next_hop }])
+        Ok(vec![ProtoEffect::SendData { packet, next_hop }])
     }
 
-    fn start_discovery(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        if self.discoveries.contains_key(&dst) {
-            return;
-        }
-        self.discoveries_started += 1;
-        self.send_rreq(dst, 0, now, fx);
-    }
-
-    fn send_rreq(&mut self, dst: NodeId, attempt: u32, _now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let Some(ttl) = self.cfg.ring.ttl(attempt) else {
-            self.discoveries.remove(&dst);
-            for packet in self.buffer.take_for(dst) {
-                fx.push(ProtoEffect::DropData {
-                    packet,
-                    reason: DataDropReason::NoRoute,
-                });
-            }
-            return;
-        };
+    /// Floods one ring of a discovery and arms its timeout.
+    fn send_rreq(&mut self, ring: Attempt, fx: &mut Vec<ProtoEffect>) {
         self.next_rreq_id += 1;
-        self.discoveries.insert(dst, Discovery { attempt });
         // Local repair failed once: ask the destination for a reset (see
         // module docs for this approximation).
-        let reset = attempt >= 1;
+        let reset = ring.n >= 1;
         if reset {
             self.resets_requested += 1;
         }
-        let (dst_seqno, fd, unknown) = match self.dests.get(&dst) {
+        let (dst_seqno, fd, unknown) = match self.dests.get(&ring.dst) {
             Some(d) => (d.seqno, d.fd, false),
             None => (0, u32::MAX, true),
         };
@@ -305,52 +235,26 @@ impl Ldr {
             packet: ControlPacket::Ldr(LdrMessage::Rreq(LdrRreq {
                 orig: self.node,
                 rreq_id: self.next_rreq_id,
-                dst,
+                dst: ring.dst,
                 dst_seqno,
                 fd,
                 unknown,
                 reset,
                 hop_count: 0,
-                ttl,
+                ttl: ring.ttl(),
             })),
             next_hop: None,
         });
-        fx.push(ProtoEffect::SetTimer {
-            token: discovery_token(dst, attempt),
-            delay: self.cfg.ring.timeout(ttl, self.cfg.per_hop_latency),
-        });
+        DISCOVERY.arm(ring, fx);
     }
 
-    fn flush_buffer(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        for packet in self.buffer.take_for(dst) {
-            match self.try_forward(packet, now) {
-                Some(out) => fx.extend(out),
-                None => break,
-            }
+    fn send_rerr(&mut self, lost: Vec<NodeId>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
+        if let Some(unreachable) = self.discovery.rerr_due(DISCOVERY, lost, |&d| d, now) {
+            fx.push(ProtoEffect::SendControl {
+                packet: ControlPacket::Ldr(LdrMessage::Rerr(LdrRerr { unreachable })),
+                next_hop: None,
+            });
         }
-        self.discoveries.remove(&dst);
-    }
-
-    fn send_rerr(&mut self, dests: Vec<NodeId>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let fresh: Vec<NodeId> = dests
-            .into_iter()
-            .filter(|d| {
-                self.last_rerr
-                    .get(d)
-                    .map(|t| now.saturating_since(*t) >= self.cfg.rerr_rate_limit)
-                    .unwrap_or(true)
-            })
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        for d in &fresh {
-            self.last_rerr.insert(*d, now);
-        }
-        fx.push(ProtoEffect::SendControl {
-            packet: ControlPacket::Ldr(LdrMessage::Rerr(LdrRerr { unreachable: fresh })),
-            next_hop: None,
-        });
     }
 
     fn handle_rreq(
@@ -465,7 +369,8 @@ impl Ldr {
         if self.feasible(t, rrep.dst_seqno, rrep.dist) {
             self.adopt(t, prev, rrep.dst_seqno, rrep.dist, now);
             if terminus {
-                self.flush_buffer(t, now, &mut fx);
+                let held = self.discovery.settle(t);
+                forward_all(held, &mut fx, |p| self.try_forward(p, now));
                 return fx;
             }
             // Relay along the reverse path.
@@ -506,7 +411,8 @@ impl Ldr {
                 }
             }
             if terminus {
-                self.flush_buffer(t, now, &mut fx);
+                let held = self.discovery.settle(t);
+                forward_all(held, &mut fx, |p| self.try_forward(p, now));
             }
         }
         fx
@@ -523,9 +429,7 @@ impl Ldr {
                 }
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
+        self.send_rerr(lost, now, &mut fx);
         fx
     }
 }
@@ -544,18 +448,14 @@ impl RoutingProtocol for Ldr {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         let mut fx = Vec::new();
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -569,9 +469,10 @@ impl RoutingProtocol for Ldr {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         let mut fx = Vec::new();
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Ldr(LdrMessage::Rerr(LdrRerr {
@@ -579,14 +480,9 @@ impl RoutingProtocol for Ldr {
             })),
             next_hop: Some(from),
         });
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -609,28 +505,14 @@ impl RoutingProtocol for Ldr {
     fn on_timer(&mut self, ctx: &mut ProtoCtx<'_>, token: u64) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        for packet in self.buffer.take_expired(now, self.cfg.buffer_timeout) {
-            fx.push(ProtoEffect::DropData {
-                packet,
-                reason: DataDropReason::BufferTimeout,
-            });
-        }
-        let Some((dst, attempt)) = decode_token(token) else {
+        let Some(due) = self.discovery.on_timer(DISCOVERY, token, now, &mut fx) else {
             return fx;
         };
-        let Some(d) = self.discoveries.get(&dst).copied() else {
-            return fx;
-        };
-        if d.attempt != attempt {
-            return fx;
+        if self.route_active(due.dst, now) {
+            self.discovery.cancel(due.dst);
+        } else if let Some(ring) = self.discovery.retry(due, &mut fx) {
+            self.send_rreq(ring, &mut fx);
         }
-        if self.route_active(dst, now) {
-            self.discoveries.remove(&dst);
-            return fx;
-        }
-        self.discoveries.remove(&dst);
-        self.discoveries_started += 1;
-        self.send_rreq(dst, attempt + 1, now, &mut fx);
         fx
     }
 
@@ -649,18 +531,9 @@ impl RoutingProtocol for Ldr {
                 lost.push(*t);
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
-        if let Some(p) = packet {
-            let dst = p.dst;
-            if let Some(overflow) = self.buffer.push(p, now) {
-                fx.push(ProtoEffect::DropData {
-                    packet: overflow,
-                    reason: DataDropReason::BufferOverflow,
-                });
-            }
-            self.start_discovery(dst, now, &mut fx);
+        self.send_rerr(lost, now, &mut fx);
+        if let Some(ring) = packet.and_then(|p| self.discovery.hold(p, now, &mut fx)) {
+            self.send_rreq(ring, &mut fx);
         }
         fx
     }
@@ -669,7 +542,7 @@ impl RoutingProtocol for Ldr {
         ProtoStats {
             own_seqno_increments: self.seqno_increments,
             max_fd_denominator: 0,
-            discoveries: self.discoveries_started,
+            discoveries: self.discovery.started(),
             resets_requested: self.resets_requested,
             adversarial_actions: 0,
             audit_rejections: 0,
@@ -729,9 +602,9 @@ mod tests {
     #[test]
     fn three_node_discovery_and_fd() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut a = Ldr::new(0, LdrConfig::default());
-        let mut b = Ldr::new(1, LdrConfig::default());
-        let mut c = Ldr::new(2, LdrConfig::default());
+        let mut a = Ldr::new(0);
+        let mut b = Ldr::new(1);
+        let mut c = Ldr::new(2);
 
         let fx = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 2, 1));
         let rreq = rreq_of(&fx).expect("rreq");
@@ -776,7 +649,7 @@ mod tests {
 
     #[test]
     fn feasibility_blocks_longer_routes_at_same_seqno() {
-        let mut ldr = Ldr::new(0, LdrConfig::default());
+        let mut ldr = Ldr::new(0);
         ldr.adopt(9, 1, 5, 2, SimTime::from_secs(1)); // fd = 3
         assert!(ldr.feasible(9, 5, 2));
         assert!(
@@ -788,7 +661,7 @@ mod tests {
 
     #[test]
     fn fd_resets_on_new_seqno() {
-        let mut ldr = Ldr::new(0, LdrConfig::default());
+        let mut ldr = Ldr::new(0);
         ldr.adopt(9, 1, 5, 2, SimTime::from_secs(1));
         assert_eq!(ldr.dests.get(&9).unwrap().fd, 3);
         ldr.adopt(9, 2, 6, 9, SimTime::from_secs(2));
@@ -800,14 +673,14 @@ mod tests {
     #[test]
     fn retry_sets_reset_and_destination_bumps() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut a = Ldr::new(0, LdrConfig::default());
+        let mut a = Ldr::new(0);
         let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
-        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), discovery_token(9, 0));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 9, n: 0 }.token());
         let rreq = rreq_of(&fx).expect("second ring");
         assert!(rreq.reset, "retries demand a destination reset");
         assert_eq!(a.stats().resets_requested, 1);
 
-        let mut t = Ldr::new(9, LdrConfig::default());
+        let mut t = Ldr::new(9);
         let before = t.own_seqno;
         let fx = t.on_control_received(
             &mut ctx_at(&mut rng, 2),
@@ -822,7 +695,7 @@ mod tests {
     #[test]
     fn reset_requests_skip_intermediate_replies() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut b = Ldr::new(1, LdrConfig::default());
+        let mut b = Ldr::new(1);
         b.adopt(9, 4, 5, 1, SimTime::from_secs(1));
         let rreq = LdrRreq {
             orig: 0,
@@ -847,7 +720,7 @@ mod tests {
         assert!(rreq_of(&fx).is_some());
 
         // Without the reset bit the same node replies.
-        let mut b2 = Ldr::new(1, LdrConfig::default());
+        let mut b2 = Ldr::new(1);
         b2.adopt(9, 4, 5, 1, SimTime::from_secs(1));
         let fx = b2.on_control_received(
             &mut ctx_at(&mut rng, 1),
@@ -864,7 +737,7 @@ mod tests {
     #[test]
     fn link_failure_and_rerr() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut a = Ldr::new(0, LdrConfig::default());
+        let mut a = Ldr::new(0);
         a.adopt(9, 1, 5, 2, SimTime::from_secs(1));
         let fx = a.on_link_failure(&mut ctx_at(&mut rng, 2), 1, Some(data(3, 9, 7)));
         assert!(!a.route_active(9, SimTime::from_secs(2)));
@@ -877,6 +750,27 @@ mod tests {
         )));
         // The packet is held and a discovery started.
         assert!(rreq_of(&fx).is_some());
-        assert!(a.buffer.has_for(9));
+        assert!(a.discovery.buffer().has_for(9));
+    }
+
+    #[test]
+    fn link_failure_reports_destinations_in_ascending_order() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut a = Ldr::new(0);
+        for t in [17, 3, 42, 9, 25, 1, 30, 12] {
+            a.adopt(t, 1, 5, 2, SimTime::from_secs(1));
+        }
+        let fx = a.on_link_failure(&mut ctx_at(&mut rng, 2), 1, None);
+        let rerr = fx
+            .iter()
+            .find_map(|e| match e {
+                ProtoEffect::SendControl {
+                    packet: ControlPacket::Ldr(LdrMessage::Rerr(r)),
+                    ..
+                } => Some(r.clone()),
+                _ => None,
+            })
+            .expect("rerr broadcast");
+        assert_eq!(rerr.unreachable, [1, 3, 9, 12, 17, 25, 30, 42]);
     }
 }

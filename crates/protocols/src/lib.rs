@@ -18,7 +18,8 @@
 //! All five implement [`api::RoutingProtocol`]: events in, effects out —
 //! no protocol touches a socket, timer wheel or radio directly, which is
 //! what lets the harness guarantee identical mobility, traffic and MAC
-//! behaviour across protocols within a trial.
+//! behaviour across protocols within a trial. The four on-demand ones
+//! share one route discovery, [`discovery::Discovery`] (Procedure 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +28,7 @@ pub mod adversary;
 pub mod aodv;
 pub mod api;
 pub mod audit;
+pub mod discovery;
 pub mod dsr;
 pub mod ldr;
 #[cfg(feature = "model-check")]
@@ -36,7 +38,7 @@ pub mod srp;
 
 pub use adversary::{Adversary, AdversaryKind};
 pub use api::{
-    ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
-    ProtoStats, RingSchedule, RoutingProtocol, SourceRoute, DATA_TTL,
+    ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
+    RoutingProtocol, SourceRoute, DATA_TTL,
 };
 pub use audit::Audit;

@@ -24,7 +24,21 @@
 
 use crate::api::{NodeId, RoutingProtocol};
 use slr_core::SplitLabel32;
-use slr_netsim::time::SimTime;
+use slr_netsim::time::{SimDuration, SimTime};
+
+/// Appends `v` to a canonical serialization.
+pub(crate) fn put(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends the age of a stored stamp, saturated at `cap` — ages at or
+/// past the horizon are behaviorally identical.
+pub(crate) fn age(out: &mut Vec<u8>, now: SimTime, then: SimTime, cap: SimDuration) {
+    put(
+        out,
+        now.saturating_since(then).as_nanos().min(cap.as_nanos()),
+    );
+}
 
 /// A routing protocol the bounded model checker can drive.
 ///

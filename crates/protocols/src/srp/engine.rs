@@ -9,9 +9,10 @@ use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::VecMap;
 
 use crate::api::{
-    ControlPacket, DataDropReason, DataPacket, NodeId, PacketBuffer, ProtoCtx, ProtoEffect,
-    ProtoStats, RingSchedule, RoutingProtocol,
+    ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
+    RoutingProtocol,
 };
+use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
 use crate::srp::messages::{SrpMessage, SrpRerr, SrpRrep, SrpRreq};
 
 /// How SRP picks among its feasible successors when forwarding data.
@@ -45,16 +46,9 @@ pub struct SrpConfig {
     pub min_reply_hops: u32,
     /// Active-route lifetime without use.
     pub route_lifetime: SimDuration,
-    /// Per-hop latency estimate for ring timeouts (Procedure 1).
-    pub per_hop_latency: SimDuration,
-    /// Expanding-ring TTL schedule.
-    pub ring: RingSchedule,
-    /// Route-pending packet buffer capacity.
-    pub buffer_capacity: usize,
-    /// Maximum time a packet may wait for a route.
-    pub buffer_timeout: SimDuration,
-    /// Minimum spacing between RERRs for the same destination.
-    pub rerr_rate_limit: SimDuration,
+    /// Procedure 1: ring timeouts, the route-pending buffer and the RERR
+    /// rate limit.
+    pub discovery: DiscoveryConfig,
     /// Whether a source receiving an N-bit RREP increases its own sequence
     /// number and sends a D-bit probe so intermediate nodes rebuild routes
     /// to it (§III). Replies already follow the cached reverse path, so
@@ -90,11 +84,7 @@ impl Default for SrpConfig {
             lie_k: 10_000,
             min_reply_hops: 2,
             route_lifetime: SimDuration::from_secs(10),
-            per_hop_latency: SimDuration::from_millis(40),
-            ring: RingSchedule::default(),
-            buffer_capacity: 64,
-            buffer_timeout: SimDuration::from_secs(30),
-            rerr_rate_limit: SimDuration::from_secs(1),
+            discovery: DiscoveryConfig::default(),
             probe_on_no_reverse: false,
             multipath: MultipathPolicy::SingleMinHop,
             reduce_den_threshold: 1 << 27,
@@ -160,28 +150,6 @@ struct RreqCache {
     seen_at: SimTime,
 }
 
-/// An in-progress route discovery at this node.
-#[derive(Debug, Clone, Copy)]
-struct Discovery {
-    attempt: u32,
-}
-
-const DISCOVERY_TOKEN_BIT: u64 = 1 << 63;
-
-fn discovery_token(dst: NodeId, attempt: u32) -> u64 {
-    DISCOVERY_TOKEN_BIT | ((attempt as u64) << 32) | dst as u64
-}
-
-fn decode_token(token: u64) -> Option<(NodeId, u32)> {
-    if token & DISCOVERY_TOKEN_BIT == 0 {
-        return None;
-    }
-    Some((
-        (token & 0xFFFF_FFFF) as NodeId,
-        ((token >> 32) & 0x7FFF_FFFF) as u32,
-    ))
-}
-
 /// The Split-label Routing Protocol instance on one node.
 ///
 /// `Clone` exists for the model checker (`slr-check`), which snapshots
@@ -198,9 +166,7 @@ pub struct Srp {
     dests: VecMap<NodeId, DestState>,
     rreq_seen: VecMap<(NodeId, u64), RreqCache>,
     next_rreq_id: u64,
-    discoveries: VecMap<NodeId, Discovery>,
-    buffer: PacketBuffer,
-    last_rerr: VecMap<NodeId, SimTime>,
+    discovery: Discovery,
     /// The highest destination sequence number ever *held* per
     /// destination. Unlike the label, this survives DELETE_PERIOD
     /// forgetting (the AODV §6.13 discipline): a destination's sequence
@@ -213,10 +179,9 @@ pub struct Srp {
     /// state machine owns no trial-wide shared state, and the parallel
     /// engine ships instances across threads).
     interner: LabelInterner<u32>,
-    /// Next time the amortized `rreq_seen`/`last_rerr` sweep runs.
+    /// Next time the amortized `rreq_seen`/RERR-stamp sweep runs.
     next_prune_at: SimTime,
     max_denominator: u64,
-    discoveries_started: u64,
     resets_requested: u64,
 }
 
@@ -231,14 +196,11 @@ impl Srp {
             dests: VecMap::default(),
             rreq_seen: VecMap::default(),
             next_rreq_id: 0,
-            discoveries: VecMap::default(),
-            buffer: PacketBuffer::new(cfg.buffer_capacity),
-            last_rerr: VecMap::default(),
+            discovery: Discovery::new(&cfg.discovery),
             seqno_floor: VecMap::default(),
             interner: LabelInterner::new(),
             next_prune_at: SimTime::ZERO,
             max_denominator: 1,
-            discoveries_started: 0,
             resets_requested: 0,
         }
     }
@@ -259,11 +221,8 @@ impl Srp {
         self.next_prune_at = now + lifetime;
         self.rreq_seen
             .retain(|_, c| now.saturating_since(c.seen_at) < lifetime);
-        let rate_limit = self.cfg.rerr_rate_limit;
-        self.last_rerr
-            .retain(|_, t| now.saturating_since(*t) < rate_limit);
         self.rreq_seen.shrink_to_fit();
-        self.last_rerr.shrink_to_fit();
+        self.discovery.prune_rerr(&self.cfg.discovery, now);
     }
 
     /// Live heap bytes of this node's protocol state: every table, the
@@ -279,11 +238,9 @@ impl Srp {
         self.dests.mem_bytes()
             + dest_inner
             + self.rreq_seen.mem_bytes()
-            + self.discoveries.mem_bytes()
-            + self.last_rerr.mem_bytes()
+            + self.discovery.mem_bytes()
             + self.seqno_floor.mem_bytes()
             + self.interner.mem_bytes()
-            + self.buffer.mem_bytes()
     }
 
     /// Our current label (ordering) for destination `t`.
@@ -373,14 +330,14 @@ impl Srp {
     }
 
     /// Forwards a data packet via a feasible successor chosen by the
-    /// configured [`MultipathPolicy`]. Returns `None` if no active route
+    /// configured [`MultipathPolicy`]; hands it back if no active route
     /// exists.
-    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Option<Vec<ProtoEffect>> {
+    fn try_forward(&mut self, mut packet: DataPacket, now: SimTime) -> Forwarded {
         if !self.route_active(packet.dst, now) {
-            return None;
+            return Err(packet);
         }
         if packet.ttl == 0 {
-            return Some(vec![ProtoEffect::DropData {
+            return Ok(vec![ProtoEffect::DropData {
                 packet,
                 reason: DataDropReason::TtlExpired,
             }]);
@@ -399,40 +356,16 @@ impl Srp {
         ds.expires = now + self.cfg.route_lifetime;
         ds.fresh.insert(next_hop, now);
         packet.ttl -= 1;
-        Some(vec![ProtoEffect::SendData { packet, next_hop }])
+        Ok(vec![ProtoEffect::SendData { packet, next_hop }])
     }
 
-    /// Procedure 1 (*Initiate Solicitation*) and its retries.
-    fn start_discovery(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        if self.discoveries.contains_key(&dst) {
-            return; // already active for this destination
-        }
-        self.discoveries_started += 1;
-        self.send_rreq(dst, 0, false, now, fx);
-    }
-
-    fn send_rreq(
-        &mut self,
-        dst: NodeId,
-        attempt: u32,
-        reset: bool,
-        now: SimTime,
-        fx: &mut Vec<ProtoEffect>,
-    ) {
-        let Some(ttl) = self.cfg.ring.ttl(attempt) else {
-            // Attempts exhausted: fail the discovery.
-            self.discoveries.remove(&dst);
-            for packet in self.buffer.take_for(dst) {
-                fx.push(ProtoEffect::DropData {
-                    packet,
-                    reason: DataDropReason::NoRoute,
-                });
-            }
-            return;
-        };
+    /// One ring of Procedure 1 (*Initiate Solicitation*): floods the
+    /// solicitation and arms its timeout. Retries keep the T bit clear —
+    /// SRP resets are label-driven, not retry-driven.
+    fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
+        let dst = ring.dst;
         self.next_rreq_id += 1;
         let rreq_id = self.next_rreq_id;
-        self.discoveries.insert(dst, Discovery { attempt });
 
         let label = self.label_for(dst, now);
         let unknown = label.is_unassigned();
@@ -453,20 +386,32 @@ impl Srp {
             dst_seqno: label.seqno(),
             fd,
             unknown,
-            reset,
+            reset: false,
             dest_only: false,
             no_advert: false,
             d: 0,
-            ttl,
+            ttl: ring.ttl(),
             src_seqno: self.own_seqno,
             src_lfd: Frac32::zero(),
             src_ld: 0,
         };
-        // We are *active* for our own calculation: mark engaged so the
-        // flood cannot re-enter.
+        self.originate(rreq, None, now, fx);
+        self.cfg.discovery.arm(ring, fx);
+    }
+
+    /// Sends our own solicitation `rreq` to `next_hop` (`None` floods it).
+    /// We are *active* for our own calculation: mark engaged so the flood
+    /// cannot re-enter.
+    fn originate(
+        &mut self,
+        rreq: SrpRreq,
+        next_hop: Option<NodeId>,
+        now: SimTime,
+        fx: &mut Vec<ProtoEffect>,
+    ) {
         let cached = self.interner.intern(SplitLabel32::unassigned());
         self.rreq_seen.insert(
-            (self.node, rreq_id),
+            (self.node, rreq.rreq_id),
             RreqCache {
                 cached,
                 last_hop: self.node,
@@ -476,11 +421,7 @@ impl Srp {
         );
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Srp(SrpMessage::Rreq(rreq)),
-            next_hop: None,
-        });
-        fx.push(ProtoEffect::SetTimer {
-            token: discovery_token(dst, attempt),
-            delay: self.cfg.ring.timeout(ttl, self.cfg.per_hop_latency),
+            next_hop,
         });
     }
 
@@ -614,41 +555,20 @@ impl Srp {
         );
     }
 
-    /// Flush buffered packets toward `dst` once a route exists.
-    fn flush_buffer(&mut self, dst: NodeId, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        for packet in self.buffer.take_for(dst) {
-            match self.try_forward(packet, now) {
-                Some(out) => fx.extend(out),
-                None => break,
-            }
+    /// Broadcast a RERR for `lost` (rate-limited per destination).
+    fn send_rerr(&mut self, lost: Vec<NodeId>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
+        if let Some(unreachable) = self
+            .discovery
+            .rerr_due(&self.cfg.discovery, lost, |&d| d, now)
+        {
+            fx.push(ProtoEffect::SendControl {
+                packet: ControlPacket::Srp(SrpMessage::Rerr(SrpRerr {
+                    unreachable,
+                    cold_reboot: false,
+                })),
+                next_hop: None,
+            });
         }
-        self.discoveries.remove(&dst);
-    }
-
-    /// Broadcast a RERR for `dests` (rate-limited per destination).
-    fn send_rerr(&mut self, dests: Vec<NodeId>, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        let fresh: Vec<NodeId> = dests
-            .into_iter()
-            .filter(|d| {
-                self.last_rerr
-                    .get(d)
-                    .map(|t| now.saturating_since(*t) >= self.cfg.rerr_rate_limit)
-                    .unwrap_or(true)
-            })
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        for d in &fresh {
-            self.last_rerr.insert(*d, now);
-        }
-        fx.push(ProtoEffect::SendControl {
-            packet: ControlPacket::Srp(SrpMessage::Rerr(SrpRerr {
-                unreachable: fresh,
-                cold_reboot: false,
-            })),
-            next_hop: None,
-        });
     }
 
     /// Procedure 2 (*Relay Solicitation*) plus destination/SDC replies.
@@ -880,7 +800,8 @@ impl Srp {
         match self.set_route(t, from, adv, rrep.ld, cached, now) {
             Some(new_label) => {
                 if terminus {
-                    self.flush_buffer(t, now, &mut fx);
+                    let held = self.discovery.settle(t);
+                    forward_all(held, &mut fx, |p| self.try_forward(p, now));
                     // MAX_DENOM reset probe (Procedure 3).
                     if new_label.fd().den() as u64 > self.cfg.max_denom {
                         self.resets_requested += 1;
@@ -946,7 +867,8 @@ impl Srp {
                     }
                 } else if terminus && self.route_active(t, now) {
                     // An infeasible reply but some route exists: use it.
-                    self.flush_buffer(t, now, &mut fx);
+                    let held = self.discovery.settle(t);
+                    forward_all(held, &mut fx, |p| self.try_forward(p, now));
                 }
             }
         }
@@ -982,20 +904,7 @@ impl Srp {
             src_lfd: Frac32::zero(),
             src_ld: 0,
         };
-        let cached = self.interner.intern(SplitLabel32::unassigned());
-        self.rreq_seen.insert(
-            (self.node, self.next_rreq_id),
-            RreqCache {
-                cached,
-                last_hop: self.node,
-                replied: false,
-                seen_at: now,
-            },
-        );
-        fx.push(ProtoEffect::SendControl {
-            packet: ControlPacket::Srp(SrpMessage::Rreq(rreq)),
-            next_hop: Some(next),
-        });
+        self.originate(rreq, Some(next), now, fx);
     }
 
     fn handle_rerr(&mut self, now: SimTime, prev: NodeId, rerr: SrpRerr) -> Vec<ProtoEffect> {
@@ -1037,9 +946,7 @@ impl Srp {
                 lost.push(t);
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
+        self.send_rerr(lost, now, &mut fx);
         fx
     }
 }
@@ -1080,18 +987,14 @@ impl RoutingProtocol for Srp {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         let mut fx = Vec::new();
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -1105,9 +1008,10 @@ impl RoutingProtocol for Srp {
         if packet.dst == self.node {
             return vec![ProtoEffect::DeliverLocal(packet)];
         }
-        if let Some(fx) = self.try_forward(packet.clone(), now) {
-            return fx;
-        }
+        let packet = match self.try_forward(packet, now) {
+            Ok(fx) => return fx,
+            Err(packet) => packet,
+        };
         // No successor: route error to the data packet's last hop (§II),
         // then hold the packet and repair locally.
         let mut fx = Vec::new();
@@ -1118,14 +1022,9 @@ impl RoutingProtocol for Srp {
             })),
             next_hop: Some(from),
         });
-        let dst = packet.dst;
-        if let Some(overflow) = self.buffer.push(packet, now) {
-            fx.push(ProtoEffect::DropData {
-                packet: overflow,
-                reason: DataDropReason::BufferOverflow,
-            });
+        if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        self.start_discovery(dst, now, &mut fx);
         fx
     }
 
@@ -1149,31 +1048,17 @@ impl RoutingProtocol for Srp {
         let mut fx = Vec::new();
         let now = ctx.now;
         self.prune_caches(now);
-        // Sweep stale buffered packets on any timer activity.
-        for packet in self.buffer.take_expired(now, self.cfg.buffer_timeout) {
-            fx.push(ProtoEffect::DropData {
-                packet,
-                reason: DataDropReason::BufferTimeout,
-            });
-        }
-        let Some((dst, attempt)) = decode_token(token) else {
+        let Some(due) = self
+            .discovery
+            .on_timer(&self.cfg.discovery, token, now, &mut fx)
+        else {
             return fx;
         };
-        let Some(d) = self.discoveries.get(&dst).copied() else {
-            return fx; // discovery already satisfied
-        };
-        if d.attempt != attempt {
-            return fx; // stale timer from an earlier attempt
+        if self.route_active(due.dst, now) {
+            self.discovery.cancel(due.dst);
+        } else if let Some(ring) = self.discovery.retry(due, &mut fx) {
+            self.send_rreq(ring, now, &mut fx);
         }
-        if self.route_active(dst, now) {
-            self.discoveries.remove(&dst);
-            return fx;
-        }
-        self.discoveries.remove(&dst);
-        // Re-issue with the next ring TTL (keeps rr=false: SRP resets are
-        // label-driven, not retry-driven).
-        self.discoveries_started += 1;
-        self.send_rreq(dst, attempt + 1, false, now, &mut fx);
         fx
     }
 
@@ -1200,23 +1085,16 @@ impl RoutingProtocol for Srp {
                 }
             }
         }
-        if !lost.is_empty() {
-            self.send_rerr(lost, now, &mut fx);
-        }
+        self.send_rerr(lost, now, &mut fx);
         // Packet cache: resend the dropped packet over an alternate
         // successor, or repair.
         if let Some(p) = packet {
-            match self.try_forward(p.clone(), now) {
-                Some(out) => fx.extend(out),
-                None => {
-                    let dst = p.dst;
-                    if let Some(overflow) = self.buffer.push(p, now) {
-                        fx.push(ProtoEffect::DropData {
-                            packet: overflow,
-                            reason: DataDropReason::BufferOverflow,
-                        });
+            match self.try_forward(p, now) {
+                Ok(out) => fx.extend(out),
+                Err(p) => {
+                    if let Some(ring) = self.discovery.hold(p, now, &mut fx) {
+                        self.send_rreq(ring, now, &mut fx);
                     }
-                    self.start_discovery(dst, now, &mut fx);
                 }
             }
         }
@@ -1227,7 +1105,7 @@ impl RoutingProtocol for Srp {
         ProtoStats {
             own_seqno_increments: self.seqno_increments,
             max_fd_denominator: self.max_denominator,
-            discoveries: self.discoveries_started,
+            discoveries: self.discovery.started(),
             resets_requested: self.resets_requested,
             adversarial_actions: 0,
             audit_rejections: 0,
@@ -1299,26 +1177,16 @@ impl Srp {
 /// deltas from `now` (clamped at the horizon that governs them) so two
 /// states that behave identically hash identically regardless of the
 /// absolute clock. Pure statistics counters (`seqno_increments`,
-/// `discoveries_started`, `resets_requested`, `max_denominator`) are
+/// [`Discovery::started`], `resets_requested`, `max_denominator`) are
 /// excluded — they never influence a protocol decision.
 #[cfg(feature = "model-check")]
 impl crate::model::ModelCheckable for Srp {
     fn model_canonical(&self, now: SimTime, out: &mut Vec<u8>) {
-        fn put(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        use crate::model::{age, put};
         fn put_label(out: &mut Vec<u8>, l: &SplitLabel32) {
             put(out, l.seqno());
             put(out, l.fd().num() as u64);
             put(out, l.fd().den() as u64);
-        }
-        /// Age of a stored stamp, saturated at `cap` — ages at or past
-        /// the horizon are behaviorally identical.
-        fn age(out: &mut Vec<u8>, now: SimTime, then: SimTime, cap: SimDuration) {
-            put(
-                out,
-                now.saturating_since(then).as_nanos().min(cap.as_nanos()),
-            );
         }
         /// Time remaining until a stored deadline (0 once passed).
         fn remaining(out: &mut Vec<u8>, deadline: SimTime, now: SimTime) {
@@ -1375,44 +1243,8 @@ impl crate::model::ModelCheckable for Srp {
             age(out, now, c.seen_at, self.cfg.rreq_cache_lifetime);
         }
 
-        put(out, 0xA3);
-        let mut disc_keys: Vec<NodeId> = self.discoveries.keys().copied().collect();
-        disc_keys.sort_unstable();
-        put(out, disc_keys.len() as u64);
-        for dst in disc_keys {
-            put(out, dst as u64);
-            put(
-                out,
-                self.discoveries.get(&dst).expect("iterating keys").attempt as u64,
-            );
-        }
-
-        put(out, 0xA4);
-        put(out, self.buffer.len() as u64);
-        for (p, enq) in self.buffer.iter() {
-            // `origin_time` is a delivery-latency stat, never a protocol
-            // input: mask it so the clock cannot leak into the hash.
-            put(out, p.src as u64);
-            put(out, p.dst as u64);
-            put(out, p.uid);
-            put(out, p.bytes as u64);
-            put(out, p.ttl as u64);
-            age(out, now, enq, self.cfg.buffer_timeout);
-        }
-
-        put(out, 0xA5);
-        let mut rerr_keys: Vec<NodeId> = self.last_rerr.keys().copied().collect();
-        rerr_keys.sort_unstable();
-        put(out, rerr_keys.len() as u64);
-        for d in rerr_keys {
-            put(out, d as u64);
-            age(
-                out,
-                now,
-                *self.last_rerr.get(&d).expect("iterating keys"),
-                self.cfg.rerr_rate_limit,
-            );
-        }
+        self.discovery
+            .model_canonical(&self.cfg.discovery, now, out);
 
         put(out, 0xA6);
         let mut floor_keys: Vec<NodeId> = self.seqno_floor.keys().copied().collect();
@@ -1987,15 +1819,15 @@ mod tests {
         let r0 = rreq_of(&fx).expect("first ring");
         assert_eq!(r0.ttl, 5);
         // First timer: second ring.
-        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), discovery_token(9, 0));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 9, n: 0 }.token());
         let r1 = rreq_of(&fx).expect("second ring");
         assert_eq!(r1.ttl, 16);
         // Second timer: third ring.
-        let fx = a.on_timer(&mut ctx_at(&mut rng, 4), discovery_token(9, 1));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 4), Attempt { dst: 9, n: 1 }.token());
         let r2 = rreq_of(&fx).expect("third ring");
         assert_eq!(r2.ttl, 64);
         // Third timer: give up, drop the buffered packet.
-        let fx = a.on_timer(&mut ctx_at(&mut rng, 10), discovery_token(9, 2));
+        let fx = a.on_timer(&mut ctx_at(&mut rng, 10), Attempt { dst: 9, n: 2 }.token());
         assert!(fx.iter().any(|e| matches!(
             e,
             ProtoEffect::DropData {
@@ -2003,7 +1835,7 @@ mod tests {
                 ..
             }
         )));
-        assert!(a.discoveries.is_empty());
+        assert!(a.discovery.is_idle());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 
 use slr_mobility::{Position, Terrain, WaypointConfig};
 use slr_netsim::time::{SimDuration, SimTime};
-use slr_protocols::aodv::{Aodv, AodvConfig};
+use slr_protocols::aodv::Aodv;
 use slr_protocols::dsr::{Dsr, DsrConfig};
-use slr_protocols::ldr::{Ldr, LdrConfig};
+use slr_protocols::ldr::Ldr;
 use slr_protocols::olsr::{Olsr, OlsrConfig};
 use slr_protocols::srp::{Srp, SrpConfig};
 use slr_protocols::RoutingProtocol;
@@ -97,9 +97,9 @@ impl ProtocolKind {
                     ..SrpConfig::default()
                 },
             )),
-            ProtocolKind::Aodv => Box::new(Aodv::new(node, AodvConfig::default())),
+            ProtocolKind::Aodv => Box::new(Aodv::new(node)),
             ProtocolKind::Dsr => Box::new(Dsr::new(node, DsrConfig::default())),
-            ProtocolKind::Ldr => Box::new(Ldr::new(node, LdrConfig::default())),
+            ProtocolKind::Ldr => Box::new(Ldr::new(node)),
             ProtocolKind::Olsr => Box::new(Olsr::new(node, OlsrConfig::default())),
         }
     }
