@@ -91,24 +91,6 @@ impl<E> Simulator<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Drains `items` (absolute firing times) into the queue in order,
-    /// appending one token per item to `out` — the bulk form of
-    /// [`Simulator::schedule_at`] (see [`EventQueue::schedule_bulk`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item fires earlier than the current virtual time.
-    pub fn schedule_bulk(&mut self, items: &mut Vec<(SimTime, E)>, out: &mut Vec<EventToken>) {
-        for &(time, _) in items.iter() {
-            assert!(
-                time >= self.now,
-                "scheduling into the past: {time} < {}",
-                self.now
-            );
-        }
-        self.queue.schedule_bulk(items, out);
-    }
-
     /// Cancels a pending event. Returns `true` if it was still pending.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         self.queue.cancel(token)

@@ -110,10 +110,7 @@ struct Slot {
 
 /// Default tombstone count below which compaction never triggers; avoids
 /// O(n) rebuilds of tiny heaps where lazy skimming is already cheap.
-/// Tunable per queue via [`EventQueue::with_compact_floor`] — e.g. the
-/// parallel engine's merge phase drains per-worker insertion buffers in
-/// bursts and may prefer a higher floor so mid-burst cancellations never
-/// trigger a rebuild inside the merge.
+/// Tunable per queue via [`EventQueue::with_compact_floor`].
 pub const DEFAULT_COMPACT_FLOOR: usize = 64;
 
 /// A min-heap of timed events with stable FIFO tie-breaking, O(1)
@@ -221,24 +218,6 @@ impl<E> EventQueue<E> {
             event,
         });
         EventToken::new(slot, self.slots[slot as usize].gen)
-    }
-
-    /// Drains `items` into the queue in order, appending one cancellation
-    /// token per item to `out` (same order). Equivalent to a loop of
-    /// [`EventQueue::schedule`] calls — sequence numbers are assigned in
-    /// drain order, so same-time items keep their relative FIFO order —
-    /// but reserves heap and slab capacity once up front, so a burst
-    /// (e.g. the parallel engine's merge phase draining per-worker
-    /// insertion buffers) performs no per-op growth.
-    pub fn schedule_bulk(&mut self, items: &mut Vec<(SimTime, E)>, out: &mut Vec<EventToken>) {
-        self.heap.reserve(items.len());
-        // The free list is consumed first; only the shortfall needs new
-        // slab slots, but reserving the full burst keeps this one branch.
-        self.slots.reserve(items.len());
-        out.reserve(items.len());
-        for (time, event) in items.drain(..) {
-            out.push(self.schedule(time, event));
-        }
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
@@ -588,39 +567,6 @@ mod tests {
             "slab grew past the live demand: {} slots",
             q.slot_count()
         );
-    }
-
-    /// `schedule_bulk` must be indistinguishable from a loop of
-    /// `schedule` calls: same pop order (FIFO within a timestamp across
-    /// the loop/bulk boundary) and tokens that cancel exactly their item.
-    #[test]
-    fn schedule_bulk_matches_schedule_loop() {
-        let mut looped = EventQueue::new();
-        let mut bulked = EventQueue::new();
-        let t1 = SimTime::from_secs(1);
-        let t2 = SimTime::from_secs(2);
-        // Interleave: some singles, then a bulk burst, then more singles.
-        looped.schedule(t1, 0u32);
-        bulked.schedule(t1, 0u32);
-        let mut items = vec![(t2, 1u32), (t1, 2), (t2, 3), (t1, 4)];
-        let loop_toks: Vec<_> = items.iter().map(|&(t, e)| looped.schedule(t, e)).collect();
-        let mut bulk_toks = Vec::new();
-        bulked.schedule_bulk(&mut items, &mut bulk_toks);
-        assert!(items.is_empty(), "bulk drains its input");
-        assert_eq!(bulk_toks.len(), loop_toks.len());
-        looped.schedule(t1, 5);
-        bulked.schedule(t1, 5);
-        // Cancel the same logical item through both token sets.
-        assert!(looped.cancel(loop_toks[2]));
-        assert!(bulked.cancel(bulk_toks[2]));
-        let drain = |q: &mut EventQueue<u32>| {
-            let mut v = Vec::new();
-            while let Some(e) = q.pop() {
-                v.push((e.time, e.event));
-            }
-            v
-        };
-        assert_eq!(drain(&mut looped), drain(&mut bulked));
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub use channel::{
 };
 pub use frame::{Frame, FrameKind};
 pub use mac::{DropReason, Mac, MacConfig, MacCounters, MacEffect, MacTimer};
-pub use medium::{BruteForceMedium, NeighborQuery, PrecomputedQuery, ValidatingQuery};
+pub use medium::{BruteForceMedium, NeighborQuery, ValidatingQuery};
 pub use phy::PhyConfig;

@@ -7,8 +7,7 @@
 //! the medium can be backed by a grid-bucketed
 //! [`SpatialIndex`](slr_netsim::SpatialIndex) (cost follows the nodes
 //! bucketed around the transmitter; the harness's production path,
-//! `slr_runner::medium`), by a [`PrecomputedQuery`] answering one
-//! query from elsewhere, by a brute-force scan over a position slice
+//! `slr_runner::medium`), by a brute-force scan over a position slice
 //! ([`BruteForceMedium`], the reference oracle — O(N) per transmission),
 //! or by a [`ValidatingQuery`] that answers from one implementation,
 //! checks every answer against the oracle and panics on any
@@ -108,57 +107,6 @@ impl NeighborQuery for ValidatingQuery<'_> {
     }
 }
 
-/// A medium whose answer for **one** query — `neighbors_within(src,
-/// range)` — was precomputed elsewhere (a parallel-engine worker
-/// speculating during the window that precedes a MAC-timer dispatch) and
-/// validated still-fresh by the caller. That query is served from the
-/// buffer; everything else delegates to `inner`.
-///
-/// The precomputed pairs must satisfy the module's determinism contract
-/// for `inner` at the validation instant: ascending node order, exact
-/// distances, querying node excluded. The harness guarantees this by
-/// stamping speculation with the position tracker's generation counter
-/// and discarding the buffer on any mismatch; a debug assertion here
-/// cross-checks the buffer against `inner` as a belt-and-braces measure.
-pub struct PrecomputedQuery<'a> {
-    /// The authoritative medium for everything not precomputed.
-    pub inner: &'a dyn NeighborQuery,
-    /// The transmitter whose neighbor query was precomputed.
-    pub src: usize,
-    /// The range the precomputation used (the carrier-sense range).
-    pub range: f64,
-    /// The precomputed `(node, distance)` pairs, ascending by node.
-    pub pairs: &'a [(usize, f64)],
-}
-
-impl NeighborQuery for PrecomputedQuery<'_> {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn position(&self, node: usize) -> Position {
-        self.inner.position(node)
-    }
-
-    fn neighbors_within(&self, node: usize, range: f64, out: &mut Vec<(usize, f64)>) {
-        if node == self.src && range == self.range {
-            #[cfg(debug_assertions)]
-            {
-                let mut expect = Vec::new();
-                self.inner.neighbors_within(node, range, &mut expect);
-                assert_eq!(
-                    self.pairs,
-                    &expect[..],
-                    "stale speculative neighbor set survived validation: node {node} range {range}"
-                );
-            }
-            out.extend_from_slice(self.pairs);
-        } else {
-            self.inner.neighbors_within(node, range, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,30 +188,6 @@ mod tests {
         assert_eq!(out, vec![(0, 100.0), (2, 300.0)]);
         assert_eq!(v.node_count(), 4);
         assert_eq!(v.position(3).x, 2000.0);
-    }
-
-    #[test]
-    fn precomputed_query_serves_buffer_and_delegates_rest() {
-        let pos = positions();
-        let inner = BruteForceMedium(&pos);
-        let mut pairs = Vec::new();
-        inner.neighbors_within(0, 550.0, &mut pairs);
-        let pre = PrecomputedQuery {
-            inner: &inner,
-            src: 0,
-            range: 550.0,
-            pairs: &pairs,
-        };
-        let mut out = Vec::new();
-        pre.neighbors_within(0, 550.0, &mut out);
-        assert_eq!(out, pairs, "precomputed query must serve the buffer");
-        out.clear();
-        pre.neighbors_within(2, 550.0, &mut out);
-        let mut expect = Vec::new();
-        inner.neighbors_within(2, 550.0, &mut expect);
-        assert_eq!(out, expect, "other nodes delegate to the inner medium");
-        assert_eq!(pre.node_count(), 4);
-        assert_eq!(pre.position(1).x, 100.0);
     }
 
     #[test]

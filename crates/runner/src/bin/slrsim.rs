@@ -27,12 +27,11 @@
 //! * `--paper` — paper-scale scenarios instead of quick
 //! * `--json` — emit one JSON document with aggregates and per-trial
 //!   summaries instead of the text table
-//! * `--oracle` — additionally run SRP trials under the loop-freedom
-//!   oracle (panics on any Theorem 3 violation)
-//! * `--validate-spatial` — debug: cross-check every neighbor query —
-//!   the spatial index's answer or the parallel engine's speculation —
-//!   against the brute-force oracle (pairs well with `--oracle`; adds an
-//!   O(N) scan per transmission)
+//! * `--oracle` — additionally run SRP and SRP-MP trials under the
+//!   loop-freedom oracle (panics on any Theorem 3 violation)
+//! * `--validate-spatial` — debug: cross-check the spatial index's answer
+//!   to every neighbor query against the brute-force oracle (pairs well
+//!   with `--oracle`; adds an O(N) scan per transmission)
 //! * `--engine batched|parallel` — transmission-end event dispatch; the
 //!   two are bit-identical, they trade wall clock only
 //! * `--workers N|auto` — intra-trial workers for `--engine parallel`
@@ -43,12 +42,10 @@
 //!   cross-trial jobs and intra-trial window shards
 //! * `--list-scenarios` — print the registry and exit
 
-use slr_netsim::time::SimDuration;
 use slr_runner::cli::{parse_cli, render_scenario_list, usage, CliAction};
-use slr_runner::experiment::{run_sweep, Metric, SweepConfig, SweepResult};
+use slr_runner::experiment::{run_oracle_pass, run_sweep, Metric, SweepConfig};
 use slr_runner::report::render_json;
 use slr_runner::scenario::ProtocolKind;
-use slr_runner::sim::Sim;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -108,38 +105,19 @@ fn main() {
         std::process::exit(2);
     }
 
-    let result = if opts.oracle && protocols.contains(&ProtocolKind::Srp) {
-        // SRP trials run once, sequentially, under the oracle; their
-        // summaries feed the stats directly (no duplicate simulation).
-        // Other protocols still go through the parallel sweep.
-        let srp_runs = run_oracle_pass(&cfg);
-        let others: Vec<ProtocolKind> = protocols
-            .iter()
-            .copied()
-            .filter(|p| *p != ProtocolKind::Srp)
-            .collect();
-        let mut result = if others.is_empty() {
-            SweepResult {
-                runs: Default::default(),
-                protocols: Vec::new(),
-                family: cfg.family,
-                param: cfg.param,
-                values: cfg.values.clone(),
-                engine: cfg.engine,
-                workers: cfg.workers,
-            }
-        } else {
-            run_sweep(&others, &cfg)
-        };
-        result.runs.extend(srp_runs);
-        result.protocols = protocols.clone();
-        result
-    } else {
-        if opts.oracle {
-            eprintln!("--oracle: no SRP in the protocol set, skipping");
-        }
-        run_sweep(&protocols, &cfg)
-    };
+    // Under --oracle, every SRP-engine protocol runs once, sequentially,
+    // under the loop-freedom oracle; its summaries feed the stats directly
+    // (no duplicate simulation). Other protocols go through the sweep.
+    let (oracled, others): (Vec<ProtocolKind>, Vec<ProtocolKind>) =
+        protocols.iter().partition(|p| opts.oracle && p.runs_srp());
+    if opts.oracle && oracled.is_empty() {
+        eprintln!("--oracle: no SRP in the protocol set, skipping");
+    }
+    let mut result = run_sweep(&others, &cfg);
+    for &kind in &oracled {
+        result.runs.extend(run_oracle_pass(&cfg, kind));
+    }
+    result.protocols = protocols.clone();
 
     if opts.json {
         print!("{}", render_json(&result));
@@ -180,40 +158,4 @@ fn main() {
             );
         }
     }
-}
-
-/// Runs every SRP point once under the loop-freedom oracle (sequential —
-/// the oracle inspects global protocol state every simulated second and
-/// after every dynamics event) and returns the summaries so they double
-/// as the SRP sweep results.
-fn run_oracle_pass(
-    cfg: &SweepConfig,
-) -> std::collections::BTreeMap<(&'static str, u64), Vec<slr_runner::TrialSummary>> {
-    let mut runs: std::collections::BTreeMap<(&'static str, u64), Vec<slr_runner::TrialSummary>> =
-        Default::default();
-    for &value in &cfg.values {
-        for trial in 0..cfg.trials {
-            let scenario = cfg.scenario_for(ProtocolKind::Srp, value, trial);
-            let mut sim = Sim::new(scenario)
-                .with_engine(cfg.engine)
-                .with_workers(cfg.workers);
-            if cfg.validate_spatial {
-                sim.enable_spatial_validation();
-            }
-            let (summary, soft) = sim.run_with_loop_oracle(SimDuration::from_secs(1));
-            eprintln!(
-                "oracle: {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
-                cfg.param.name(),
-                value,
-                trial,
-                soft,
-                summary.dynamics_events,
-            );
-            runs.entry((ProtocolKind::Srp.name(), value))
-                .or_default()
-                .push(summary);
-        }
-    }
-    eprintln!("oracle: loop-freedom held at every checkpoint");
-    runs
 }

@@ -59,7 +59,7 @@ pub struct CliOptions {
     pub adversary: Option<AdversarySpec>,
     /// `--paper`: full §V scale.
     pub paper: bool,
-    /// `--oracle`: run SRP under the loop-freedom oracle.
+    /// `--oracle`: run SRP and SRP-MP under the loop-freedom oracle.
     pub oracle: bool,
     /// `--validate-spatial`: cross-check every spatial-index neighbor
     /// query against the brute-force oracle (debug; slows trials to the

@@ -480,6 +480,49 @@ pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
     collect_runs(collected, protocols, cfg)
 }
 
+/// Runs every point of `kind` once under the loop-freedom oracle
+/// (sequential — the oracle inspects global protocol state every
+/// simulated second and after every dynamics event) and returns the
+/// summaries, so they double as `kind`'s sweep results.
+///
+/// # Panics
+///
+/// Panics on a loop-freedom violation, or if `kind` does not run the SRP
+/// engine ([`ProtocolKind::runs_srp`]).
+pub fn run_oracle_pass(
+    cfg: &SweepConfig,
+    kind: ProtocolKind,
+) -> BTreeMap<(&'static str, u64), Vec<TrialSummary>> {
+    let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
+    for &value in &cfg.values {
+        for trial in 0..cfg.trials {
+            let scenario = cfg.scenario_for(kind, value, trial);
+            let mut sim = Sim::new(scenario)
+                .with_engine(cfg.engine)
+                .with_workers(cfg.workers);
+            if cfg.validate_spatial {
+                sim.enable_spatial_validation();
+            }
+            let (summary, soft) = sim.run_with_loop_oracle(SimDuration::from_secs(1));
+            eprintln!(
+                "oracle: {} {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
+                kind.name(),
+                cfg.param.name(),
+                value,
+                trial,
+                soft,
+                summary.dynamics_events,
+            );
+            runs.entry((kind.name(), value)).or_default().push(summary);
+        }
+    }
+    eprintln!(
+        "oracle: loop-freedom held at every {} checkpoint",
+        kind.name()
+    );
+    runs
+}
+
 /// Runs `run` once per job on the sweep's core budget and returns the
 /// results in completion order. The pool spawns one thread fewer than
 /// [`SweepConfig::core_budget`]: the calling thread executes jobs itself
@@ -805,6 +848,22 @@ mod tests {
         for (key, cell) in &batched.runs {
             assert_eq!(cell, &parallel.runs[key], "sweep diverged at {key:?}");
         }
+    }
+
+    /// SRP-MP runs the same `Srp` engine as SRP, so the oracle pass must
+    /// check it too rather than skip it.
+    #[test]
+    fn oracle_pass_checks_srp_multipath() {
+        let cfg = SweepConfig {
+            trials: 1,
+            values: vec![9],
+            override_duration: Some(30),
+            ..SweepConfig::for_family(Family::Grid, false)
+        };
+        let runs = run_oracle_pass(&cfg, ProtocolKind::SrpMultipath);
+        let cell = &runs[&(ProtocolKind::SrpMultipath.name(), 9)];
+        assert_eq!(cell.len(), 1);
+        assert!(cell[0].oracle_checks > 0, "the oracle never ran");
     }
 
     /// `threads` bounds the trials in flight, the calling thread counted:

@@ -82,13 +82,6 @@ pub struct PositionTracker {
     scratch: RefCell<QueryScratch>,
     /// The largest query range the index can serve.
     max_range_m: f64,
-    /// Bumped once per processed deadline in [`PositionTracker::sync_to`].
-    /// Speculative neighbor queries (parallel-engine workers pre-computing
-    /// the candidate filter for a MAC-timer transmission) are stamped with
-    /// this counter and discarded if it moved before consumption — an
-    /// unchanged generation proves every cached segment the speculation
-    /// read is still the segment a fresh query would read.
-    generation: u64,
 }
 
 /// Per-query working memory: candidate list, a distance table, and a
@@ -149,7 +142,6 @@ impl PositionTracker {
                 ..QueryScratch::default()
             }),
             max_range_m,
-            generation: 0,
         }
     }
 
@@ -175,7 +167,6 @@ impl PositionTracker {
                 break;
             }
             self.deadlines.pop();
-            self.generation = self.generation.wrapping_add(1);
             let tr = script.trajectory(node);
             let seg = tr.segments()[tr.segment_index_at(now)];
             self.segments[node] = seg;
@@ -206,73 +197,6 @@ impl PositionTracker {
     /// The largest range [`MediumView`] queries may use.
     pub fn max_range_m(&self) -> f64 {
         self.max_range_m
-    }
-
-    /// Segment-refresh counter: advances exactly once per deadline
-    /// processed by [`PositionTracker::sync_to`]. See the field docs for
-    /// the speculation-validity argument.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// A `Sync` borrow of the tracker's segment cache and bucket index
-    /// for speculative queries on worker threads (the tracker itself is
-    /// not `Sync` — its query scratch is a `RefCell`; the view carries
-    /// none and callers bring their own buffers).
-    pub fn view(&self) -> TrackerView<'_> {
-        TrackerView {
-            segments: &self.segments,
-            index: &self.index,
-            max_range_m: self.max_range_m,
-        }
-    }
-}
-
-/// The shareable slice of tracker state parallel-engine workers need to
-/// pre-compute a whole neighbor query off the serial path: the cached
-/// trajectory segments (exact positions) and the bucket index (candidate
-/// enumeration — a pure read). Valid only while the tracker's generation
-/// is unchanged; the harness stamps every speculation and re-checks at
-/// consumption.
-#[derive(Clone, Copy)]
-pub struct TrackerView<'a> {
-    segments: &'a [Segment],
-    index: &'a SpatialIndex,
-    max_range_m: f64,
-}
-
-impl TrackerView<'_> {
-    /// Speculative replay of `MediumView::neighbors_within(node, range)`
-    /// at `now`, end to end: the same padded candidate scan over the same
-    /// buckets, then an exact-distance filter with the *same arithmetic*
-    /// as the serial query (same `Segment::position_at`, same
-    /// `Position::distance`, same `d <= range` accept test), survivors
-    /// appended to `out` in the same ascending node order. `candidates`
-    /// is caller scratch (cleared here). Valid only while the tracker's
-    /// generation matches the one the view was captured under.
-    pub fn speculate_query(
-        &self,
-        node: usize,
-        now: SimTime,
-        range: f64,
-        candidates: &mut Vec<usize>,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        debug_assert!(range <= self.max_range_m);
-        let center = self.segments[node].position_at(now);
-        candidates.clear();
-        self.index
-            .candidates_within((center.x, center.y), range + CELL_PAD_M, candidates);
-        let start = out.len();
-        for &v in candidates.iter() {
-            let d = center.distance(&self.segments[v].position_at(now));
-            if (v != node) & (d <= range) {
-                out.push((v, d));
-            }
-        }
-        // Candidate order is cell-scan order; node indices are unique, so
-        // an unstable sort yields exactly the serial bitmap-emit order.
-        out[start..].sort_unstable_by_key(|&(v, _)| v);
     }
 }
 
@@ -508,7 +432,8 @@ mod tests {
             ..WaypointConfig::default()
         };
         let mut rng = stream(5, "medium-test", 2);
-        for v in (0..N).step_by(200) {
+        let movers: Vec<usize> = (0..N).step_by(200).collect();
+        for &v in &movers {
             script.replace_trajectory(
                 v,
                 slr_mobility::generate_trajectory_from(positions[v], &cfg, &mut rng),
@@ -516,14 +441,16 @@ mod tests {
         }
         let mut tracker = PositionTracker::new(&script, 550.0);
         assert_eq!(tracker.scratch.borrow().summary.len(), 3);
+        let cell =
+            |tracker: &PositionTracker, v: usize| tracker.index.key_of(tracker.index.point(v));
+        let start_cells: Vec<_> = movers.iter().map(|&v| cell(&tracker, v)).collect();
         let nodes: Vec<usize> = [0, 63, 64, 4095, 4096, 8191, 8192, N - 1]
             .into_iter()
             .chain((0..N).step_by(397))
             .chain((0..N).step_by(1400)) // movers
             .collect();
         let mut now_positions = Vec::new();
-        let (mut serial, mut spec, mut expect) = (Vec::new(), Vec::new(), Vec::new());
-        let mut candidates = Vec::new();
+        let (mut serial, mut expect) = (Vec::new(), Vec::new());
         for secs in [0, 7, 33, 61] {
             let now = SimTime::from_secs(secs);
             tracker.sync_to(&script, now);
@@ -532,7 +459,6 @@ mod tests {
             for &node in &nodes {
                 for range in [250.0, 550.0] {
                     serial.clear();
-                    spec.clear();
                     expect.clear();
                     MediumView::new(&tracker, &script, now).neighbors_within(
                         node,
@@ -540,16 +466,18 @@ mod tests {
                         &mut serial,
                     );
                     assert_scratch_is_zero(&tracker);
-                    tracker
-                        .view()
-                        .speculate_query(node, now, range, &mut candidates, &mut spec);
                     brute.neighbors_within(node, range, &mut expect);
                     assert_eq!(serial, expect, "t={secs}s node {node} range {range}");
-                    assert_eq!(spec, expect, "t={secs}s node {node} range {range}");
                 }
             }
         }
-        assert!(tracker.generation() > 0, "the movers crossed cells");
+        assert!(
+            movers
+                .iter()
+                .zip(&start_cells)
+                .any(|(&v, &start)| cell(&tracker, v) != start),
+            "the movers crossed cells"
+        );
     }
 
     #[test]
@@ -578,42 +506,6 @@ mod tests {
                 "n={n}: {visited} words visited for {survivors} survivors over {queries} queries"
             );
         }
-    }
-
-    #[test]
-    fn speculation_matches_serial_query_and_generation_gates_staleness() {
-        let script = waypoint_script(40, 7);
-        let mut tracker = PositionTracker::new(&script, 550.0);
-        for ms in (0..120_000).step_by(777) {
-            let now = SimTime::from_millis(ms);
-            tracker.sync_to(&script, now);
-            let gen = tracker.generation();
-            for node in [0, 17, 39] {
-                for range in [250.0, 550.0] {
-                    // The worker-side replay: padded candidate scan plus
-                    // exact-distance filter, all through the view.
-                    let mut candidates = Vec::new();
-                    let mut spec = Vec::new();
-                    tracker
-                        .view()
-                        .speculate_query(node, now, range, &mut candidates, &mut spec);
-                    let mut serial = Vec::new();
-                    MediumView::new(&tracker, &script, now).neighbors_within(
-                        node,
-                        range,
-                        &mut serial,
-                    );
-                    assert_eq!(spec, serial, "t={ms}ms node {node} range {range}");
-                }
-            }
-            // A sync that processed no deadline must not move the
-            // generation (speculation stays valid through same-time
-            // re-syncs inside a window).
-            tracker.sync_to(&script, now);
-            assert_eq!(tracker.generation(), gen);
-        }
-        // Mobility eventually processes deadlines, so the counter moved.
-        assert!(tracker.generation() > 0);
     }
 
     #[test]

@@ -33,67 +33,20 @@
 //! **bit-identical** to [`EngineKind::Batched`] at any worker count,
 //! including 1.
 //!
-//! MAC timers and dynamics events are *not* window-safe (a MAC timer is
-//! precisely where transmissions begin; dynamics rewire the world).
-//! Dynamics always end the window; MAC timers dispatch serially but may
-//! *hop into* a window under the widened discipline below.
-//!
-//! ## The widened-window (MAC-timer hopping) invariant
-//!
-//! A MAC timer `M` for node `m` at the window's timestamp **always
-//! joins**, because it never runs on a worker: the merge cursor
-//! dispatches it serially *after* the parallel barrier, when every
-//! worker task of the window has already mutated its node-local state
-//! and the ops sequenced before `M` have been replayed. `M` therefore
-//! canonically observes everything that precedes it in heap order —
-//! spatial overlap with *earlier* participants is harmless. What `M`'s
-//! admission constrains is the **future** of the window: its dispatch
-//! may read or write any node within carrier-sense range of `m`'s
-//! window-time position, and a safe event accepted *after* `M` executes
-//! on a worker, i.e. before `M`'s merge-time dispatch — so a later safe
-//! event may join only while its owners (for a `TxComplete`: the
-//! transmitter plus all receivers) lie **outside the padded
-//! carrier-sense disc** (`cs_range_m + CELL_PAD_M`) of every accepted
-//! timer. Otherwise the later task would either miss `M`'s writes or
-//! leak its own to `M`'s canonical past. The builder records each
-//! accepted timer's window-time position and tests squared distances
-//! directly; the 1 m pad absolutely dominates any f64 rounding
-//! difference between the disc test and the dispatch's own
-//! exact-distance arithmetic. Soundness, piece by piece:
-//!
-//! * Everything `M`'s dispatch can read or write outside `m` itself lies
-//!   inside the disc: if it transmits, the carrier-sense query returns
-//!   only nodes within `cs_range_m` of `m`'s window-time position, so
-//!   busy-flag fan-out, capture arbitration and receiver bookkeeping
-//!   touch only in-disc nodes; if it does not transmit, it touches only
-//!   `m` (trivially in its own disc). Keeping later safe owners out of
-//!   every disc therefore keeps every worker-run task `M` could affect
-//!   out of `M`'s future.
-//! * Earlier safe tasks inside `M`'s disc are canonical reads: they ran
-//!   on workers before the barrier and their ops replay before the
-//!   cursor reaches `M`, which is exactly the state the serial walk
-//!   would have built.
-//! * Accepted MAC timers may overlap each other's discs freely — the
-//!   merge dispatches them serially in window order, so each sees its
-//!   predecessors' effects exactly as the batched engine would.
-//! * The window's channel epilogue (receiver-vector recycling and
-//!   in-flight retirement) runs after the merge but touches no per-node
-//!   state, and `TxId` allocation (`base + len` over the in-flight
-//!   deque) is invariant under front-compaction, so deferring
-//!   retirement past `M`'s dispatch changes nothing `M` can observe.
-//! * `M`'s heap insertions flow through the same deferred bulk insert
-//!   as every buffered op, so sequence numbers — and therefore every
-//!   later pop — match the batched engine bit for bit.
-//!
-//! The grouping decision itself is **pure heuristic**: the canonical
-//! merge order makes the output bit-identical for *any* window
-//! composition, so the safe-joiner disc test only has to be conservative
-//! (reject when in doubt), never exact.
-//!
-//! Workers never execute a [`TaskKind::MacFire`] ([`run_task`] asserts
-//! so); during the window they only *speculate* its carrier-sense medium
-//! query ([`speculate_medium`]), stamped with the position tracker's
-//! generation and discarded at merge time on any mismatch.
+//! A window is the maximal run of window-safe events sharing the head
+//! timestamp, in heap order. MAC timers and dynamics events are not
+//! window-safe (a MAC timer is where transmissions begin; dynamics rewire
+//! the world): they dispatch serially, and one behind a run ends it
+//! without being popped. So a window pops exactly the events the serial
+//! walk pops — the queue only ever cancels MAC timers, and every delay
+//! is positive, so nothing a window task does can remove or precede an
+//! event the window already holds. Each op replays through the very
+//! statement the serial dispatch runs (`mac_set`, `mac_cancel` and
+//! `proto_set` schedule and cancel directly), in the same order, so heap
+//! sequence numbers and every later pop match the batched engine bit for
+//! bit. The window's channel epilogue (receiver-vector recycling and
+//! in-flight retirement) runs after the merge; it touches no per-node
+//! state, and no transmission can begin before it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -107,7 +60,6 @@ use slr_protocols::{DataDropReason, DataPacket, ProtoCtx, ProtoEffect, RoutingPr
 use slr_radio::{ChannelShard, Mac, MacEffect, MacTimer, TxFrames, TxId};
 use slr_traffic::TrafficScript;
 
-use crate::medium::TrackerView;
 use crate::sim::Payload;
 use crate::trace::TraceEvent;
 
@@ -132,11 +84,6 @@ pub(crate) enum TaskKind {
     /// The transmitter-side tail of a completed transmission (epoch
     /// pre-checked): the MAC's `on_tx_end`.
     TxEndTail,
-    /// A MAC timer hopped into the window under the widened-window
-    /// invariant (see module docs). Never executed by a worker: the merge
-    /// cursor dispatches it serially at its canonical position; workers
-    /// only speculate its medium query.
-    MacFire(MacTimer),
 }
 
 /// A deferred global side effect, applied by the harness at merge time in
@@ -209,32 +156,6 @@ pub(crate) struct SharedCtx<'a> {
     pub has_dynamics: bool,
     pub rx_range_m: f64,
     pub trace_on: bool,
-    /// Speculation context for in-window MAC timers; `None` when the
-    /// medium cannot be speculated (brute-force or validating medium) or
-    /// the window carries no MAC timers.
-    pub spec: Option<SpecCtx<'a>>,
-}
-
-/// Everything a worker needs to pre-compute the carrier-sense neighbor
-/// query of a hopped-in MAC timer: the tracker's segment cache and
-/// bucket index (both read-only), and the query range. The worker runs
-/// the whole query — candidate enumeration included — so nothing spatial
-/// remains on the serial path. (The tracker generation this context was
-/// frozen at is kept harness-side and re-checked at consumption.)
-pub(crate) struct SpecCtx<'a> {
-    pub view: TrackerView<'a>,
-    pub cs_range_m: f64,
-}
-
-/// One speculative neighbor-query result, produced on a worker and
-/// consumed (if still fresh) when the merge dispatches the timer's
-/// `StartTx`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SpecResult {
-    pub node: u32,
-    /// Span into the worker's `spec_pairs`.
-    pub start: u32,
-    pub len: u32,
 }
 
 /// The disjoint mutable slice of per-node harness state one worker owns
@@ -270,12 +191,6 @@ pub(crate) struct WorkerScratch {
     pub fx: Vec<MacEffect<Payload>>,
     /// Reusable node-local work queue.
     pub work: VecDeque<LocalWork>,
-    /// Speculative neighbor-query pairs (flat pool; see [`SpecResult`]).
-    pub spec_pairs: Vec<(usize, f64)>,
-    /// One entry per speculation this worker performed this window.
-    pub spec_meta: Vec<SpecResult>,
-    /// Reusable candidate buffer for speculative grid scans.
-    pub cands: Vec<usize>,
 }
 
 /// Pending node-local work inside one task (the node is the task owner).
@@ -397,46 +312,9 @@ pub(crate) fn run_task(
                 mac.on_tx_end_into(now, fx)
             });
         }
-        TaskKind::MacFire(kind) => {
-            // Widened-window invariant: MAC timers are never worker
-            // work — the merge dispatches them serially. A worker asked
-            // to execute one means the dispatcher's task routing broke.
-            panic!(
-                "TaskKind::MacFire({kind:?}) reached a window worker \
-                 (node {node}): MAC timers dispatch serially at merge"
-            );
-        }
     }
     drain(idx, node, shard, ctx, scratch, &mut work);
     scratch.work = work;
-}
-
-/// Worker-side speculative medium query: runs the hopped timer's whole
-/// carrier-sense neighbor query — padded candidate scan plus exact
-/// distance filter — against the frozen tracker view, buffering the
-/// result for the merge. A no-op when the window has no speculation
-/// context.
-pub(crate) fn speculate_medium(task: &Task, ctx: &SharedCtx<'_>, scratch: &mut WorkerScratch) {
-    let Some(spec) = &ctx.spec else { return };
-    if scratch.spec_meta.iter().any(|m| m.node == task.owner) {
-        // Two timers of one node in one window speculate identically.
-        return;
-    }
-    let begin = scratch.spec_pairs.len();
-    let mut cands = std::mem::take(&mut scratch.cands);
-    spec.view.speculate_query(
-        task.owner as usize,
-        ctx.now,
-        spec.cs_range_m,
-        &mut cands,
-        &mut scratch.spec_pairs,
-    );
-    scratch.cands = cands;
-    scratch.spec_meta.push(SpecResult {
-        node: task.owner,
-        start: begin as u32,
-        len: (scratch.spec_pairs.len() - begin) as u32,
-    });
 }
 
 /// Runs one MAC call through the worker's reusable effect scratch,

@@ -73,6 +73,12 @@ impl ProtocolKind {
         ]
     }
 
+    /// Whether the protocol runs the SRP engine (uni- or multipath) —
+    /// the protocols the loop-freedom oracle can check.
+    pub fn runs_srp(&self) -> bool {
+        matches!(self, ProtocolKind::Srp | ProtocolKind::SrpMultipath)
+    }
+
     /// Parses a CLI name (`srp`, `srp-mp`, `aodv`, `dsr`, `ldr`, `olsr`).
     pub fn parse(s: &str) -> Option<ProtocolKind> {
         match s.to_ascii_lowercase().as_str() {

@@ -19,20 +19,20 @@ use slr_netsim::admittance::{Admittance, DynAction};
 use slr_netsim::pool::{with_core_pool, WindowExec};
 use slr_netsim::rng::{derive_seed, stream};
 use slr_netsim::time::{SimDuration, SimTime};
-use slr_netsim::{EventToken, Simulator};
+use slr_netsim::{EventToken, Scheduled, Simulator};
 use slr_protocols::{
     Adversary, Audit, ControlPacket, DataDropReason, DataPacket, ProtoCtx, ProtoEffect,
     RoutingProtocol, DATA_TTL,
 };
 use slr_radio::{
-    BeginTx, BruteForceMedium, Channel, Frame, FrameKind, Mac, MacEffect, MacTimer, NeighborQuery,
-    PrecomputedQuery, Receiver, TxId, ValidatingQuery,
+    BeginTx, BruteForceMedium, Channel, Frame, Mac, MacEffect, MacTimer, NeighborQuery, Receiver,
+    TxId, ValidatingQuery,
 };
 use slr_traffic::TrafficScript;
 
-use crate::medium::{MediumView, PositionTracker, CELL_PAD_M};
+use crate::medium::{MediumView, PositionTracker};
 use crate::metrics::{MemReport, Metrics, TrialSummary};
-use crate::par::{self, Op, Shard, SharedCtx, SpecCtx, Task, TaskKind, WorkerScratch};
+use crate::par::{self, Op, Shard, SharedCtx, Task, TaskKind, WorkerScratch};
 use crate::scenario::{MobilitySpec, Scenario, TopologySpec};
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -139,7 +139,7 @@ pub enum EngineKind {
     /// order, so output is bit-identical to [`EngineKind::Batched`] at
     /// any worker count. MAC timers (the only events that can start a
     /// transmission — DIFS/SIFS > 0 is the conservative-lookahead bound)
-    /// and dynamics events still dispatch serially between windows.
+    /// and dynamics events dispatch serially between windows.
     Parallel,
 }
 
@@ -224,27 +224,6 @@ pub struct Sim {
     /// Persistent per-worker scratch (op buffers, MAC-effect buffers,
     /// work queues) for the parallel engine.
     par_scratch: Vec<WorkerScratch>,
-    /// Whether heap insertions are being deferred into [`Sim::pend`]
-    /// (true exactly while a window merge runs).
-    merging: bool,
-    /// Deferred heap insertions of the in-progress merge, in canonical
-    /// emission order; survivors bulk-insert at merge end. A later
-    /// set/cancel for the same MAC timer marks the earlier entry dead —
-    /// dead entries never consume sequence numbers, which cannot change
-    /// pop order (sequence only tie-breaks *coexisting* same-time
-    /// entries).
-    pend: Vec<Pend>,
-    /// Reusable bulk-insert staging for [`Sim::flush_pend`].
-    pend_items: Vec<(SimTime, Event)>,
-    pend_tokens: Vec<EventToken>,
-    pend_macs: Vec<Option<(u32, MacTimer)>>,
-    /// The staged speculative neighbor set for the MAC timer currently
-    /// being merge-dispatched: `(node, tracker generation at capture)`.
-    /// Consumed by [`Sim::begin_tx_on_medium`] iff the node transmits and
-    /// the tracker generation still matches.
-    spec_node: Option<(u32, u64)>,
-    /// The staged speculative `(node, distance)` pairs for `spec_node`.
-    spec_buf: Vec<(usize, f64)>,
     /// Window-occupancy statistics for the parallel engine (cheap
     /// counters, always maintained; wall-clock shares only when
     /// [`Sim::enable_window_stats`] turned timing on).
@@ -265,7 +244,7 @@ pub struct Sim {
 #[derive(Default)]
 struct WindowBufs {
     /// The events popped into the current window, in heap-pop order.
-    events: Vec<Event>,
+    events: Vec<Scheduled<Event>>,
     /// The window's node-local tasks, in canonical order.
     tasks: Vec<Task>,
     /// Transmissions completing in this window: `(tx, receivers)` for the
@@ -277,55 +256,31 @@ struct WindowBufs {
     /// Outer vector collecting each worker's op buffer for the merge (the
     /// inner vectors live in [`WorkerScratch`] between windows).
     op_lists: Vec<Vec<(u32, Op)>>,
-    /// Accepted hopped MAC timers with their window-time positions; a
-    /// later safe event may join only while its owners are outside every
-    /// timer's padded carrier-sense disc. Doubles as the hop count for
-    /// the window stats.
-    macs: Vec<(u32, f64, f64)>,
-    /// Completed speculations, collected from the worker scratches after
-    /// the parallel phase: `(node, worker, start, len)` into that
-    /// worker's `spec_pairs`.
-    spec_done: Vec<(u32, u32, u32, u32)>,
-    /// Tracker generation the window's speculation context was frozen at.
-    spec_gen: u64,
 }
 
-/// One deferred heap insertion (see [`Sim::pend`]).
-struct Pend {
-    time: SimTime,
-    event: Event,
-    dead: bool,
-    /// `Some((node, kind))` iff this is a MAC-timer arm whose token must
-    /// land in the node's timer slot after the bulk insert.
-    mac: Option<(u32, MacTimer)>,
-}
-
-/// Window-occupancy statistics of one parallel-engine trial — the
-/// observable behind the widened-window performance claims (the
+/// Window-occupancy statistics of one parallel-engine trial (the
 /// benchmark's `runner.par.*` metrics). Counters are worker-count
 /// independent diagnostics; the wall-clock fields need
 /// [`Sim::enable_window_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
-    /// Events dispatched serially between windows (MAC timers that could
-    /// not hop, dynamics).
+    /// Events dispatched serially between windows (MAC timers, dynamics).
     pub serial_events: u64,
     /// Conservative windows executed.
     pub windows: u64,
-    /// Windows that contain at least one hopped MAC timer.
-    pub widened_windows: u64,
     /// Events dispatched through windows.
     pub windowed_events: u64,
     /// Events in windows of two or more events.
     pub multi_events: u64,
     /// Largest window, in events.
     pub max_width: u64,
-    /// MAC timers that hopped into windows.
+    /// Always 0: MAC timers never join windows. Kept only because the
+    /// benchmark reads it; goes with the benchmark's next schema change.
     pub mac_hops: u64,
-    /// Speculative medium queries consumed at merge time.
+    /// Always 0: no medium query is speculated. Kept only because the
+    /// benchmark reads it; goes with the benchmark's next schema change.
     pub spec_hits: u64,
-    /// Speculations discarded (tracker generation moved, or the staged
-    /// node did not transmit with a matching query).
+    /// Always 0, like [`WindowStats::spec_hits`].
     pub spec_misses: u64,
     /// Wall clock of the serial sections (inter-window dispatch, window
     /// build, merge and epilogue). Zero unless timing is enabled.
@@ -596,13 +551,6 @@ impl Sim {
             workers: 1,
             win: WindowBufs::default(),
             par_scratch: Vec::new(),
-            merging: false,
-            pend: Vec::new(),
-            pend_items: Vec::new(),
-            pend_tokens: Vec::new(),
-            pend_macs: Vec::new(),
-            spec_node: None,
-            spec_buf: Vec::new(),
             wstats: WindowStats::default(),
             wstats_timing: false,
             phase: None,
@@ -683,11 +631,11 @@ impl Sim {
         self.phase = Some(Box::default());
     }
 
-    /// Cross-checks the answer to every neighbor query the channel asks —
-    /// from the spatial index or from a parallel worker's speculation —
-    /// against the brute-force oracle over exact positions for the rest
-    /// of the trial, panicking with a diagnostic on the first divergence
-    /// (`slrsim --validate-spatial`). Output is unchanged.
+    /// Cross-checks the spatial index's answer to every neighbor query
+    /// the channel asks against the brute-force oracle over exact
+    /// positions for the rest of the trial, panicking with a diagnostic
+    /// on the first divergence (`slrsim --validate-spatial`). Output is
+    /// unchanged.
     pub fn enable_spatial_validation(&mut self) {
         self.validate_spatial = true;
     }
@@ -841,170 +789,73 @@ impl Sim {
     }
 
     /// Processes one unit of work strictly before `end`: a single serial
-    /// event (batched engine; lone MAC-timer and dynamics events under
-    /// the parallel engine) or one conservative window of
-    /// node-local tasks, possibly widened with independent MAC timers
+    /// event (batched engine; MAC-timer and dynamics events under the
+    /// parallel engine) or one conservative window of node-local tasks
     /// (see the invariant write-up in [`crate::par`]).
     fn pump(&mut self, end: SimTime, exec: Option<&dyn WindowExec>) -> Pumped {
         if self.engine != EngineKind::Parallel {
             return match self.sim.next_before(end) {
                 Some(ev) => {
                     let dynamics = matches!(ev.event, Event::Dynamics(_));
-                    self.dispatch(ev.event);
+                    self.dispatch(ev);
                     Pumped::Event { dynamics }
                 }
                 None => Pumped::Idle,
             };
         }
-        let (t, head_safe, head_mac) = match self.sim.peek_event() {
-            Some((t, ev)) if t < end => (t, window_safe(ev), matches!(ev, Event::MacTimer(..))),
+        let head_safe = match self.sim.peek_event() {
+            Some((t, ev)) if t < end => window_safe(ev),
             _ => return Pumped::Idle,
         };
-        if !head_safe && !head_mac {
-            let t0 = self.ws_t0();
-            let ev = self.sim.next().expect("peeked above");
-            let dynamics = matches!(ev.event, Event::Dynamics(_));
-            self.dispatch(ev.event);
+        let t0 = self.ws_t0();
+        let head = self.sim.next().expect("peeked above");
+        if !head_safe {
+            let dynamics = matches!(head.event, Event::Dynamics(_));
+            self.dispatch(head);
             self.wstats.serial_events += 1;
             self.ws_serial(t0);
             return Pumped::Event { dynamics };
         }
-        // Pop the maximal run of compatible events sharing the head
-        // timestamp, in heap order. The conservative bound (every newly
-        // scheduled event is strictly later than `t`: SIFS/DIFS, airtimes
-        // and timer delays are all positive) means nothing processed here
-        // can insert ahead of anything popped here; an event arriving *at*
-        // `t` during the window sorts after every already-scheduled entry
-        // by sequence number and is picked up by the next pump.
-        //
-        // Every MAC timer joins: it dispatches *serially at the merge
-        // cursor*, after the worker barrier, so it canonically observes
-        // everything sequenced before it regardless of spatial overlap.
-        // Its padded carrier-sense disc (`cs_range_m + CELL_PAD_M`, a
-        // superset of any fan-out its dispatch can perform) is recorded,
-        // and a later *safe* event joins only while its owners stay clear
-        // of every accepted disc — a worker-run task inside a disc would
-        // miss the timer's merge-time writes. See `crate::par` for the
-        // full soundness argument.
-        let t0 = self.ws_t0();
+        // Pop the maximal run of window-safe events sharing the head
+        // timestamp, in heap order; a MAC timer or dynamics event ends it
+        // unpopped. Every newly scheduled event is strictly later than
+        // `t` (SIFS/DIFS, airtimes and timer delays are all positive) and
+        // no window-safe event is ever cancelled, so the run is exactly
+        // what the serial walk pops at `t` before its next MAC timer.
+        let t = head.time;
         let mut events = std::mem::take(&mut self.win.events);
         debug_assert!(events.is_empty());
-        debug_assert!(self.win.macs.is_empty());
-        let mut synced = false;
-        // A MAC-timer head is popped *provisionally*: its window-time
-        // position is only looked up (and its disc only recorded) once a
-        // second same-timestamp event actually peeks — a single-event
-        // "window" short-circuits to the plain serial dispatch below, so
-        // sparse regions never pay for the tracker sync.
-        let mut head_pending = head_mac;
-        let head_ev = self.sim.next().expect("peeked above").event;
-        events.push(head_ev);
-        loop {
-            // Copy the joining decision's inputs out of the peeked
-            // borrow before mutating anything.
-            enum Peeked {
-                App(usize),
-                Proto(usize, u64),
-                Tx(usize, TxId),
-                Mac(usize),
-                Stop,
-            }
-            let peeked = match self.sim.peek_event() {
-                Some((t2, ev)) if t2 == t => match *ev {
-                    Event::App(i) => Peeked::App(i),
-                    Event::ProtoTimer(node, epoch, _) => Peeked::Proto(node, epoch),
-                    Event::TxComplete(node, _, tx) => Peeked::Tx(node, tx),
-                    Event::MacTimer(node, _) => Peeked::Mac(node),
-                    _ => Peeked::Stop,
-                },
-                _ => Peeked::Stop,
-            };
-            if matches!(peeked, Peeked::Stop) {
-                break;
-            }
-            // Commit the provisional head: record its disc now that the
-            // window is known to grow past it.
-            if head_pending {
-                if !synced {
-                    self.tracker.sync_to(&self.mobility, t);
-                    synced = true;
-                }
-                let Event::MacTimer(head_node, _) = events[0] else {
-                    unreachable!("head_pending implies a MAC-timer head");
-                };
-                self.join_mac(head_node, t);
-                head_pending = false;
-            }
-            let joins = match peeked {
-                Peeked::App(i) => self.mac_clear(self.traffic.packets()[i].src, t),
-                // A stale proto timer is an epoch-gated no-op: no owner.
-                Peeked::Proto(node, epoch) => epoch != self.epochs[node] || self.mac_clear(node, t),
-                Peeked::Tx(node, tx) => {
-                    self.mac_clear(node, t)
-                        && self
-                            .channel
-                            .tx_receivers(tx)
-                            .iter()
-                            .all(|r| self.mac_clear(r.node as usize, t))
-                }
-                Peeked::Mac(node) => {
-                    if !synced {
-                        self.tracker.sync_to(&self.mobility, t);
-                        synced = true;
-                    }
-                    self.join_mac(node, t);
-                    true
-                }
-                Peeked::Stop => unreachable!("handled above"),
-            };
-            if !joins {
-                break;
-            }
-            let ev = self.sim.next().expect("peeked above").event;
-            events.push(ev);
+        events.push(head);
+        while self
+            .sim
+            .peek_event()
+            .is_some_and(|(t2, ev)| t2 == t && window_safe(ev))
+        {
+            events.push(self.sim.next().expect("peeked above"));
         }
-        let out = if events.len() == 1 {
-            // A one-event window would only route the same serial
-            // dispatch through task assembly and merge — output-identical
-            // by the canonical-order argument, pure overhead — so
-            // dispatch it directly. A lone MAC timer (nothing else peeked
-            // at `t`, or the one peeked safe event failed its disc test)
-            // counts as a serial event; a lone safe event still counts as
-            // a width-1 window so the occupancy stats describe window
-            // *composition*, not the execution shortcut.
+        let width = events.len() as u64;
+        self.wstats.windows += 1;
+        self.wstats.windowed_events += width;
+        if width >= 2 {
+            self.wstats.multi_events += width;
+        }
+        self.wstats.max_width = self.wstats.max_width.max(width);
+        if width == 1 {
+            // A one-event window would only route the same serial dispatch
+            // through task assembly, the pool and the merge — the output
+            // is identical, and one transmission's receivers do not pay
+            // for a pooled window — so dispatch it directly. It still
+            // counts as a window: the stats describe window composition.
             let ev = events.pop().expect("pushed above");
-            if matches!(ev, Event::MacTimer(..)) {
-                self.wstats.serial_events += 1;
-            } else {
-                self.wstats.windows += 1;
-                self.wstats.windowed_events += 1;
-                self.wstats.max_width = self.wstats.max_width.max(1);
-            }
             self.dispatch(ev);
-            Pumped::Event { dynamics: false }
+            self.ws_serial(t0);
         } else {
-            let macs = self.win.macs.len() as u64;
-            self.wstats.windows += 1;
-            self.wstats.windowed_events += events.len() as u64;
-            if events.len() >= 2 {
-                self.wstats.multi_events += events.len() as u64;
-            }
-            self.wstats.max_width = self.wstats.max_width.max(events.len() as u64);
-            self.wstats.mac_hops += macs;
-            if macs > 0 {
-                self.wstats.widened_windows += 1;
-            }
             self.ws_serial(t0);
             self.execute_window(t, &events, exec);
-            Pumped::Window
-        };
-        events.clear();
-        self.win.events = events;
-        if matches!(out, Pumped::Event { .. }) {
-            self.win.macs.clear();
-            self.ws_serial(t0);
+            events.clear();
         }
-        out
+        self.win.events = events;
+        Pumped::Window
     }
 
     /// Processes events strictly before `horizon` (clamped to the
@@ -1082,8 +933,8 @@ impl Sim {
         }
     }
 
-    fn dispatch(&mut self, ev: Event) {
-        match ev {
+    fn dispatch(&mut self, ev: Scheduled<Event>) {
+        match ev.event {
             Event::App(i) => {
                 let spec = self.traffic.packets()[i];
                 let packet = DataPacket {
@@ -1151,7 +1002,16 @@ impl Sim {
                 self.drain_proto(node, fx);
             }
             Event::MacTimer(node, kind) => {
-                self.mac_timers[node][kind.index()] = None;
+                // Tripwire: only the armed instance may fire. Disarming
+                // (re-arm, cancel, crash) cancels through the queue, so a
+                // mismatch means an engine popped a timer the serial walk
+                // would have cancelled first.
+                let armed = self.mac_timers[node][kind.index()].take();
+                debug_assert_eq!(
+                    armed,
+                    Some(ev.token),
+                    "node {node}'s {kind:?} timer fired after being disarmed"
+                );
                 let now = self.sim.now();
                 self.mac_call_drain(node, |mac, fx| mac.on_timer_into(kind, now, fx));
             }
@@ -1190,22 +1050,23 @@ impl Sim {
     /// transmitter — exactly the serial batched walk), runs them sharded
     /// by node ownership (on the work-stealing executor when the window
     /// is big enough, inline otherwise), then replays every buffered
-    /// global side effect in canonical (task, emission) order — hopped
-    /// MAC timers dispatching serially at their canonical positions —
-    /// and retires the window's transmissions. Bit-identical to
-    /// dispatching the same events through the serial batched path, at
-    /// any worker count.
-    fn execute_window(&mut self, now: SimTime, events: &[Event], exec: Option<&dyn WindowExec>) {
+    /// global side effect in canonical (task, emission) order and retires
+    /// the window's transmissions. Bit-identical to dispatching the same
+    /// events through the serial batched path, at any worker count.
+    fn execute_window(
+        &mut self,
+        now: SimTime,
+        events: &[Scheduled<Event>],
+        exec: Option<&dyn WindowExec>,
+    ) {
         // Execution width, decided from a counting pass before anything
         // is mutated: pooled workers only pay off past a per-worker grain
-        // of *worker* tasks (MAC-fire placeholders run at the merge, so
-        // they don't count). The width is clamped to the node count (a
-        // shard needs at least one node) and to the executor's shard
-        // capacity.
+        // of tasks. The width is clamped to the node count (a shard needs
+        // at least one node) and to the executor's shard capacity.
         let n = self.protos.len();
         let mut worker_tasks = 0usize;
         for ev in events {
-            match *ev {
+            match ev.event {
                 Event::App(_) => worker_tasks += 1,
                 Event::ProtoTimer(node, epoch, _) => {
                     // The epoch gate the serial dispatch applies at fire
@@ -1220,7 +1081,6 @@ impl Sim {
                         worker_tasks += 1;
                     }
                 }
-                Event::MacTimer(..) => {}
                 _ => unreachable!("non-windowable event in a window"),
             }
         }
@@ -1242,10 +1102,9 @@ impl Sim {
             // batched engine, bit for bit. This keeps the window path's
             // cost proportional to the parallelism actually available.
             let t_ser = self.ws_t0();
-            for &ev in events {
-                self.dispatch(ev);
+            for ev in events {
+                self.dispatch(ev.clone());
             }
-            self.win.macs.clear();
             self.ws_serial(t_ser);
             return;
         }
@@ -1253,7 +1112,7 @@ impl Sim {
         let mut txs = std::mem::take(&mut self.win.txs);
         debug_assert!(tasks.is_empty() && txs.is_empty());
         for ev in events {
-            match *ev {
+            match ev.event {
                 Event::App(i) => {
                     let src = self.traffic.packets()[i].src;
                     tasks.push(Task {
@@ -1285,16 +1144,6 @@ impl Sim {
                     }
                     txs.push((tx, receivers));
                 }
-                // A hopped MAC timer: a placeholder task holding its
-                // canonical slot in the merge order. Workers never
-                // execute it — they may *speculate* its medium query —
-                // and it dispatches serially at the merge cursor.
-                Event::MacTimer(node, kind) => {
-                    tasks.push(Task {
-                        owner: node as u32,
-                        kind: TaskKind::MacFire(kind),
-                    });
-                }
                 _ => unreachable!("non-windowable event in a window"),
             }
         }
@@ -1309,7 +1158,6 @@ impl Sim {
         let mut chan_collisions = 0u64;
         let mut ops_by_worker = std::mem::take(&mut self.win.op_lists);
         debug_assert!(ops_by_worker.is_empty());
-        self.win.spec_gen = self.tracker.generation();
         {
             let (frames, mut chan_shards) = self.channel.par_views(&bounds);
             let ctx = SharedCtx {
@@ -1321,12 +1169,6 @@ impl Sim {
                 has_dynamics: self.has_dynamics,
                 rx_range_m: self.scenario.mac.phy.rx_range_m,
                 trace_on: self.trace.is_some(),
-                // Width > 1 here, so another worker can overlap the
-                // speculation with real task work.
-                spec: (!self.win.macs.is_empty()).then(|| SpecCtx {
-                    view: self.tracker.view(),
-                    cs_range_m: self.scenario.mac.phy.cs_range_m,
-                }),
             };
             // Split every per-node table at the same bounds.
             let mut shards: Vec<Shard<'_>> = Vec::with_capacity(width);
@@ -1375,29 +1217,18 @@ impl Sim {
                     slot.lock().expect("window slot").take().expect("filled");
                 debug_assert!(scratch.ops.is_empty());
                 for (i, task) in tasks_ref.iter().enumerate() {
-                    if !shard.owns(task.owner) {
-                        continue;
-                    }
-                    if matches!(task.kind, TaskKind::MacFire(_)) {
-                        // Pre-compute the hopped timer's medium query
-                        // while the window is in flight; validated
-                        // against the tracker generation at the merge.
-                        par::speculate_medium(task, ctx_ref, &mut scratch);
-                    } else {
+                    if shard.owns(task.owner) {
                         par::run_task(i as u32, task, &mut shard, ctx_ref, &mut scratch);
                     }
                 }
                 *slot.lock().expect("window slot") = Some((shard, scratch));
             });
-            for (w, slot) in slots.into_iter().enumerate() {
+            for slot in slots {
                 let (shard, mut scratch) =
                     slot.into_inner().expect("window mutex").expect("refilled");
                 chan_delivered += shard.chan.delivered;
                 chan_collisions += shard.chan.collisions;
                 ops_by_worker.push(std::mem::take(&mut scratch.ops));
-                for m in scratch.spec_meta.drain(..) {
-                    self.win.spec_done.push((m.node, w as u32, m.start, m.len));
-                }
                 self.par_scratch.push(scratch);
             }
         }
@@ -1407,29 +1238,15 @@ impl Sim {
         self.channel.stats.collisions += chan_collisions;
 
         // Replay the buffered global effects in canonical order: tasks in
-        // window order, each task's ops in emission order; hopped MAC
-        // timers dispatch in place, seeing exactly the global state the
-        // serial walk would have built before them. Each worker's buffer
-        // is already sorted by task index (it walked its tasks in window
-        // order), so the merge is a cursor walk. Schedule/cancel effects
-        // are deferred into the pend buffer throughout (`merging`), then
-        // flushed as one canonical-order bulk insert.
+        // window order, each task's ops in emission order, each op through
+        // the statement the serial dispatch runs. Each worker's buffer is
+        // already sorted by task index (it walked its tasks in window
+        // order), so the merge is a cursor walk.
         for v in &mut ops_by_worker {
             v.reverse(); // pop from the back = front of the op stream
         }
-        self.merging = true;
         for (t, task) in tasks.iter().enumerate() {
-            if let TaskKind::MacFire(kind) = task.kind {
-                self.stage_spec(task.owner);
-                self.dispatch(Event::MacTimer(task.owner as usize, kind));
-                self.spec_node = None;
-                continue;
-            }
-            let w = if width == 1 {
-                0
-            } else {
-                par::worker_of(task.owner, n, width)
-            };
+            let w = par::worker_of(task.owner, n, width);
             while ops_by_worker[w]
                 .last()
                 .is_some_and(|(ti, _)| *ti == t as u32)
@@ -1438,27 +1255,20 @@ impl Sim {
                 self.apply_op(op, now);
             }
         }
-        self.merging = false;
-        self.flush_pend();
         debug_assert!(ops_by_worker.iter().all(|v| v.is_empty()));
         // Hand the (now empty, capacity-retaining) op buffers back.
         for (i, v) in ops_by_worker.drain(..).enumerate() {
             self.par_scratch[i].ops = v;
-            self.par_scratch[i].spec_pairs.clear();
         }
         self.win.op_lists = ops_by_worker;
         self.win.bounds = bounds;
-        self.win.spec_done.clear();
-        self.win.macs.clear();
 
         // Channel epilogue, in window order: recycle each transmission's
         // receiver vector and retire its in-flight entry — the tail of
-        // the serial batched walk. Sound even with hopped MAC timers in
-        // the window: retirement touches no per-node state (the taken
-        // entry is a `None` hole until the deque front-compacts) and
-        // `TxId` allocation (`base + len`) is invariant under the
-        // compaction, so nothing a merge-time timer reads or allocates
-        // can tell deferred retirement from the batched interleaving.
+        // the serial batched walk. Deferring it past the merge is sound:
+        // retirement touches no per-node state (the taken entry is a
+        // `None` hole until the deque front-compacts), and no
+        // transmission can begin inside a window.
         for (tx, receivers) in txs.drain(..) {
             self.channel.recycle_receivers(receivers);
             self.channel.finish_tx_batched(tx);
@@ -1495,162 +1305,25 @@ impl Sim {
         }
     }
 
-    /// Tests whether `node` sits outside the padded carrier-sense disc
-    /// of every accepted hopped MAC timer (vacuously true when none are
-    /// in the window — the common case, which pays no position lookup).
-    /// The tracker is always synced to `t` before the first disc is
-    /// recorded, so positions here are window-time exact.
-    #[inline]
-    fn mac_clear(&self, node: usize, t: SimTime) -> bool {
-        if self.win.macs.is_empty() {
-            return true;
-        }
-        let range = self.scenario.mac.phy.cs_range_m + CELL_PAD_M;
-        let r2 = range * range;
-        let p = self.tracker.position(node, t);
-        self.win.macs.iter().all(|&(_, x, y)| {
-            let (dx, dy) = (p.x - x, p.y - y);
-            dx * dx + dy * dy > r2
-        })
-    }
-
-    /// Admits a same-timestamp MAC timer into the window under
-    /// construction — unconditionally. The timer dispatches serially at
-    /// the merge cursor, after every worker task has completed, so it
-    /// canonically observes all state sequenced before it; nothing about
-    /// the already-accepted events can make admission unsound. What the
-    /// admission *constrains* is the future: the timer's dispatch can
-    /// read or write any node inside its carrier-sense range at `t`, so
-    /// its padded disc (`cs_range_m + CELL_PAD_M`, squared-distance test
-    /// — the pad dwarfs any f64 rounding between this test and the
-    /// dispatch's own exact-distance arithmetic) is recorded, and every
-    /// later safe joiner must keep its owners outside all recorded discs
-    /// ([`Sim::mac_clear`]).
-    fn join_mac(&mut self, node: usize, t: SimTime) {
-        let p = self.tracker.position(node, t);
-        self.win.macs.push((node as u32, p.x, p.y));
-    }
-
-    /// Stages the speculative neighbor set for `node`'s imminent
-    /// MAC-timer dispatch, if some worker completed one this window; the
-    /// staged buffer is consumed (generation-checked) by
-    /// [`Sim::begin_tx_on_medium`] iff the dispatch actually transmits.
-    fn stage_spec(&mut self, node: u32) {
-        self.spec_node = None;
-        for &(sn, w, start, len) in &self.win.spec_done {
-            if sn == node {
-                let (start, len) = (start as usize, len as usize);
-                self.spec_buf.clear();
-                self.spec_buf.extend_from_slice(
-                    &self.par_scratch[w as usize].spec_pairs[start..start + len],
-                );
-                self.spec_node = Some((node, self.win.spec_gen));
-                return;
-            }
-        }
-    }
-
-    /// Arms a MAC timer: the serial path schedules directly; during a
-    /// window merge the insertion is deferred into the pend buffer (the
-    /// real token lands in the slot at [`Sim::flush_pend`]). Either way
-    /// any previously armed instance — real or pending — is cancelled
-    /// first, preserving the at-most-one-live-per-(node, kind) invariant.
+    /// Arms a MAC timer, cancelling any previously armed instance first
+    /// (at most one live timer per (node, kind)).
     fn mac_set(&mut self, node: usize, kind: MacTimer, delay: SimDuration) {
-        if let Some(tok) = self.mac_timers[node][kind.index()].take() {
-            self.sim.cancel(tok);
-        }
-        if self.merging {
-            self.kill_pending_mac(node, kind);
-            let time = self.sim.now() + delay;
-            self.pend.push(Pend {
-                time,
-                event: Event::MacTimer(node, kind),
-                dead: false,
-                mac: Some((node as u32, kind)),
-            });
-        } else {
-            let tok = self.sim.schedule_in(delay, Event::MacTimer(node, kind));
-            self.mac_timers[node][kind.index()] = Some(tok);
-        }
+        self.mac_cancel(node, kind);
+        let tok = self.sim.schedule_in(delay, Event::MacTimer(node, kind));
+        self.mac_timers[node][kind.index()] = Some(tok);
     }
 
-    /// Disarms a MAC timer (real token or pending insertion).
+    /// Disarms a MAC timer if armed.
     fn mac_cancel(&mut self, node: usize, kind: MacTimer) {
         if let Some(tok) = self.mac_timers[node][kind.index()].take() {
             self.sim.cancel(tok);
         }
-        if self.merging {
-            self.kill_pending_mac(node, kind);
-        }
     }
 
-    /// Schedules a protocol timer, deferring into the pend buffer during
-    /// a merge (proto timers carry no cancellation tokens, so no
-    /// kill-scan is needed).
+    /// Schedules a protocol timer for the node's current incarnation.
     fn proto_set(&mut self, node: usize, token: u64, delay: SimDuration) {
         let ev = Event::ProtoTimer(node, self.epochs[node], token);
-        if self.merging {
-            let time = self.sim.now() + delay;
-            self.pend.push(Pend {
-                time,
-                event: ev,
-                dead: false,
-                mac: None,
-            });
-        } else {
-            self.sim.schedule_in(delay, ev);
-        }
-    }
-
-    /// Marks the (at most one) live pending insertion for `(node, kind)`
-    /// dead. Back-scan: a re-arm always follows the latest instance.
-    fn kill_pending_mac(&mut self, node: usize, kind: MacTimer) {
-        for p in self.pend.iter_mut().rev() {
-            if !p.dead {
-                if let Some((pn, pk)) = p.mac {
-                    if pn == node as u32 && pk == kind {
-                        p.dead = true;
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flushes the merge's deferred insertions as one slab-aware bulk
-    /// insert, in pend (= canonical serial) order, then lands the fresh
-    /// MAC-timer tokens in their slots. Dead entries are skipped before
-    /// the queue ever sees them, so they consume no sequence numbers —
-    /// sound because sequence numbers only tie-break *coexisting*
-    /// same-time entries, and the relative order of the surviving
-    /// insertions is unchanged.
-    fn flush_pend(&mut self) {
-        debug_assert!(self.pend_items.is_empty() && self.pend_macs.is_empty());
-        let mut pend = std::mem::take(&mut self.pend);
-        for p in pend.drain(..) {
-            if p.dead {
-                continue;
-            }
-            self.pend_items.push((p.time, p.event));
-            self.pend_macs.push(p.mac);
-        }
-        self.pend = pend;
-        let mut items = std::mem::take(&mut self.pend_items);
-        let mut tokens = std::mem::take(&mut self.pend_tokens);
-        self.sim.schedule_bulk(&mut items, &mut tokens);
-        debug_assert_eq!(tokens.len(), self.pend_macs.len());
-        for (tok, mac) in tokens.drain(..).zip(self.pend_macs.drain(..)) {
-            if let Some((node, kind)) = mac {
-                debug_assert!(
-                    self.mac_timers[node as usize][kind.index()].is_none(),
-                    "pending MAC arm raced a live token"
-                );
-                self.mac_timers[node as usize][kind.index()] = Some(tok);
-            }
-        }
-        items.clear();
-        self.pend_items = items;
-        self.pend_tokens = tokens;
+        self.sim.schedule_in(delay, ev);
     }
 
     /// Applies one buffered global side effect — each arm is the exact
@@ -1875,50 +1548,26 @@ impl Sim {
 
     /// Starts `frame` on the channel.
     ///
-    /// Syncs the incremental tracker and answers from the spatial index,
-    /// or from a worker's speculation staged for this transmitter. Under
-    /// `--validate-spatial` whichever of the two answers is cross-checked
-    /// against the brute-force oracle over the exact full snapshot.
-    /// Scenarios without a dynamics schedule skip the admittance gate
-    /// entirely — this is the simulator's hottest loop.
+    /// Syncs the incremental tracker and answers from the spatial index;
+    /// under `--validate-spatial` every answer is cross-checked against
+    /// the brute-force oracle over the exact full snapshot. Scenarios
+    /// without a dynamics schedule skip the admittance gate entirely —
+    /// this is the simulator's hottest loop.
     fn begin_tx_on_medium(&mut self, frame: Frame<Payload>, now: SimTime) -> BeginTx {
-        let src = frame.src;
         if self.validate_spatial {
             self.fill_snapshot(now);
         }
         self.tracker.sync_to(&self.mobility, now);
-        // Consume a staged speculative neighbor set iff it is for this
-        // transmitter and the tracker generation has not moved since the
-        // workers computed it.
-        let spec_fresh = match self.spec_node {
-            Some((n, generation)) if n as usize == src => {
-                if generation == self.tracker.generation() {
-                    self.wstats.spec_hits += 1;
-                    true
-                } else {
-                    self.wstats.spec_misses += 1;
-                    false
-                }
-            }
-            _ => false,
-        };
         let view = MediumView::new(&self.tracker, &self.mobility, now);
-        let pre = PrecomputedQuery {
-            inner: &view,
-            src,
-            range: self.scenario.mac.phy.cs_range_m,
-            pairs: &self.spec_buf,
-        };
-        let answer: &dyn NeighborQuery = if spec_fresh { &pre } else { &view };
         let oracle = BruteForceMedium(&self.snapshot);
         let checked = ValidatingQuery {
-            fast: answer,
+            fast: &view,
             oracle: &oracle,
         };
         let medium: &dyn NeighborQuery = if self.validate_spatial {
             &checked
         } else {
-            answer
+            &view
         };
         if self.has_dynamics {
             let adm = &self.admittance;
@@ -1937,7 +1586,6 @@ impl Sim {
                     self.admittance.node_is_up(node),
                     "crashed node {node} attempted to transmit"
                 );
-                self.account_tx(&frame);
                 // The channel consults the admittance per receiver: gated
                 // links (churn outage, partition, crashed node) perceive
                 // nothing, so unicasts toward them burn MAC retries and
@@ -1946,19 +1594,8 @@ impl Sim {
                 let begin = self.begin_tx_on_medium(frame, now);
                 self.ph_add(t0, PhaseSel::Medium);
                 let end_at = now + begin.airtime;
-                // During a window merge the insertion joins the pend
-                // buffer (never cancelled, so no kill-scan bookkeeping).
                 let ev = Event::TxComplete(node, self.epochs[node], begin.tx_id);
-                if self.merging {
-                    self.pend.push(Pend {
-                        time: end_at,
-                        event: ev,
-                        dead: false,
-                        mac: None,
-                    });
-                } else {
-                    self.sim.schedule_at(end_at, ev);
-                }
+                self.sim.schedule_at(end_at, ev);
                 // Busy fan-out, computed once per tx from the channel's
                 // signal sets: only nodes whose medium actually went
                 // idle → busy hear anything, and a transmission that
@@ -2156,13 +1793,6 @@ impl Sim {
                 self.metrics.record_drop(reason);
             }
             ProtoEffect::SetTimer { token, delay } => self.proto_set(node, token, delay),
-        }
-    }
-
-    fn account_tx(&mut self, frame: &Frame<Payload>) {
-        if frame.kind == FrameKind::Data {
-            // Control counting happens at enqueue time (per routing-layer
-            // packet, not per MAC retry); nothing to do here.
         }
     }
 

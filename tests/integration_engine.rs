@@ -5,6 +5,8 @@
 //!
 //! * parallel vs batched bit-identity with more workers than nodes, and
 //!   under sub-airtime injected dynamics;
+//! * parallel vs batched event-for-event identity: the same number of
+//!   popped events, not just the same summary;
 //! * the crash-mid-reception audit: a node crashing while a signal is in
 //!   flight at its antenna and rejoining — before *or* after that signal
 //!   ends — must come back with a MAC whose carrier view matches the
@@ -17,15 +19,14 @@
 //!   engine and under batched, once the two config-echo lines that
 //!   legitimately differ (`"engine"`, `"workers"`) are stripped.
 
-use std::collections::BTreeMap;
-
 use slr_netsim::admittance::DynAction;
 use slr_netsim::time::{SimDuration, SimTime};
+use slr_runner::experiment::run_oracle_pass;
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::report::render_json;
 use slr_runner::scenario::{ProtocolKind, Scenario};
 use slr_runner::sim::{EngineKind, Sim};
-use slr_runner::{run_sweep, DynamicsSpec, SweepConfig, SweepResult, TrialSummary};
+use slr_runner::{run_sweep, DynamicsSpec, SweepConfig, SweepResult};
 use slr_traffic::{PacketSpec, TrafficScript};
 
 use slr_mobility::Position;
@@ -42,6 +43,33 @@ fn parallel_engine_with_more_workers_than_nodes() {
         .with_workers(16)
         .run();
     assert_eq!(batched, par, "16 workers over 9 nodes diverged");
+}
+
+/// The parallel engine is the serial walk event for event: on a dense
+/// trial, where same-timestamp MAC timers are plentiful, it pops exactly
+/// as many events as batched at every worker count (parallel@1 included,
+/// whose windows run inline), not merely the same summary. A window that
+/// pops a MAC timer ahead of the window tasks that cancel it would fire
+/// that timer anyway — the debug tripwire in `Sim::dispatch` and the
+/// event count both catch it.
+#[test]
+fn parallel_engine_pops_exactly_the_batched_events() {
+    let mut scenario =
+        Family::Dense.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 100);
+    scenario.end = SimTime::from_secs(15);
+    let (batched, batched_metrics) = Sim::new(scenario).run_detailed();
+    assert!(batched.originated > 0, "no traffic");
+    for workers in [1usize, 2, 8] {
+        let (par, par_metrics) = Sim::new(scenario)
+            .with_engine(EngineKind::Parallel)
+            .with_workers(workers)
+            .run_detailed();
+        assert_eq!(
+            par_metrics.sim_events, batched_metrics.sim_events,
+            "parallel@{workers} popped a different number of events than batched"
+        );
+        assert_eq!(par, batched, "parallel@{workers} diverged from batched");
+    }
 }
 
 /// The audit fixture: two static SRP nodes 100 m apart, a trigger packet
@@ -239,7 +267,7 @@ fn json_sweep_config() -> SweepConfig {
 
 /// The exact path behind `slrsim --json`: `run_sweep` + `render_json`
 /// with a fixed seed produces byte-identical documents under the
-/// parallel engine (2 and 8 workers, widened windows on by default) and
+/// parallel engine (2 and 8 workers) and
 /// under batched, modulo the engine/workers echo. This pins the whole
 /// pipeline — trial scheduling, per-trial RNG derivation, metric
 /// aggregation and JSON formatting — not just the trial summaries the
@@ -268,9 +296,9 @@ fn cli_json_byte_identical_across_engines() {
 }
 
 /// The `--oracle` variant of the same regression: SRP trials run under
-/// the loop-freedom oracle (mirroring `run_oracle_pass` in the `slrsim`
-/// binary) on a crash–rejoin workload, and the rendered JSON must still
-/// be byte-identical between batched and parallel@2 after stripping the
+/// the loop-freedom oracle (`run_oracle_pass`, as `slrsim --oracle` runs
+/// them) on a crash–rejoin workload, and the rendered JSON must still be
+/// byte-identical between batched and parallel@2 after stripping the
 /// engine/workers echo.
 #[test]
 fn cli_json_byte_identical_with_oracle() {
@@ -280,21 +308,8 @@ fn cli_json_byte_identical_with_oracle() {
         cfg.override_dynamics = Some(DynamicsSpec::default_crash(2));
         cfg.engine = engine;
         cfg.workers = workers;
-        let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
-        for &value in &cfg.values {
-            for trial in 0..cfg.trials {
-                let scenario = cfg.scenario_for(ProtocolKind::Srp, value, trial);
-                let (summary, _soft_drifts) = Sim::new(scenario)
-                    .with_engine(cfg.engine)
-                    .with_workers(cfg.workers)
-                    .run_with_loop_oracle(SimDuration::from_secs(1));
-                runs.entry((ProtocolKind::Srp.name(), value))
-                    .or_default()
-                    .push(summary);
-            }
-        }
         render_json(&SweepResult {
-            runs,
+            runs: run_oracle_pass(&cfg, ProtocolKind::Srp),
             protocols: vec![ProtocolKind::Srp],
             family: cfg.family,
             param: cfg.param,

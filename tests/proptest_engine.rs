@@ -2,9 +2,8 @@
 //! topologies, mobility, protocols and dynamics (link churn and node
 //! crash–rejoin), the conservative-window *parallel* engine is
 //! **bit-identical** to the serial batched engine at every worker count
-//! (1, 2 and 8) — with its windows widened across MAC timers, and with
-//! and without every neighbor query (the workers' speculative ones
-//! included) cross-checked against the brute-force medium.
+//! (1, 2 and 8), with and without every neighbor query cross-checked
+//! against the brute-force medium.
 //!
 //! This is the contract that makes the parallel engine safe to use:
 //! node-local tasks may execute in any wall-clock order on any worker,
@@ -193,11 +192,10 @@ proptest! {
         parallel_agrees(s, &[false])?;
     }
 
-    /// Widened windows (MAC-timer hopping) over topology × mobility ×
-    /// dynamics at workers ∈ {1, 2, 8}, unvalidated and with every
-    /// neighbor query — the speculative ones the hopped timers consume
-    /// included — checked against the brute-force medium: all reproduce
-    /// the batched summary bit for bit.
+    /// Windows ending at MAC timers over topology × mobility × dynamics
+    /// at workers ∈ {1, 2, 8}, unvalidated and with every neighbor query
+    /// checked against the brute-force medium: all reproduce the batched
+    /// summary bit for bit.
     #[test]
     fn widening_bit_identical_across_worker_counts(
         seed in 0u64..100_000,
@@ -213,8 +211,7 @@ proptest! {
     }
 
     /// The same on the dense family (CI-scaled), where same-timestamp MAC
-    /// timers are plentiful enough that hopping actually composes
-    /// multi-timer windows and workers speculate their queries.
+    /// timers are plentiful, so windows end at them often.
     #[test]
     fn dense_family_widening_agrees(
         seed in 0u64..100_000,
