@@ -42,7 +42,6 @@ pub fn model_srp_config() -> SrpConfig {
             buffer_timeout: SimDuration::from_secs(1 << 20),
             rerr_rate_limit: SimDuration::ZERO,
         },
-        probe_on_no_reverse: false,
         multipath: MultipathPolicy::SingleMinHop,
         reduce_den_threshold: 1 << 27,
         rreq_cache_lifetime: SimDuration::from_secs(1 << 20),

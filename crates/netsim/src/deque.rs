@@ -1,12 +1,11 @@
 //! A fixed-capacity Chase–Lev work-stealing deque over `usize` payloads.
 //!
-//! The unified core budget (see [`crate::pool`]) schedules two kinds of
-//! work from one thread pool: coarse trial jobs (a shared injector) and
-//! fine window shards. The shards need the classic work-stealing shape —
-//! the window's owner pushes and pops at the *bottom* of its own deque
-//! (LIFO, cache-warm), idle pool threads steal from the *top* (FIFO,
-//! oldest shard first) — so the owner's fast path is uncontended and
-//! thieves only synchronize on a single compare-exchange.
+//! The window pool (see [`crate::pool`]) hands a window's shards to its
+//! threads through one of these, in the classic work-stealing shape: the
+//! window's owner pushes and pops at the *bottom* of the deque (LIFO,
+//! cache-warm), idle pool threads steal from the *top* (FIFO, oldest
+//! shard first) — so the owner's fast path is uncontended and thieves
+//! only synchronize on a single compare-exchange.
 //!
 //! This is the Chase–Lev algorithm (SPAA '05) with the Lê et al. (PPoPP
 //! '13) memory orderings, restricted to what the engine needs:

@@ -1,15 +1,15 @@
-//! A persistent scoped work-stealing pool: the unified core budget.
+//! A persistent scoped work-stealing pool for the parallel engine's
+//! same-timestamp windows.
 //!
 //! The parallel event engine dispatches hundreds of thousands of tiny
-//! same-timestamp windows per trial; spawning threads per window (or even
-//! per trial phase) would dwarf the work. [`CorePool`] spawns its threads
-//! **once** per scope and serves two granularities from them: coarse
-//! trial jobs (a shared FIFO injector — cross-trial sweep parallelism)
-//! and fine window shards (per-session [`StealDeque`]s — intra-trial
-//! parallelism). An idle thread steals whatever exists: shards first
-//! (they block a window owner), then trial jobs. Idle threads spin
-//! briefly (windows arrive back-to-back in the hot phase of a dense
-//! trial), then park on a condvar so an idle pool costs nothing.
+//! windows per trial; spawning threads per window would dwarf the work.
+//! [`with_core_pool`] spawns its threads **once** per trial, and the
+//! trial's event loop — the pool's one window owner, holding the single
+//! [`CoreSession`] — publishes each window's shards on a [`StealDeque`]
+//! for those threads to steal. Idle threads spin briefly (windows arrive
+//! back-to-back in the hot phase of a dense trial), then park on a
+//! condvar so an idle pool costs nothing. Trials themselves run
+//! concurrently on the sweep's scoped threads, each with its own pool.
 //!
 //! ## Safety
 //!
@@ -19,6 +19,8 @@
 //! threads through a raw pointer whose lifetime is erased, which is
 //! sound because
 //!
+//! * a pool has one session slot and a session is `!Sync`, so one owner
+//!   thread at a time writes the pointer, and only between windows;
 //! * `run_window` does not return until every stolen shard has finished
 //!   running the job (checked through the acquire-loaded `pending`
 //!   counter), so the borrow outlives every dereference;
@@ -32,11 +34,10 @@
 
 #![allow(unsafe_code)]
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
+use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use crate::deque::StealDeque;
 
@@ -62,7 +63,7 @@ const SPIN_ROUNDS: u32 = 256;
 /// *not* part of the contract: the engine's canonical merge keys side
 /// effects by shard index, so executor scheduling can never reach
 /// simulation output.
-pub trait WindowExec: Sync {
+pub trait WindowExec {
     /// Upper bound on useful `shards` values (executor capacity).
     fn shard_cap(&self) -> usize;
     /// Runs the window to completion.
@@ -74,19 +75,15 @@ pub trait WindowExec: Sync {
     fn run_window(&self, shards: usize, job: &(dyn Fn(usize) + Sync));
 }
 
-/// A trial-scale job drawn from the unified pool's injector. It receives
-/// the window executor for the thread it lands on, so an intra-trial
-/// parallel engine inside the job shares the same core budget.
-pub type TrialJob<'env> = Box<dyn FnOnce(&dyn WindowExec) + Send + 'env>;
-
-/// Per-session shard-deque capacity: windows never need more shards than
-/// this, and [`CoreSession::shard_cap`] clamps requests to it.
+/// Shard-deque capacity: windows never need more shards than this, and
+/// [`CoreSession::shard_cap`] clamps requests to it.
 const SESSION_DEQUE_CAP: usize = 256;
 
-/// One window-owner slot: the deque thieves steal shard indices from,
-/// plus the lifetime-erased job pointer they run them through.
+/// The pool's one window-owner slot: the deque thieves steal shard
+/// indices from, plus the lifetime-erased job pointer they run them
+/// through.
 struct SessionCtl {
-    /// Claimed by exactly one owner thread at a time.
+    /// Claimed by the one [`CoreSession`], if any.
     in_use: AtomicBool,
     /// The current window's job. Written by the owner while the session
     /// is inactive, read by thieves only after a successful steal of a
@@ -102,39 +99,28 @@ struct SessionCtl {
     panicked: AtomicBool,
 }
 
-// SAFETY: the raw job pointer is the only non-Sync field; owners only
-// write it while `active` is false and `pending` is zero, and thieves
+// SAFETY: the raw job pointer is the only non-Sync field; the owner only
+// writes it while `active` is false and `pending` is zero, and thieves
 // only read it after stealing a shard whose push happened after the
 // write (the deque's release/acquire pair orders the two) — see
 // `CoreSession::run_window`.
 unsafe impl Sync for SessionCtl {}
 
-struct CoreCtl<'env> {
-    /// Coarse trial jobs, FIFO.
-    injector: Mutex<VecDeque<TrialJob<'env>>>,
-    submitted: AtomicUsize,
-    completed: AtomicUsize,
-    /// Whether any trial job panicked (re-raised when the scope ends).
-    job_panicked: AtomicBool,
+struct CoreCtl {
     shutdown: AtomicBool,
-    sessions: Box<[SessionCtl]>,
+    session: SessionCtl,
     lot: Mutex<()>,
     bell: Condvar,
 }
 
-impl CoreCtl<'_> {
+impl CoreCtl {
     /// Work-availability check for the park path. Must be conservative
-    /// (never claim "nothing" when a publisher's stores are visible):
-    /// both publishers store before taking the lot lock, so a parker
-    /// holding the lock either sees the work or parks before the
-    /// publisher's notify.
+    /// (never claim "nothing" when the owner's stores are visible): the
+    /// owner stores before taking the lot lock, so a parker holding the
+    /// lock either sees the work or parks before the owner's notify.
     fn has_work_hint(&self) -> bool {
-        if !self.injector.lock().expect("core injector").is_empty() {
-            return true;
-        }
-        self.sessions
-            .iter()
-            .any(|s| s.active.load(Ordering::Acquire) && !s.deque.is_empty_hint())
+        let s = &self.session;
+        s.active.load(Ordering::Acquire) && !s.deque.is_empty_hint()
     }
 
     /// Lock-then-notify so a concurrent parker cannot miss the wakeup.
@@ -146,197 +132,96 @@ impl CoreCtl<'_> {
     }
 }
 
-/// Handle to the unified work-stealing pool, valid inside one
-/// [`with_core_pool`] scope.
-///
-/// Two granularities draw from the same threads: trial jobs submitted via
-/// [`CorePool::submit`] (cross-trial sweep parallelism), and window
-/// shards published through a [`CoreSession`] (intra-trial parallelism).
-/// Idle threads steal whichever work exists, so a sweep's tail (one slow
-/// trial left) automatically converts its spare threads into intra-trial
-/// window workers, and a single trial converts them into shard thieves.
-pub struct CorePool<'p, 'env> {
-    ctl: &'p CoreCtl<'env>,
+/// Handle to the work-stealing pool, valid inside one [`with_core_pool`]
+/// scope. Windows reach its threads through the one [`CorePool::session`].
+pub struct CorePool<'p> {
+    ctl: &'p CoreCtl,
     threads: usize,
 }
 
-/// A claimed window-owner slot on the unified pool; the [`WindowExec`]
-/// the parallel engine drives its same-timestamp windows through.
-/// Released on drop.
-pub struct CoreSession<'p, 'env> {
-    ctl: &'p CoreCtl<'env>,
-    slot: usize,
+/// The claimed window-owner slot of a pool; the [`WindowExec`] the
+/// parallel engine drives its same-timestamp windows through. Released
+/// on drop. Not `Sync`, which the safety argument above relies on:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<slr_netsim::pool::CoreSession<'static>>();
+/// ```
+pub struct CoreSession<'p> {
+    ctl: &'p CoreCtl,
     threads: usize,
+    /// `!Sync`: windows are published from one thread at a time.
+    _owner: PhantomData<Cell<()>>,
 }
 
-/// Runs `f` with a unified pool of `threads` persistent workers. The
-/// calling thread is not a pool worker, but participates when it runs
-/// windows through a [`CorePool::session`] or waits in
-/// [`CorePool::wait_all`] (both execute queued work inline), so the
-/// budget for a saturated host is `threads = cores - 1` plus the caller,
-/// or simply `cores` when the caller mostly blocks. `threads == 0`
-/// degrades to running everything inline on the caller.
-///
-/// Submitted trial jobs may borrow anything that outlives the
-/// `with_core_pool` call (the `'env` bound); all of them are run to
-/// completion before this returns (even if `f` forgot to wait), unless
-/// `f` unwinds, in which case not-yet-started jobs are dropped.
+/// Runs `f` with a pool of `threads` persistent shard thieves. The
+/// calling thread is not a pool worker, but it runs shards itself inside
+/// [`CoreSession::run_window`], so a trial that wants `w` workers asks
+/// for `w - 1` threads. `threads == 0` runs every window inline on the
+/// caller.
 ///
 /// # Panics
 ///
-/// Re-raises `f`'s panic; otherwise panics if any trial job panicked.
-pub fn with_core_pool<'env, R>(threads: usize, f: impl FnOnce(&CorePool<'_, 'env>) -> R) -> R {
+/// Re-raises `f`'s panic (after retiring the workers).
+pub fn with_core_pool<R>(threads: usize, f: impl FnOnce(&CorePool<'_>) -> R) -> R {
     let ctl = CoreCtl {
-        injector: Mutex::new(VecDeque::new()),
-        submitted: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        job_panicked: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
-        // One slot per thread that can own a window concurrently: every
-        // pool worker (each runs at most one trial job at a time) plus
-        // the caller, with slack for nested/exotic callers.
-        sessions: (0..threads + 4)
-            .map(|_| SessionCtl {
-                in_use: AtomicBool::new(false),
-                job: UnsafeCell::new(None),
-                deque: StealDeque::new(SESSION_DEQUE_CAP),
-                pending: AtomicUsize::new(0),
-                active: AtomicBool::new(false),
-                panicked: AtomicBool::new(false),
-            })
-            .collect(),
+        session: SessionCtl {
+            in_use: AtomicBool::new(false),
+            job: UnsafeCell::new(None),
+            deque: StealDeque::new(SESSION_DEQUE_CAP),
+            pending: AtomicUsize::new(0),
+            active: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
+        },
         lot: Mutex::new(()),
         bell: Condvar::new(),
     };
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let ctl = &ctl;
-            s.spawn(move || core_worker_loop(ctl));
+            s.spawn(|| core_worker_loop(&ctl));
         }
         let pool = CorePool { ctl: &ctl, threads };
+        // Retire the workers however `f` exits, or the scope would wait
+        // on parked threads forever.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pool)));
-        match r {
-            // Normal exit: drain every remaining job (the API promise),
-            // then retire the workers.
-            Ok(_) => pool.wait_all(),
-            // `f` unwound: drop unstarted jobs so workers can retire.
-            Err(_) => {
-                let dropped = {
-                    let mut inj = ctl.injector.lock().expect("core injector");
-                    let n = inj.len();
-                    inj.clear();
-                    n
-                };
-                ctl.completed.fetch_add(dropped, Ordering::AcqRel);
-            }
-        }
         ctl.shutdown.store(true, Ordering::Release);
         ctl.ring();
-        match r {
-            Ok(r) => {
-                // Workers are joined by the scope right after this; any
-                // in-flight job panic has already been recorded because
-                // wait_all saw every job complete.
-                if ctl.job_panicked.load(Ordering::Acquire) {
-                    panic!("core pool trial job panicked (see worker backtrace above)");
-                }
-                r
-            }
-            Err(p) => std::panic::resume_unwind(p),
-        }
+        r.unwrap_or_else(|p| std::panic::resume_unwind(p))
     })
 }
 
-impl<'env> CorePool<'_, 'env> {
-    /// Number of spawned pool threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Enqueues a trial job. It runs on some pool thread (or on the
-    /// caller inside [`CorePool::wait_all`]) exactly once.
-    pub fn submit(&self, job: TrialJob<'env>) {
-        self.ctl.submitted.fetch_add(1, Ordering::AcqRel);
-        self.ctl
-            .injector
-            .lock()
-            .expect("core injector")
-            .push_back(job);
-        self.ctl.ring();
-    }
-
-    /// Blocks until every job submitted so far has completed, helping
-    /// with queued trial jobs and stealable window shards in the
-    /// meantime (this is what makes `threads == 0` work: the caller runs
-    /// everything itself).
-    pub fn wait_all(&self) {
-        loop {
-            if self.ctl.completed.load(Ordering::Acquire)
-                >= self.ctl.submitted.load(Ordering::Acquire)
-            {
-                return;
-            }
-            if !try_one_unit(self.ctl) {
-                // Nothing stealable right now; park briefly. The timeout
-                // is a progress guarantee, not the wake path — completed
-                // jobs ring the bell.
-                let g = self.ctl.lot.lock().expect("core lot");
-                if !self.ctl.has_work_hint()
-                    && self.ctl.completed.load(Ordering::Acquire)
-                        < self.ctl.submitted.load(Ordering::Acquire)
-                {
-                    let _ = self
-                        .ctl
-                        .bell
-                        .wait_timeout(g, Duration::from_millis(1))
-                        .expect("core bell");
-                }
-            }
-        }
-    }
-
-    /// Claims a window-owner slot. The caller (typically: the thread
+impl CorePool<'_> {
+    /// Claims the pool's window-owner slot. The caller (the thread
     /// driving one trial's event loop) publishes each same-timestamp
-    /// window through the returned session; idle pool threads steal its
+    /// window through the returned session; the pool threads steal its
     /// shards.
     ///
     /// # Panics
     ///
-    /// Panics if every slot is claimed (more concurrent owners than
-    /// `threads + 4` — only possible if callers hoard sessions).
-    pub fn session(&self) -> CoreSession<'_, 'env> {
-        acquire_session(self.ctl, self.threads)
-    }
-}
-
-fn acquire_session<'p, 'env>(ctl: &'p CoreCtl<'env>, threads: usize) -> CoreSession<'p, 'env> {
-    for (slot, s) in ctl.sessions.iter().enumerate() {
-        if s.in_use
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return CoreSession { ctl, slot, threads };
+    /// Panics if the slot is already claimed: a pool has one owner.
+    pub fn session(&self) -> CoreSession<'_> {
+        let taken = self.ctl.session.in_use.swap(true, Ordering::Acquire);
+        assert!(!taken, "core pool session already claimed");
+        CoreSession {
+            ctl: self.ctl,
+            threads: self.threads,
+            _owner: PhantomData,
         }
     }
-    panic!("core pool session slots exhausted");
 }
 
-impl CoreSession<'_, '_> {
-    fn sctl(&self) -> &SessionCtl {
-        &self.ctl.sessions[self.slot]
-    }
-}
-
-impl Drop for CoreSession<'_, '_> {
+impl Drop for CoreSession<'_> {
     fn drop(&mut self) {
-        debug_assert!(!self.sctl().active.load(Ordering::Acquire));
-        self.sctl().in_use.store(false, Ordering::Release);
+        let sctl = &self.ctl.session;
+        debug_assert!(!sctl.active.load(Ordering::Acquire));
+        sctl.in_use.store(false, Ordering::Release);
     }
 }
 
-impl WindowExec for CoreSession<'_, '_> {
+impl WindowExec for CoreSession<'_> {
     fn shard_cap(&self) -> usize {
-        self.sctl().deque.capacity()
+        self.ctl.session.deque.capacity()
     }
 
     fn run_window(&self, shards: usize, job: &(dyn Fn(usize) + Sync)) {
@@ -349,7 +234,7 @@ impl WindowExec for CoreSession<'_, '_> {
             }
             return;
         }
-        let sctl = self.sctl();
+        let sctl = &self.ctl.session;
         debug_assert!(!sctl.active.load(Ordering::Acquire));
         debug_assert_eq!(sctl.pending.load(Ordering::Acquire), 0);
         // SAFETY: the previous window (if any) fully completed —
@@ -411,57 +296,40 @@ impl WindowExec for CoreSession<'_, '_> {
     }
 }
 
-/// One unit of work, preferring fine-grained shards (they block a window
-/// owner) over coarse trial jobs. Returns whether anything ran.
-fn try_one_unit(ctl: &CoreCtl<'_>) -> bool {
-    for sctl in ctl.sessions.iter() {
-        if !sctl.active.load(Ordering::Acquire) {
-            continue;
-        }
-        if let Some(i) = sctl.deque.steal() {
-            // SAFETY: the stolen shard was pushed after the owner staged
-            // the job pointer; the deque's release/acquire ordering makes
-            // the staging visible, and the owner cannot invalidate the
-            // pointer until our `pending` decrement is observed.
-            let job = unsafe { (*sctl.job.get()).expect("active session without a job") };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // SAFETY: valid until `pending` reaches zero, see above.
-                unsafe { (*job)(i) }
-            }));
-            if outcome.is_err() {
-                sctl.panicked.store(true, Ordering::Relaxed);
-            }
-            sctl.pending.fetch_sub(1, Ordering::Release);
-            return true;
-        }
+/// Steals and runs one shard of the in-flight window, if any. Returns
+/// whether anything ran.
+fn try_steal(ctl: &CoreCtl) -> bool {
+    let sctl = &ctl.session;
+    if !sctl.active.load(Ordering::Acquire) {
+        return false;
     }
-    let job = ctl.injector.lock().expect("core injector").pop_front();
-    if let Some(job) = job {
-        // `threads = 1` on a worker-held session: thieves are "everyone
-        // else", which run_window only needs as a zero/nonzero hint.
-        let sess = acquire_session(ctl, 1);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&sess)));
-        drop(sess);
-        if outcome.is_err() {
-            ctl.job_panicked.store(true, Ordering::Relaxed);
-        }
-        ctl.completed.fetch_add(1, Ordering::AcqRel);
-        ctl.ring();
-        return true;
+    let Some(i) = sctl.deque.steal() else {
+        return false;
+    };
+    // SAFETY: the stolen shard was pushed after the owner staged the job
+    // pointer; the deque's release/acquire ordering makes the staging
+    // visible, and the owner cannot invalidate the pointer until our
+    // `pending` decrement is observed.
+    let job = unsafe { (*sctl.job.get()).expect("active session without a job") };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // SAFETY: valid until `pending` reaches zero, see above.
+        unsafe { (*job)(i) }
+    }));
+    if outcome.is_err() {
+        sctl.panicked.store(true, Ordering::Relaxed);
     }
-    false
+    sctl.pending.fetch_sub(1, Ordering::Release);
+    true
 }
 
-fn core_worker_loop(ctl: &CoreCtl<'_>) {
+fn core_worker_loop(ctl: &CoreCtl) {
     let mut spins = 0u32;
     loop {
-        if try_one_unit(ctl) {
+        if try_steal(ctl) {
             spins = 0;
             continue;
         }
-        if ctl.shutdown.load(Ordering::Acquire)
-            && ctl.injector.lock().expect("core injector").is_empty()
-        {
+        if ctl.shutdown.load(Ordering::Acquire) {
             return;
         }
         spins += 1;
@@ -483,43 +351,6 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn core_pool_runs_every_trial_job_once() {
-        let hits: [AtomicU64; 16] = std::array::from_fn(|_| AtomicU64::new(0));
-        with_core_pool(3, |pool| {
-            for (i, h) in hits.iter().enumerate() {
-                pool.submit(Box::new(move |_exec| {
-                    h.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                }));
-            }
-            pool.wait_all();
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), i as u64 + 1);
-            }
-        });
-    }
-
-    #[test]
-    fn core_pool_zero_threads_runs_jobs_on_caller_in_wait_all() {
-        let sum = AtomicU64::new(0);
-        let sum_ref = &sum;
-        with_core_pool(0, |pool| {
-            for _ in 0..8u64 {
-                pool.submit(Box::new(move |exec| {
-                    // Window execution inside a trial job, inline.
-                    let part = AtomicU64::new(0);
-                    exec.run_window(4, &|s| {
-                        part.fetch_add(s as u64 + 1, Ordering::Relaxed);
-                    });
-                    assert_eq!(part.load(Ordering::Relaxed), 10);
-                    sum_ref.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            pool.wait_all();
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
     fn core_session_windows_complete_with_thieves() {
         with_core_pool(3, |pool| {
             let sess = pool.session();
@@ -538,53 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn core_pool_mixes_trial_jobs_and_windows() {
-        // Trial jobs running their own windows while the caller also runs
-        // windows through its own session: both granularities draw from
-        // the same three threads. (Submitted jobs must borrow data that
-        // outlives the pool scope — the `'env` bound — hence `done`
-        // lives outside the closure.)
-        let done = AtomicU64::new(0);
-        let done = &done;
-        with_core_pool(3, |pool| {
-            for _ in 0..6 {
-                pool.submit(Box::new(move |exec| {
-                    let total = AtomicU64::new(0);
-                    for _ in 0..50 {
-                        exec.run_window(3, &|i| {
-                            total.fetch_add(i as u64, Ordering::Relaxed);
-                        });
-                    }
-                    assert_eq!(total.load(Ordering::Relaxed), 50 * 3);
-                    done.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            let sess = pool.session();
-            for _ in 0..50 {
-                let total = AtomicU64::new(0);
-                sess.run_window(4, &|i| {
-                    total.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                });
-                assert_eq!(total.load(Ordering::Relaxed), 10);
-            }
-            drop(sess);
-            pool.wait_all();
-            assert_eq!(done.load(Ordering::Relaxed), 6);
-        });
-    }
-
-    #[test]
-    fn core_pool_trial_job_panic_propagates_at_scope_end() {
-        let result = std::panic::catch_unwind(|| {
-            with_core_pool(2, |pool| {
-                pool.submit(Box::new(|_exec| panic!("trial boom")));
-                pool.wait_all();
-            });
-        });
-        assert!(result.is_err(), "job panic must fail the scope");
-    }
-
-    #[test]
     fn core_pool_window_shard_panic_propagates_to_owner() {
         let result = std::panic::catch_unwind(|| {
             with_core_pool(2, |pool| {
@@ -599,17 +383,24 @@ mod tests {
         assert!(result.is_err(), "shard panic must surface in run_window");
     }
 
+    /// A pool has one window owner: a second concurrent claim panics, and
+    /// a released slot can be claimed again. With no threads the owner
+    /// runs every shard inline.
     #[test]
-    fn core_pool_drains_jobs_submitted_without_wait() {
-        let hits = AtomicU64::new(0);
-        with_core_pool(2, |pool| {
-            for _ in 0..10 {
-                pool.submit(Box::new(|_exec| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            // No wait_all: the scope itself must drain before returning.
+    fn core_pool_has_one_session_slot() {
+        with_core_pool(0, |pool| {
+            let sess = pool.session();
+            let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drop(pool.session());
+            }));
+            assert!(second.is_err(), "a second owner must be refused");
+            let total = AtomicU64::new(0);
+            sess.run_window(4, &|i| {
+                total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 10);
+            drop(sess);
+            drop(pool.session());
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 10);
     }
 }

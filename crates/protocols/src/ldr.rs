@@ -14,7 +14,7 @@
 //! small-but-nonzero average sequence number for LDR, between SRP's zero
 //! and AODV's steep growth.
 //!
-//! Reproduction note (documented in DESIGN.md): the original LDR decides
+//! Reproduction note: the original LDR decides
 //! "repair impossible" with per-request state; here the originator sets the
 //! reset-required flag on retry attempts after a first ring fails, which
 //! triggers destination resets at a comparable rate.

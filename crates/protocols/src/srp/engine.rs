@@ -49,13 +49,6 @@ pub struct SrpConfig {
     /// Procedure 1: ring timeouts, the route-pending buffer and the RERR
     /// rate limit.
     pub discovery: DiscoveryConfig,
-    /// Whether a source receiving an N-bit RREP increases its own sequence
-    /// number and sends a D-bit probe so intermediate nodes rebuild routes
-    /// to it (§III). Replies already follow the cached reverse path, so
-    /// with unidirectional traffic the probe buys nothing — and the paper's
-    /// Fig. 7 shows SRP's sequence number never moving, so this defaults to
-    /// `false` (see DESIGN.md).
-    pub probe_on_no_reverse: bool,
     /// Data-plane successor choice (§III leaves this open; the paper's
     /// evaluation is uni-path).
     pub multipath: MultipathPolicy,
@@ -85,7 +78,6 @@ impl Default for SrpConfig {
             min_reply_hops: 2,
             route_lifetime: SimDuration::from_secs(10),
             discovery: DiscoveryConfig::default(),
-            probe_on_no_reverse: false,
             multipath: MultipathPolicy::SingleMinHop,
             reduce_den_threshold: 1 << 27,
             rreq_cache_lifetime: SimDuration::from_secs(120),
@@ -805,16 +797,6 @@ impl Srp {
                     // MAX_DENOM reset probe (Procedure 3).
                     if new_label.fd().den() as u64 > self.cfg.max_denom {
                         self.resets_requested += 1;
-                        self.send_reset_probe(t, now, &mut fx);
-                    }
-                    if rrep.no_reverse && self.cfg.probe_on_no_reverse {
-                        // §III: the source should increase its sequence
-                        // number and probe so the reverse path gets built.
-                        // Off by default — replies follow the cached
-                        // reverse path, and Fig. 7 of the paper shows the
-                        // SRP sequence number never moving.
-                        self.own_seqno += 1;
-                        self.seqno_increments += 1;
                         self.send_reset_probe(t, now, &mut fx);
                     }
                 } else if let Some(c) = cache {

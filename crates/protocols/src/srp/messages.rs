@@ -17,7 +17,7 @@
 //! The paper's RACK packet acknowledges RREPs over unreliable links; in
 //! this reproduction the MAC's link-layer acknowledgment subsumes it (the
 //! harness reports unicast control losses through `on_link_failure`), so no
-//! RACK message is defined. See DESIGN.md.
+//! RACK message is defined.
 
 use slr_core::Frac32;
 

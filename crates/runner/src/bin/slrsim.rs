@@ -18,7 +18,10 @@
 //! * `--values a,b,c` — sweep points (default: the family's)
 //! * `--pause SECONDS` — shorthand for `--param pause --values SECONDS`
 //! * `--protocol srp|srp-mp|aodv|dsr|ldr|olsr|all` (default `all`)
-//! * `--trials N` (default 1), `--seed N` (default 42), `--threads N`
+//! * `--trials N` (default 1), `--seed N` (default 42)
+//! * `--threads N` — the sweep's thread ceiling (default: the machine's
+//!   cores): trials run `N` at a time, or `N / workers` at a time (at
+//!   least one) under `--engine parallel`
 //! * `--nodes N`, `--flows N`, `--duration SECONDS` — post-build overrides
 //! * `--dynamics churn[:RATE]|partition[:K]|crash[:N]|none` — overlay a
 //!   topology-dynamics schedule on any family
@@ -37,9 +40,7 @@
 //! * `--workers N|auto` — intra-trial workers for `--engine parallel`
 //!   (default: the machine's cores, capped at 8; `auto` resolves to the
 //!   host's full parallelism and the JSON echo records the resolved
-//!   number); the sweep sizes one unified work-stealing pool at
-//!   `workers × threads` capped at the available cores, shared by
-//!   cross-trial jobs and intra-trial window shards
+//!   number); each trial stands up its own pool of that width
 //! * `--list-scenarios` — print the registry and exit
 
 use slr_runner::cli::{parse_cli, render_scenario_list, usage, CliAction};
@@ -105,9 +106,9 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Under --oracle, every SRP-engine protocol runs once, sequentially,
-    // under the loop-freedom oracle; its summaries feed the stats directly
-    // (no duplicate simulation). Other protocols go through the sweep.
+    // Under --oracle, every SRP-engine protocol runs once under the
+    // loop-freedom oracle; its summaries feed the stats directly (no
+    // duplicate simulation). Other protocols go through the sweep.
     let (oracled, others): (Vec<ProtocolKind>, Vec<ProtocolKind>) =
         protocols.iter().partition(|p| opts.oracle && p.runs_srp());
     if opts.oracle && oracled.is_empty() {

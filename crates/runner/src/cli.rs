@@ -40,7 +40,8 @@ pub struct CliOptions {
     pub trials: Option<u64>,
     /// Base seed (`--seed`, default 42).
     pub seed: u64,
-    /// Worker threads across trials (`--threads`), if given.
+    /// The sweep's thread ceiling (`--threads`), if given; see
+    /// [`crate::experiment::SweepConfig::threads`].
     pub threads: Option<usize>,
     /// Workers *within* a trial for `--engine parallel` (`--workers
     /// N|auto`), if given. `auto` is resolved to the host's parallelism
@@ -238,7 +239,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                 let v = take_value()?;
                 let w = if v.eq_ignore_ascii_case("auto") {
                     // Resolve immediately: everything downstream (the
-                    // unified core budget, the JSON echo) wants the
+                    // trials-at-once count, the JSON echo) wants the
                     // concrete number, not the sentinel.
                     std::thread::available_parallelism()
                         .map(|n| n.get())
@@ -290,10 +291,9 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
     }
     if opts.workers.is_some() && opts.engine != EngineKind::Parallel {
         return Err(
-            "--workers only applies to --engine parallel: the unified core \
-             budget sizes one pool at threads x workers, and only parallel \
-             trials open windows that can occupy the extra cores (the batched \
-             engine parallelizes across trials via --threads alone)"
+            "--workers only applies to --engine parallel: only parallel trials \
+             open windows that can occupy extra cores (the batched engine \
+             parallelizes across trials via --threads alone)"
                 .to_string(),
         );
     }
@@ -478,7 +478,7 @@ mod tests {
         assert_eq!(o.engine, EngineKind::Parallel);
         assert_eq!(o.workers, Some(4));
         // `--engine parallel` without `--workers` defers the width to the
-        // front-end's core budget.
+        // front-end's default (`CliOptions::effective_workers`).
         let o = parse(&["--engine", "parallel"]).unwrap();
         assert_eq!(o.workers, None);
         // Guard rails: workers need the parallel engine, and at least 1.
@@ -503,9 +503,9 @@ mod tests {
         let o = parse(&["--engine", "parallel", "--workers", "AUTO"]).unwrap();
         assert_eq!(o.workers, Some(host), "auto is case-insensitive");
         // The sentinel still needs the parallel engine, and the guard
-        // explains the unified budget rather than just refusing.
+        // explains why rather than just refusing.
         let e = parse(&["--workers", "auto"]).unwrap_err();
-        assert!(e.contains("unified core budget"), "{e}");
+        assert!(e.contains("parallelizes across trials"), "{e}");
         // Non-numeric non-auto values are still parse errors.
         assert!(parse(&["--engine", "parallel", "--workers", "many"]).is_err());
     }

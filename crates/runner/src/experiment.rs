@@ -8,9 +8,8 @@
 //! registry understands.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use slr_netsim::pool::{with_core_pool, WindowExec};
 use slr_netsim::time::{SimDuration, SimTime, MAX_SECS};
 
 use crate::adversary::AdversarySpec;
@@ -100,7 +99,11 @@ pub struct SweepConfig {
     pub values: Vec<u64>,
     /// Use the paper-scale scenario (`true`) or the scaled-down quick one.
     pub paper_scale: bool,
-    /// Worker threads (trials are independent).
+    /// The sweep's thread ceiling, the calling thread included (CLI
+    /// `--threads`). Trials are independent, so they run side by side:
+    /// `threads` at once under the batched engine, `threads / workers`
+    /// (at least one) under the parallel engine, where each trial brings
+    /// its own `workers`-wide window pool.
     pub threads: usize,
     /// Optional node-count override applied after the family builds each
     /// point (CLI `--nodes`).
@@ -125,10 +128,9 @@ pub struct SweepConfig {
     /// `--engine`).
     pub engine: EngineKind,
     /// Intra-trial workers for [`EngineKind::Parallel`] (CLI `--workers`;
-    /// ignored by the batched engine). Output is bit-identical at any
-    /// worker count; this only trades wall clock. The sweep budgets
-    /// `workers × threads` against the available cores — see
-    /// [`SweepConfig::core_budget`].
+    /// must be 1 under the batched engine). Output is bit-identical at
+    /// any worker count; this only trades wall clock. Each parallel
+    /// trial's workers count against [`SweepConfig::threads`].
     pub workers: usize,
 }
 
@@ -223,6 +225,9 @@ impl SweepConfig {
         if self.trials == 0 {
             return Err("trials must be at least 1 (a sweep of no trials measures nothing)".into());
         }
+        if self.threads == 0 {
+            return Err("threads must be at least 1 (the calling thread runs trials too)".into());
+        }
         if let Some(d) = self.override_duration.filter(|&d| d > MAX_SECS) {
             return Err(format!(
                 "duration must be at most {MAX_SECS} s (the simulated clock's range), got {d}"
@@ -261,11 +266,10 @@ impl SweepConfig {
         }
         if self.workers > 1 && self.engine != EngineKind::Parallel {
             return Err(format!(
-                "workers = {} requires the parallel engine: the unified core \
-                 budget sizes one pool at threads x workers and only \
-                 parallel trials open windows that can occupy the extra \
-                 cores (the batched engine parallelizes across trials \
-                 via threads alone)",
+                "workers = {} requires the parallel engine: only parallel \
+                 trials open windows that can occupy extra cores (the \
+                 batched engine parallelizes across trials via threads \
+                 alone)",
                 self.workers
             ));
         }
@@ -301,26 +305,6 @@ impl SweepConfig {
         Ok(())
     }
 
-    /// The unified core budget: how many threads, the one that calls
-    /// [`run_sweep`] included, both cross-trial jobs and intra-trial
-    /// window shards draw from. The batched engine needs exactly `threads`.
-    /// Under the parallel engine each in-flight trial can additionally
-    /// occupy up to `workers - 1` shard thieves, so the budget grows to
-    /// `threads × workers`, capped at the host's cores (but never below
-    /// `workers`, so a lone trial always reaches its configured width).
-    /// Idle capacity flows wherever work is: a sweep's tail converts
-    /// spare trial threads into window thieves automatically.
-    pub fn core_budget(&self) -> usize {
-        let threads = self.threads.max(1);
-        if self.engine != EngineKind::Parallel || self.workers <= 1 {
-            return threads;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(threads * self.workers);
-        (threads * self.workers).min(cores.max(self.workers))
-    }
-
     /// Builds the scenario for one sweep point.
     pub fn scenario_for(&self, kind: ProtocolKind, value: u64, trial: u64) -> Scenario {
         let mut s =
@@ -353,6 +337,18 @@ impl SweepConfig {
             }
         }
         s
+    }
+
+    /// The simulation for one trial of one sweep point, under the
+    /// sweep's engine settings.
+    fn sim_for(&self, kind: ProtocolKind, value: u64, trial: u64) -> Sim {
+        let mut sim = Sim::new(self.scenario_for(kind, value, trial))
+            .with_engine(self.engine)
+            .with_workers(self.workers);
+        if self.validate_spatial {
+            sim.enable_spatial_validation();
+        }
+        sim
     }
 }
 
@@ -433,15 +429,11 @@ pub fn parse_values(list: &str) -> Result<Vec<u64>, String> {
     Ok(values)
 }
 
-/// Runs a full sweep: `protocols × values × trials`, drawn from one
-/// unified work-stealing core budget — every trial is submitted as a job
-/// to a single [`with_core_pool`] pool, and parallel-engine trials
-/// publish their window shards back into the *same* pool, so idle
-/// cross-trial threads become intra-trial window thieves (and vice
-/// versa). Deterministic per `(seed, trial)` regardless of scheduling
-/// (each trial is an isolated simulation with its own derived RNG
-/// streams, window scheduling cannot reach simulation output, and
-/// results are re-ordered by trial index on collection).
+/// Runs a full sweep: `protocols × values × trials`, the trials
+/// side by side on the sweep's threads. Deterministic per `(seed, trial)`
+/// regardless of scheduling: each trial is an isolated simulation with
+/// its own derived RNG streams, window scheduling cannot reach
+/// simulation output, and results are collected in trial order.
 ///
 /// # Panics
 ///
@@ -452,121 +444,14 @@ pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
     if let Err(e) = cfg.validate() {
         panic!("invalid sweep configuration: {e}");
     }
-    let mut jobs: Vec<(ProtocolKind, u64, u64)> = Vec::new();
-    for &kind in protocols {
-        for &value in &cfg.values {
-            for trial in 0..cfg.trials {
-                jobs.push((kind, value, trial));
-            }
-        }
-    }
-
-    let collected = run_on_budget(cfg, jobs, |(kind, value, trial), exec| {
-        let scenario = cfg.scenario_for(kind, value, trial);
-        let mut sim = Sim::new(scenario)
-            .with_engine(cfg.engine)
-            .with_workers(cfg.workers);
-        if cfg.validate_spatial {
-            sim.enable_spatial_validation();
-        }
-        let summary = if cfg.engine == EngineKind::Parallel && cfg.workers > 1 {
-            // Windows draw thieves from the shared pool.
-            sim.run_detailed_under(exec).0
-        } else {
-            sim.run()
-        };
-        (kind.name(), value, trial, summary)
+    let jobs = trial_jobs(protocols, cfg);
+    let summaries = run_trials(cfg, &jobs, |&(kind, value, trial)| {
+        cfg.sim_for(kind, value, trial).run()
     });
-    collect_runs(collected, protocols, cfg)
-}
-
-/// Runs every point of `kind` once under the loop-freedom oracle
-/// (sequential — the oracle inspects global protocol state every
-/// simulated second and after every dynamics event) and returns the
-/// summaries, so they double as `kind`'s sweep results.
-///
-/// # Panics
-///
-/// Panics on a loop-freedom violation, or if `kind` does not run the SRP
-/// engine ([`ProtocolKind::runs_srp`]).
-pub fn run_oracle_pass(
-    cfg: &SweepConfig,
-    kind: ProtocolKind,
-) -> BTreeMap<(&'static str, u64), Vec<TrialSummary>> {
     let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
-    for &value in &cfg.values {
-        for trial in 0..cfg.trials {
-            let scenario = cfg.scenario_for(kind, value, trial);
-            let mut sim = Sim::new(scenario)
-                .with_engine(cfg.engine)
-                .with_workers(cfg.workers);
-            if cfg.validate_spatial {
-                sim.enable_spatial_validation();
-            }
-            let (summary, soft) = sim.run_with_loop_oracle(SimDuration::from_secs(1));
-            eprintln!(
-                "oracle: {} {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
-                kind.name(),
-                cfg.param.name(),
-                value,
-                trial,
-                soft,
-                summary.dynamics_events,
-            );
-            runs.entry((kind.name(), value)).or_default().push(summary);
-        }
+    for (&(kind, value, _), summary) in jobs.iter().zip(summaries) {
+        runs.entry((kind.name(), value)).or_default().push(summary);
     }
-    eprintln!(
-        "oracle: loop-freedom held at every {} checkpoint",
-        kind.name()
-    );
-    runs
-}
-
-/// Runs `run` once per job on the sweep's core budget and returns the
-/// results in completion order. The pool spawns one thread fewer than
-/// [`SweepConfig::core_budget`]: the calling thread executes jobs itself
-/// while it waits, so it is the budget's last thread.
-fn run_on_budget<J: Send, T: Send>(
-    cfg: &SweepConfig,
-    jobs: Vec<J>,
-    run: impl Fn(J, &dyn WindowExec) -> T + Sync,
-) -> Vec<T> {
-    let results = Mutex::new(Vec::with_capacity(jobs.len()));
-    with_core_pool(cfg.core_budget() - 1, |pool| {
-        for job in jobs {
-            let (run, results) = (&run, &results);
-            pool.submit(Box::new(move |exec| {
-                let out = run(job, exec);
-                results.lock().expect("sweep results").push(out);
-            }));
-        }
-        pool.wait_all();
-    });
-    results.into_inner().expect("sweep results")
-}
-
-/// Re-orders raw trial results by trial index into the sweep's keyed
-/// cells: completion order must not leak into aggregation (float sums
-/// are not associative).
-fn collect_runs(
-    collected: Vec<(&'static str, u64, u64, TrialSummary)>,
-    protocols: &[ProtocolKind],
-    cfg: &SweepConfig,
-) -> SweepResult {
-    let mut indexed: BTreeMap<(&'static str, u64), Vec<(u64, TrialSummary)>> = BTreeMap::new();
-    for (name, value, trial, summary) in collected {
-        indexed
-            .entry((name, value))
-            .or_default()
-            .push((trial, summary));
-    }
-    let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
-    for (key, mut cell) in indexed {
-        cell.sort_by_key(|(trial, _)| *trial);
-        runs.insert(key, cell.into_iter().map(|(_, s)| s).collect());
-    }
-
     SweepResult {
         runs,
         protocols: protocols.to_vec(),
@@ -576,6 +461,97 @@ fn collect_runs(
         engine: cfg.engine,
         workers: cfg.workers,
     }
+}
+
+/// Runs every point of `kind` once under the loop-freedom oracle (the
+/// oracle inspects each trial's own protocol state every simulated second
+/// and after every dynamics event, so trials still run side by side) and
+/// returns the summaries, so they double as `kind`'s sweep results. The
+/// per-trial `oracle:` report lines go to stderr in trial order.
+///
+/// # Panics
+///
+/// Panics on a loop-freedom violation, or if `kind` does not run the SRP
+/// engine ([`ProtocolKind::runs_srp`]).
+pub fn run_oracle_pass(
+    cfg: &SweepConfig,
+    kind: ProtocolKind,
+) -> BTreeMap<(&'static str, u64), Vec<TrialSummary>> {
+    let jobs = trial_jobs(&[kind], cfg);
+    let results = run_trials(cfg, &jobs, |&(kind, value, trial)| {
+        cfg.sim_for(kind, value, trial)
+            .run_with_loop_oracle(SimDuration::from_secs(1))
+    });
+    let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
+    for (&(_, value, trial), (summary, soft)) in jobs.iter().zip(results) {
+        eprintln!(
+            "oracle: {} {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
+            kind.name(),
+            cfg.param.name(),
+            value,
+            trial,
+            soft,
+            summary.dynamics_events,
+        );
+        runs.entry((kind.name(), value)).or_default().push(summary);
+    }
+    eprintln!(
+        "oracle: loop-freedom held at every {} checkpoint",
+        kind.name()
+    );
+    runs
+}
+
+/// The `(protocol, value, trial)` jobs of a sweep, in sweep order (so
+/// each point's trials come out trial-ordered).
+fn trial_jobs(protocols: &[ProtocolKind], cfg: &SweepConfig) -> Vec<(ProtocolKind, u64, u64)> {
+    let mut jobs = Vec::new();
+    for &kind in protocols {
+        for &value in &cfg.values {
+            for trial in 0..cfg.trials {
+                jobs.push((kind, value, trial));
+            }
+        }
+    }
+    jobs
+}
+
+/// The trial scheduler: runs `run` once per job on scoped threads, the
+/// caller among them, each taking the next job off a shared index, and
+/// returns the results in job order. At most `threads` jobs run at once
+/// under the batched engine and `threads / workers` (at least one) under
+/// the parallel engine, whose trials each stand up a `workers`-wide pool.
+///
+/// # Panics
+///
+/// Re-raises the panic of a job that panicked.
+fn run_trials<J: Sync, T: Send>(
+    cfg: &SweepConfig,
+    jobs: &[J],
+    run: impl Fn(&J) -> T + Sync,
+) -> Vec<T> {
+    let at_once = (cfg.threads / cfg.workers).max(1).min(jobs.len());
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, run(job)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..at_once).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Runs a single trial (the building block for examples and tests).
@@ -765,6 +741,15 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.contains("trials"), "{e}");
+        // `--threads 0` is an error, not a silent single thread.
+        let e = SweepConfig {
+            threads: 0,
+            values: vec![0],
+            ..SweepConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("threads"), "{e}");
         let too_many = u64::from(u32::MAX) + 1;
         let swept = SweepConfig {
             family: Family::Grid,
@@ -787,25 +772,6 @@ mod tests {
 
     #[test]
     fn worker_thread_core_budget() {
-        // The batched engine: threads pass through untouched.
-        let cfg = SweepConfig {
-            threads: 6,
-            ..SweepConfig::default()
-        };
-        assert_eq!(cfg.core_budget(), 6);
-        // Unified budget: threads × workers, capped at the host's cores
-        // but never below the per-trial width.
-        let cfg = SweepConfig {
-            threads: 3,
-            engine: EngineKind::Parallel,
-            workers: 2,
-            ..SweepConfig::default()
-        };
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(6);
-        assert_eq!(cfg.core_budget(), 6.min(cores.max(2)));
-        assert!(cfg.core_budget() >= 2, "a lone trial must reach its width");
         // Validation: >1 workers require the parallel engine.
         let bad = SweepConfig {
             workers: 4,
@@ -866,19 +832,27 @@ mod tests {
         assert!(cell[0].oracle_checks > 0, "the oracle never ran");
     }
 
-    /// `threads` bounds the trials in flight, the calling thread counted:
-    /// it runs jobs too while it waits for the pool.
+    /// `threads` bounds the trials in flight, the calling thread counted;
+    /// under the parallel engine each trial's workers count against it.
     #[test]
     fn sweep_never_runs_more_trials_at_once_than_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for threads in [1, 2] {
+        let cases = [
+            (EngineKind::Batched, 1, 1, 1),
+            (EngineKind::Batched, 2, 1, 2),
+            (EngineKind::Parallel, 4, 2, 2),
+            (EngineKind::Parallel, 1, 2, 1),
+        ];
+        for (engine, threads, workers, limit) in cases {
             let cfg = SweepConfig {
                 threads,
+                engine,
+                workers,
                 ..SweepConfig::default()
             };
             let in_flight = AtomicUsize::new(0);
             let peak = AtomicUsize::new(0);
-            let done = run_on_budget(&cfg, (0..8).collect(), |job: usize, _| {
+            let jobs: Vec<usize> = (0..8).collect();
+            let done = run_trials(&cfg, &jobs, |&job| {
                 let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 // Long enough for a surplus thread to pick up the next job.
@@ -886,13 +860,58 @@ mod tests {
                 in_flight.fetch_sub(1, Ordering::SeqCst);
                 job
             });
-            assert_eq!(done.len(), 8);
+            assert_eq!(done, jobs, "results must come back in job order");
             let peak = peak.load(Ordering::SeqCst);
             assert!(
-                peak <= threads,
-                "{peak} trials in flight on {threads} thread(s)"
+                peak <= limit,
+                "{peak} trials in flight at threads {threads}, workers {workers}"
             );
         }
+    }
+
+    /// A trial that panics fails the whole sweep with its own message,
+    /// whichever thread ran it.
+    #[test]
+    fn panicking_trial_reraises_from_the_scheduler() {
+        let cfg = SweepConfig {
+            threads: 2,
+            ..SweepConfig::default()
+        };
+        let jobs: Vec<usize> = (0..6).collect();
+        let r = std::panic::catch_unwind(|| {
+            run_trials(&cfg, &jobs, |&job| {
+                if job == 3 {
+                    panic!("trial {job} boom");
+                }
+                job
+            })
+        });
+        let payload = r.expect_err("the trial's panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert_eq!(msg, "trial 3 boom");
+    }
+
+    /// The oracle pass runs its trials side by side; the summaries (and
+    /// with them the oracle's check and soft-violation counts) must not
+    /// depend on how many run at once.
+    #[test]
+    fn oracle_pass_is_identical_at_one_and_two_threads() {
+        let pass = |threads| {
+            let cfg = SweepConfig {
+                trials: 2,
+                values: vec![9, 16],
+                override_duration: Some(30),
+                threads,
+                ..SweepConfig::for_family(Family::Grid, false)
+            };
+            run_oracle_pass(&cfg, ProtocolKind::Srp)
+        };
+        let one = pass(1);
+        assert_eq!(one.values().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(one, pass(2));
     }
 
     #[test]

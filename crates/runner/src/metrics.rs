@@ -92,9 +92,8 @@ pub struct Metrics {
     pub audit_rejections: u64,
     /// Sum over first-time deliveries of geodesic stretch: hops taken
     /// divided by the minimum hop count at radio range over the
-    /// straight-line src–dst distance. Batched engine only (the parallel
-    /// engine's merged delivery ops do not carry the remaining TTL), so —
-    /// like `sim_events` — it is diagnostics, not [`TrialSummary`].
+    /// straight-line src–dst distance. Like `sim_events`, it is
+    /// diagnostics, not [`TrialSummary`].
     pub stretch_sum: f64,
     /// First-time deliveries contributing to `stretch_sum`.
     pub stretch_count: u64,

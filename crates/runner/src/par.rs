@@ -129,17 +129,36 @@ pub(crate) enum Op {
     LinkFailGated,
     LinkFailInRange,
     LinkFailOutOfRange,
-    /// `metrics.record_delivery(uid, origin, now)` plus the route-repair
-    /// clock bookkeeping on first delivery.
+    /// A local delivery, replayed through `Sim::record_delivery` with the
+    /// path's geodesic stretch ([`stretch_hops`]).
     Delivery {
         uid: u64,
         origin: SimTime,
+        hops: u32,
+        min_hops: u32,
     },
     /// A packet-trace record (emitted only when tracing is enabled).
     Trace {
         uid: u64,
         ev: TraceEvent,
     },
+}
+
+/// A delivered packet's geodesic stretch terms at `node`: hops taken (the
+/// originator sends at full TTL, each forwarder decrements once) and the
+/// straight-line minimum at radio range.
+pub(crate) fn stretch_hops(
+    dp: &DataPacket,
+    node: usize,
+    now: SimTime,
+    mobility: &MobilityScript,
+    rx_range_m: f64,
+) -> (u32, u32) {
+    let hops = u32::from(DATA_TTL - dp.ttl) + 1;
+    let line = mobility
+        .position(dp.src, now)
+        .distance(&mobility.position(node, now));
+    (hops, (line / rx_range_m).ceil() as u32)
 }
 
 /// Read-only context shared by every worker of a window. Nothing in here
@@ -556,11 +575,14 @@ fn apply_proto_local(
                     },
                 ));
             }
+            let (hops, min_hops) = stretch_hops(&dp, node, ctx.now, ctx.mobility, ctx.rx_range_m);
             scratch.ops.push((
                 idx,
                 Op::Delivery {
                     uid: dp.uid,
                     origin: dp.origin_time,
+                    hops,
+                    min_hops,
                 },
             ));
         }

@@ -668,21 +668,6 @@ impl Sim {
         self.run_detailed().0
     }
 
-    /// Like [`Sim::run_detailed`], but drives the trial under an
-    /// *external* window executor instead of standing up a private pool —
-    /// the unified core budget: a sweep submits each trial as a job to
-    /// one work-stealing pool and the trial publishes its windows' shards
-    /// back into the same pool through `exec`. [`Sim::set_workers`] still
-    /// caps this trial's window width.
-    pub fn run_detailed_under(mut self, exec: &dyn WindowExec) -> (TrialSummary, Metrics) {
-        self.ensure_started();
-        let end = self.scenario.end;
-        while self.pump(end, Some(exec)) != Pumped::Idle {}
-        let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), metrics)
-    }
-
     /// Like [`Sim::run_detailed`], additionally reporting the end-of-run
     /// per-subsystem memory footprint ([`Sim::mem_report`]) — the probe
     /// behind the benchmark's `runner.mem.*` metrics.
@@ -765,26 +750,28 @@ impl Sim {
     }
 
     fn run_loop(&mut self) {
-        self.ensure_started();
-        let end = self.scenario.end;
-        self.drive(end);
+        self.drive(|_, _| {});
     }
 
-    /// Drives the trial to `end`, standing up the unified core pool once
-    /// for the whole run when the parallel engine wants more than one
-    /// worker. A trial driven *under* an external pool (the sweep's
-    /// unified budget — [`Sim::run_detailed_under`]) never reaches this
-    /// branch with `workers > 1`.
-    fn drive(&mut self, end: SimTime) {
+    /// Drives the trial to its end, calling `step` after every unit of
+    /// work [`Sim::pump`] processes (the loop oracle checks there; plain
+    /// runs pass a no-op). Stands up the trial's window pool once for the
+    /// whole run when the parallel engine wants more than one worker.
+    fn drive(&mut self, mut step: impl FnMut(&mut Self, Pumped)) {
+        self.ensure_started();
+        let end = self.scenario.end;
+        let mut pump_to_end = |sim: &mut Self, exec: Option<&dyn WindowExec>| loop {
+            match sim.pump(end, exec) {
+                Pumped::Idle => return,
+                pumped => step(sim, pumped),
+            }
+        };
         if self.engine == EngineKind::Parallel && self.workers > 1 {
-            let threads = self.workers - 1;
-            let this = &mut *self;
-            with_core_pool(threads, move |pool| {
-                let sess = pool.session();
-                while this.pump(end, Some(&sess)) != Pumped::Idle {}
+            with_core_pool(self.workers - 1, |pool| {
+                pump_to_end(self, Some(&pool.session()));
             });
         } else {
-            while self.pump(end, None) != Pumped::Idle {}
+            pump_to_end(self, None);
         }
     }
 
@@ -1341,22 +1328,38 @@ impl Sim {
             Op::LinkFailGated => self.metrics.link_failures_gated += 1,
             Op::LinkFailInRange => self.metrics.link_failures_in_range += 1,
             Op::LinkFailOutOfRange => self.metrics.link_failures_out_of_range += 1,
-            Op::Delivery { uid, origin } => {
-                if self.metrics.record_delivery(uid, origin, now) {
-                    // First delivery after a disruption closes the
-                    // route-repair latency clock.
-                    if let Some(t0) = self.pending_repair.take() {
-                        self.metrics.route_repair_latency_sum +=
-                            now.saturating_since(t0).as_secs_f64();
-                        self.metrics.route_repairs += 1;
-                    }
-                }
-            }
+            Op::Delivery {
+                uid,
+                origin,
+                hops,
+                min_hops,
+            } => self.record_delivery(uid, origin, now, hops, min_hops),
             Op::Trace { uid, ev } => {
                 if let Some(tr) = &mut self.trace {
                     tr.record(uid, ev);
                 }
             }
+        }
+    }
+
+    /// Delivery bookkeeping, shared by the serial dispatch and the window
+    /// merge: counts the delivery and, the first time `uid` arrives,
+    /// closes the route-repair latency clock left open by a disruption and
+    /// records the path's geodesic stretch.
+    fn record_delivery(
+        &mut self,
+        uid: u64,
+        origin: SimTime,
+        now: SimTime,
+        hops: u32,
+        min_hops: u32,
+    ) {
+        if self.metrics.record_delivery(uid, origin, now) {
+            if let Some(t0) = self.pending_repair.take() {
+                self.metrics.route_repair_latency_sum += now.saturating_since(t0).as_secs_f64();
+                self.metrics.route_repairs += 1;
+            }
+            self.metrics.record_stretch(hops, min_hops);
         }
     }
 
@@ -1759,25 +1762,14 @@ impl Sim {
                 if let Some(tr) = &mut self.trace {
                     tr.record(dp.uid, TraceEvent::Delivered { node, time: now });
                 }
-                if self.metrics.record_delivery(dp.uid, dp.origin_time, now) {
-                    // First delivery after a disruption closes the
-                    // route-repair latency clock.
-                    if let Some(t0) = self.pending_repair.take() {
-                        self.metrics.route_repair_latency_sum +=
-                            now.saturating_since(t0).as_secs_f64();
-                        self.metrics.route_repairs += 1;
-                    }
-                    // Geodesic stretch: hops taken (the originator sends
-                    // at full TTL, each forwarder decrements once) vs the
-                    // straight-line minimum at radio range.
-                    let hops = u32::from(DATA_TTL - dp.ttl) + 1;
-                    let line = self
-                        .mobility
-                        .position(dp.src, now)
-                        .distance(&self.mobility.position(node, now));
-                    let min_hops = (line / self.scenario.mac.phy.rx_range_m).ceil() as u32;
-                    self.metrics.record_stretch(hops, min_hops);
-                }
+                let (hops, min_hops) = par::stretch_hops(
+                    &dp,
+                    node,
+                    now,
+                    &self.mobility,
+                    self.scenario.mac.phy.rx_range_m,
+                );
+                self.record_delivery(dp.uid, dp.origin_time, now, hops, min_hops);
             }
             ProtoEffect::DropData { packet, reason } => {
                 if let Some(tr) = &mut self.trace {
@@ -1944,48 +1936,12 @@ impl Sim {
     /// worker counts. Adversarial trials additionally check after every
     /// instant at which an adversary acted.
     pub fn run_with_loop_oracle(mut self, check_interval: SimDuration) -> (TrialSummary, u64) {
-        self.ensure_started();
-        let end = self.scenario.end;
-        let (mut soft, mut checks) = if self.engine == EngineKind::Parallel && self.workers > 1 {
-            let threads = self.workers - 1;
-            let this = &mut self;
-            with_core_pool(threads, move |pool| {
-                let sess = pool.session();
-                this.oracle_loop(end, check_interval, Some(&sess))
-            })
-        } else {
-            self.oracle_loop(end, check_interval, None)
-        };
-        soft += self
-            .check_srp_loop_freedom()
-            .unwrap_or_else(|e| panic!("loop-freedom violated: {e}"));
-        checks += 1;
-        self.metrics.oracle_checks = checks;
-        self.metrics.oracle_soft_violations = soft;
-        let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), soft)
-    }
-
-    /// The oracle-checked drive loop behind [`Sim::run_with_loop_oracle`]:
-    /// returns `(soft violations, checks)` accumulated before the final
-    /// end-of-trial check.
-    fn oracle_loop(
-        &mut self,
-        end: SimTime,
-        check_interval: SimDuration,
-        exec: Option<&dyn WindowExec>,
-    ) -> (u64, u64) {
         let mut next_check = SimTime::ZERO + check_interval;
         let mut soft = 0u64;
         let mut checks = 0u64;
         let has_adversaries = !self.adversary_mask.is_empty();
         let mut adv_actions = 0u64;
-        loop {
-            let pumped = self.pump(end, exec);
-            if pumped == Pumped::Idle {
-                break;
-            }
+        self.drive(|sim, pumped| {
             // Dynamics events are the adversarial moments: check the
             // instant *after* each one fires, not just on the periodic
             // grid, so a transient loop opened by a link flap cannot hide
@@ -1999,14 +1955,14 @@ impl Sim {
             // batched transmissions, or parallel windows). Checking
             // mid-timestamp would observe engine-dependent intermediate
             // states and diverge the soft census.
-            let now = self.sim.now();
-            let boundary = self.sim.peek_event().map_or(true, |(t, _)| t > now);
+            let now = sim.sim.now();
+            let boundary = sim.sim.peek_event().map_or(true, |(t, _)| t > now);
             // After any instant at which an adversary acted (forged,
             // replayed, dropped, delayed, flooded), check immediately: a
             // forged label that opens a loop must not hide until the
             // next grid point.
             let adv_acted = has_adversaries && boundary && {
-                let total: u64 = self.protos.iter().map(|p| p.adversarial_actions()).sum();
+                let total: u64 = sim.protos.iter().map(|p| p.adversarial_actions()).sum();
                 // `!=`, not `>`: a chaos self-crash rebuilds the wrapper
                 // and resets its counter, so the sum can decrease.
                 let acted = total != adv_actions;
@@ -2014,14 +1970,22 @@ impl Sim {
                 acted
             };
             if force_check || adv_acted || (boundary && now >= next_check) {
-                soft += self
+                soft += sim
                     .check_srp_loop_freedom()
                     .unwrap_or_else(|e| panic!("loop-freedom violated: {e}"));
                 checks += 1;
                 next_check = now + check_interval;
             }
-        }
-        (soft, checks)
+        });
+        soft += self
+            .check_srp_loop_freedom()
+            .unwrap_or_else(|e| panic!("loop-freedom violated: {e}"));
+        checks += 1;
+        self.metrics.oracle_checks = checks;
+        self.metrics.oracle_soft_violations = soft;
+        let nodes = self.scenario.nodes;
+        let metrics = self.finalize_metrics();
+        (metrics.summarize(nodes), soft)
     }
 }
 

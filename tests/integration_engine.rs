@@ -72,6 +72,33 @@ fn parallel_engine_pops_exactly_the_batched_events() {
     }
 }
 
+/// Pooled windows replay deliveries through the merge; the stretch
+/// bookkeeping must ride along, so the geodesic stretch reads the same
+/// under every engine and worker count.
+#[test]
+fn parallel_engine_records_the_batched_stretch() {
+    let mut scenario =
+        Family::Dense.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 300);
+    scenario.end = SimTime::from_secs(15);
+    let (_, batched) = Sim::new(scenario).run_detailed();
+    assert!(batched.stretch_count > 0, "no deliveries");
+    for workers in [1usize, 2, 8] {
+        let (_, par) = Sim::new(scenario)
+            .with_engine(EngineKind::Parallel)
+            .with_workers(workers)
+            .run_detailed();
+        assert_eq!(
+            (par.stretch_count, par.stretch_sum.to_bits()),
+            (batched.stretch_count, batched.stretch_sum.to_bits()),
+            "parallel@{workers} recorded stretch {}/{}, batched {}/{}",
+            par.stretch_count,
+            par.stretch_sum,
+            batched.stretch_count,
+            batched.stretch_sum
+        );
+    }
+}
+
 /// The audit fixture: two static SRP nodes 100 m apart, a trigger packet
 /// at t = 10 s (whose route discovery puts a broadcast on the air toward
 /// node 1) and steady follow-up traffic from 15 s.
