@@ -3,7 +3,7 @@
 
 use slr_core::{
     maintains_order, new_order, reduce_label, Frac32, LabelHandle, LabelInterner, SplitLabel32,
-    SuccessorTable,
+    SuccessorEntry, SuccessorTable,
 };
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::VecMap;
@@ -90,20 +90,10 @@ impl Default for SrpConfig {
 struct DestState {
     label: SplitLabel32,
     dist: u32,
+    /// Each entry's `confirmed` stamp is a [`SimTime`] in nanoseconds;
+    /// an entry unconfirmed for ROUTE_LIFETIME is pruned (see
+    /// [`slr_core::SuccessorEntry::confirmed`]).
     succs: SuccessorTable<NodeId, u32>,
-    /// Last confirmation time per successor — the advertisement or
-    /// data-plane use that vouched for the recorded ordering. An entry
-    /// unconfirmed for ROUTE_LIFETIME is pruned: a recorded ordering is
-    /// only evidence about the neighbor's label while the neighbor could
-    /// not yet have invalidated *and forgotten* it, and DELETE_PERIOD >
-    /// ROUTE_LIFETIME guarantees every stale entry pointing at a node
-    /// dies before that node may restart its label (Definition 3).
-    /// Without this, `expires` — refreshed by *any* advert or use for
-    /// the destination — keeps individual stale entries alive forever,
-    /// and a neighbor that forgot and re-adopted a regressed label at
-    /// the same sequence number closes a successor cycle the per-node
-    /// order checks cannot see.
-    fresh: VecMap<NodeId, SimTime>,
     /// Route expiry (refreshed on use). The route is *active* while
     /// `now < expires` and the successor set is non-empty (Definition 2).
     expires: SimTime,
@@ -120,12 +110,21 @@ impl DestState {
             label: SplitLabel32::unassigned(),
             dist: u32::MAX,
             succs: SuccessorTable::new(),
-            fresh: VecMap::new(),
             expires: SimTime::ZERO,
             forget_at: None,
             rr_counter: 0,
         }
     }
+}
+
+/// When a successor entry was last confirmed.
+fn confirmed_at(e: &SuccessorEntry<NodeId, u32>) -> SimTime {
+    SimTime::from_nanos(e.confirmed)
+}
+
+/// Whether a successor entry has gone unconfirmed for `lifetime`.
+fn is_stale(e: &SuccessorEntry<NodeId, u32>, now: SimTime, lifetime: SimDuration) -> bool {
+    now.saturating_since(confirmed_at(e)) >= lifetime
 }
 
 /// Engaged-calculation cache entry (Procedure 2): `{A, ID_A, O_#, lasthop}`.
@@ -217,22 +216,30 @@ impl Srp {
         self.discovery.prune_rerr(&self.cfg.discovery, now);
     }
 
-    /// Live heap bytes of this node's protocol state: every table, the
-    /// per-destination successor/freshness sets, the route-pending buffer
-    /// and the label interner. Counts capacities (what the allocator
-    /// holds), not lengths.
+    /// Live heap bytes of this node's protocol state, per table: the
+    /// per-destination records (`dests`), the successor sets they own,
+    /// the engaged-calculation cache (`rreq_seen`), route discovery
+    /// (attempts, route-pending buffer, RERR stamps), the sequence-number
+    /// floors and the label interner. Counts capacities (what the
+    /// allocator holds), not lengths.
+    pub fn mem_breakdown(&self) -> [(&'static str, usize); 6] {
+        [
+            ("dests", self.dests.mem_bytes()),
+            (
+                "successors",
+                self.dests.values().map(|ds| ds.succs.mem_bytes()).sum(),
+            ),
+            ("rreq_seen", self.rreq_seen.mem_bytes()),
+            ("discovery", self.discovery.mem_bytes()),
+            ("seqno_floor", self.seqno_floor.mem_bytes()),
+            ("interner", self.interner.mem_bytes()),
+        ]
+    }
+
+    /// Live heap bytes of this node's protocol state: the sum of
+    /// [`Srp::mem_breakdown`].
     pub fn mem_bytes(&self) -> usize {
-        let dest_inner: usize = self
-            .dests
-            .values()
-            .map(|ds| ds.succs.mem_bytes() + ds.fresh.mem_bytes())
-            .sum();
-        self.dests.mem_bytes()
-            + dest_inner
-            + self.rreq_seen.mem_bytes()
-            + self.discovery.mem_bytes()
-            + self.seqno_floor.mem_bytes()
-            + self.interner.mem_bytes()
+        self.mem_breakdown().iter().map(|(_, bytes)| bytes).sum()
     }
 
     /// Our current label (ordering) for destination `t`.
@@ -258,7 +265,7 @@ impl Srp {
     /// been re-confirmed (advertisement or data-plane use) within
     /// ROUTE_LIFETIME, invalidating the route if the set empties. This is
     /// the half of Definition 2 the per-destination `expires` clock cannot
-    /// provide — see the `fresh` field.
+    /// provide — see [`slr_core::SuccessorEntry::confirmed`].
     fn prune_stale_succs(&mut self, t: NodeId, now: SimTime) {
         // Test-only regression flag: disable the PR 7 fix so the model
         // checker can re-find the DELETE_PERIOD equal-seqno re-adoption
@@ -270,25 +277,9 @@ impl Srp {
         let Some(ds) = self.dests.get_mut(&t) else {
             return;
         };
-        let stale: Vec<NodeId> = ds
-            .succs
-            .iter()
-            .map(|(n, _)| *n)
-            .filter(|n| {
-                ds.fresh
-                    .get(n)
-                    .map(|t0| now.saturating_since(*t0) >= lifetime)
-                    .unwrap_or(false)
-            })
-            .collect();
-        if stale.is_empty() {
-            return;
-        }
-        for n in stale {
-            ds.succs.remove(&n);
-            ds.fresh.remove(&n);
-        }
-        if ds.succs.is_empty() && ds.forget_at.is_none() {
+        let before = ds.succs.len();
+        ds.succs.retain(|e| !is_stale(e, now, lifetime));
+        if before > 0 && ds.succs.is_empty() && ds.forget_at.is_none() {
             ds.forget_at = Some(now + self.cfg.delete_period);
         }
     }
@@ -337,16 +328,18 @@ impl Srp {
         let policy = self.cfg.multipath;
         let ds = self.dests.get_mut(&packet.dst).expect("active route");
         let next_hop = match policy {
-            MultipathPolicy::SingleMinHop => ds.succs.best_successor().expect("active route").0,
+            MultipathPolicy::SingleMinHop => {
+                ds.succs.best_successor().expect("active route").neighbor
+            }
             MultipathPolicy::RoundRobin => {
-                let hops: Vec<NodeId> = ds.succs.iter().map(|(n, _)| *n).collect();
+                let hops: Vec<NodeId> = ds.succs.iter().map(|e| e.neighbor).collect();
                 let pick = hops[ds.rr_counter as usize % hops.len()];
                 ds.rr_counter = ds.rr_counter.wrapping_add(1);
                 pick
             }
         };
         ds.expires = now + self.cfg.route_lifetime;
-        ds.fresh.insert(next_hop, now);
+        ds.succs.confirm(&next_hop, now.as_nanos());
         packet.ttl -= 1;
         Ok(vec![ProtoEffect::SendData { packet, next_hop }])
     }
@@ -471,7 +464,7 @@ impl Srp {
             let succ_floor = self.dests.get(&t).and_then(|ds| {
                 ds.succs
                     .iter()
-                    .map(|(_, e)| e.label)
+                    .map(|e| e.label)
                     .filter(|l| adopted.precedes(l) && l.seqno() == adopted.seqno())
                     .map(|l| l.fd())
                     .max()
@@ -485,12 +478,11 @@ impl Srp {
         // Line 13 of Algorithm 1.
         ds.succs.prune_out_of_order(&adopted);
         let dist = adv_dist.saturating_add(1);
-        ds.succs.insert(from, adv, dist);
-        ds.fresh.insert(from, now);
+        ds.succs.insert(from, adv, dist, now.as_nanos());
         ds.dist = ds
             .succs
             .best_successor()
-            .map(|(_, e)| e.distance)
+            .map(|e| e.distance)
             .unwrap_or(dist);
         ds.expires = now + self.cfg.route_lifetime;
         ds.forget_at = None;
@@ -526,9 +518,9 @@ impl Srp {
         let edges: Vec<SuccessorEdge<u32>> = ds
             .succs
             .iter()
-            .map(|(n, e)| SuccessorEdge {
+            .map(|e| SuccessorEdge {
                 from: self.node,
-                to: *n,
+                to: e.neighbor,
                 own: ds.label,
                 recorded: e.label,
             })
@@ -746,7 +738,7 @@ impl Srp {
                 self.dests
                     .get(&rreq.dst)
                     .and_then(|ds| ds.succs.best_successor())
-                    .map(|(n, _)| n)
+                    .map(|e| e.neighbor)
             } else {
                 None // cannot advance a probe without a route: drop
             }
@@ -866,7 +858,7 @@ impl Srp {
             .dests
             .get(&t)
             .and_then(|ds| ds.succs.best_successor())
-            .map(|(n, _)| n)
+            .map(|e| e.neighbor)
             .expect("active route");
         self.next_rreq_id += 1;
         let label = self.label_for(t, now);
@@ -1128,17 +1120,13 @@ impl Srp {
             .map(|d| {
                 d.succs
                     .iter()
-                    .filter(|(n, _)| {
-                        // Mirror the engine: under the PR 7 regression
-                        // flag the freshness horizon does not exist, so
-                        // the oracle graph must keep stale entries too.
-                        cfg!(feature = "regress-pr7-entry-expiry")
-                            || d.fresh
-                                .get(n)
-                                .map(|t0| now.saturating_since(*t0) < lifetime)
-                                .unwrap_or(true)
+                    .filter(|e| {
+                        // Mirror the engine: under the entry-expiry
+                        // regression flag the freshness horizon does not
+                        // exist, so the oracle graph keeps stale entries.
+                        cfg!(feature = "regress-pr7-entry-expiry") || !is_stale(e, now, lifetime)
                     })
-                    .map(|(n, e)| (*n, e.label))
+                    .map(|e| (e.neighbor, e.label))
                     .collect()
             })
             .unwrap_or_default()
@@ -1190,18 +1178,17 @@ impl crate::model::ModelCheckable for Srp {
             put_label(out, &ds.label);
             put(out, ds.dist as u64);
             put(out, ds.succs.len() as u64);
-            for (n, e) in ds.succs.iter() {
-                put(out, *n as u64);
+            for e in ds.succs.iter() {
+                put(out, e.neighbor as u64);
                 put_label(out, &e.label);
                 put(out, e.distance as u64);
             }
-            let mut fresh: Vec<(NodeId, SimTime)> =
-                ds.fresh.iter().map(|(n, t0)| (*n, *t0)).collect();
-            fresh.sort_unstable_by_key(|(n, _)| *n);
-            put(out, fresh.len() as u64);
-            for (n, t0) in fresh {
-                put(out, n as u64);
-                age(out, now, t0, self.cfg.route_lifetime);
+            // Confirmation ages follow as a list of their own: a fixed
+            // encoding keeps state counts comparable across versions.
+            put(out, ds.succs.len() as u64);
+            for e in ds.succs.iter() {
+                put(out, e.neighbor as u64);
+                age(out, now, confirmed_at(e), self.cfg.route_lifetime);
             }
             remaining(out, ds.expires, now);
             match ds.forget_at {
@@ -1504,6 +1491,130 @@ mod tests {
     }
 
     #[test]
+    fn re_advertised_successor_lives_from_its_re_advertisement() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut b = Srp::new(1, SrpConfig::default());
+        let lifetime = b.cfg.route_lifetime;
+        let first = SimTime::from_secs(1);
+        let adv = SplitLabel32::new(3, Fraction::new(1, 2).unwrap());
+        assert!(b
+            .set_route(9, 5, adv, 1, SplitLabel32::unassigned(), first)
+            .is_some());
+        // The link to 5 breaks, then 5 advertises again (a fresher
+        // sequence number, so the retained label accepts it).
+        let _ = b.on_link_failure(&mut ctx_at(&mut rng, 2), 5, None);
+        assert!(b.oracle_successors(9, SimTime::from_secs(2)).is_empty());
+        let again = SimTime::from_secs(8);
+        let adv = SplitLabel32::new(4, Fraction::new(1, 2).unwrap());
+        assert!(b
+            .set_route(9, 5, adv, 1, SplitLabel32::unassigned(), again)
+            .is_some());
+        // Past first install + ROUTE_LIFETIME the entry still stands...
+        let past_first = first + lifetime + SimDuration::from_secs(1);
+        assert!(b.route_active(9, past_first));
+        assert_eq!(b.oracle_successors(9, past_first).len(), 1);
+        // ...until re-advertisement + ROUTE_LIFETIME.
+        let horizon = again + lifetime;
+        let just_before = |t: SimTime| SimTime::from_nanos(t.as_nanos() - 1);
+        assert_eq!(b.oracle_successors(9, just_before(horizon)).len(), 1);
+        assert!(b.oracle_successors(9, horizon).is_empty());
+        // A re-advertisement while the entry is still installed (same
+        // sequence number, so line 13 keeps it) restamps it too.
+        let third = SimTime::from_secs(15);
+        let adv = SplitLabel32::new(4, Fraction::new(1, 3).unwrap());
+        assert!(b
+            .set_route(9, 5, adv, 1, SplitLabel32::unassigned(), third)
+            .is_some());
+        assert_eq!(b.oracle_successors(9, third), vec![(5, adv)]);
+        let horizon = third + lifetime;
+        assert_eq!(b.oracle_successors(9, just_before(horizon)).len(), 1);
+        assert!(b.oracle_successors(9, horizon).is_empty());
+        assert!(!b.route_active(9, horizon));
+    }
+
+    #[test]
+    fn forwarding_reconfirms_the_successor_it_uses() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut b = Srp::new(9, SrpConfig::default());
+        let lifetime = b.cfg.route_lifetime;
+        let now = SimTime::from_secs(1);
+        // Two successors toward 10: node 13 (3 hops) and 10 itself.
+        let via_13 = SplitLabel32::new(17, Fraction::new(2, 3).unwrap());
+        let direct = SplitLabel32::new(17, Fraction::new(0, 1).unwrap());
+        assert!(b
+            .set_route(10, 13, via_13, 2, SplitLabel32::unassigned(), now)
+            .is_some());
+        assert!(b
+            .set_route(10, 10, direct, 0, SplitLabel32::unassigned(), now)
+            .is_some());
+        // Data at t1 goes to the min-hop successor, 10.
+        let t1 = SimTime::from_secs(7);
+        let fx = b.on_data_from_app(&mut ctx_at(&mut rng, 7), data(9, 10, 1));
+        assert!(
+            fx.iter()
+                .any(|e| matches!(e, ProtoEffect::SendData { next_hop: 10, .. })),
+            "{fx:?}"
+        );
+        // The used successor outlives install + ROUTE_LIFETIME; the
+        // unused one does not.
+        let past_install = now + lifetime;
+        let hops: Vec<NodeId> = b
+            .oracle_successors(10, past_install)
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
+        assert_eq!(hops, vec![10]);
+        // The used one lasts until t1 + ROUTE_LIFETIME.
+        let horizon = t1 + lifetime;
+        let just_before = SimTime::from_nanos(horizon.as_nanos() - 1);
+        assert_eq!(b.oracle_successors(10, just_before).len(), 1);
+        assert!(b.oracle_successors(10, horizon).is_empty());
+    }
+
+    #[test]
+    fn mem_breakdown_counts_every_table_once() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        let mut a = Srp::new(0, SrpConfig::default());
+        assert_eq!(a.mem_bytes(), 0);
+        // Data for an unknown destination: buffered, solicitation cached.
+        let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
+        // A route to another destination.
+        let adv = SplitLabel32::new(2, Fraction::new(1, 2).unwrap());
+        assert!(a
+            .set_route(
+                4,
+                3,
+                adv,
+                1,
+                SplitLabel32::unassigned(),
+                SimTime::from_secs(1)
+            )
+            .is_some());
+        let parts = a.mem_breakdown();
+        for (name, bytes) in parts {
+            assert!(bytes > 0, "{name} not counted");
+        }
+        let names: Vec<&str> = parts.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "dests",
+                "successors",
+                "rreq_seen",
+                "discovery",
+                "seqno_floor",
+                "interner"
+            ]
+        );
+        assert_eq!(parts.iter().map(|(_, b)| b).sum::<usize>(), a.mem_bytes());
+        // One route, one successor: exactly one successor slot.
+        assert_eq!(
+            parts[1].1,
+            std::mem::size_of::<SuccessorEntry<NodeId, u32>>()
+        );
+    }
+
+    #[test]
     fn lying_heuristic_applied_to_rreq() {
         let mut rng = SmallRng::seed_from_u64(2);
         let mut a = Srp::new(0, SrpConfig::default());
@@ -1757,10 +1868,11 @@ mod tests {
         // Two successors toward 9.
         let mut ds = DestState::unassigned();
         ds.label = SplitLabel32::new(1, Fraction::new(1, 2).unwrap());
+        // Both confirmed at t = 0, within ROUTE_LIFETIME of every use below.
         ds.succs
-            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2);
+            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2, 0);
         ds.succs
-            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 3);
+            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 3, 0);
         ds.dist = 2;
         ds.expires = SimTime::from_secs(100);
         a.dests.insert(9, ds);
@@ -1902,10 +2014,11 @@ mod tests {
         let mut a = Srp::new(0, cfg);
         let mut ds = DestState::unassigned();
         ds.label = SplitLabel32::new(1, Fraction::new(1, 2).unwrap());
+        // Both confirmed at t = 0, within ROUTE_LIFETIME of every use below.
         ds.succs
-            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2);
+            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2, 0);
         ds.succs
-            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 2);
+            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 2, 0);
         ds.expires = SimTime::from_secs(100);
         a.dests.insert(9, ds);
 
@@ -1931,10 +2044,11 @@ mod tests {
         let mut b = Srp::new(0, SrpConfig::default());
         let mut ds = DestState::unassigned();
         ds.label = SplitLabel32::new(1, Fraction::new(1, 2).unwrap());
+        // Both confirmed at t = 0, within ROUTE_LIFETIME of every use below.
         ds.succs
-            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2);
+            .insert(1, SplitLabel32::new(1, Fraction::new(1, 3).unwrap()), 2, 0);
         ds.succs
-            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 2);
+            .insert(2, SplitLabel32::new(1, Fraction::new(1, 4).unwrap()), 2, 0);
         ds.expires = SimTime::from_secs(100);
         b.dests.insert(9, ds);
         for uid in 0..3 {

@@ -1,6 +1,7 @@
 //! Integration tests for the memory-lean scale profile: the `huge`
 //! family's registry contract, bounded metrics memory over long runs,
-//! the per-subsystem memory report, geodesic stretch, and an oracle-on
+//! the per-subsystem memory report, SRP's per-node state budget on the
+//! dense family, geodesic stretch, and an oracle-on
 //! spot check of a huge-family trial at a CI-feasible node count.
 
 use slr_mobility::Terrain;
@@ -101,6 +102,24 @@ fn mem_report_accounts_every_subsystem() {
         mem.bytes_per_node() < 64.0 * 1024.0,
         "implausible footprint: {} B/node",
         mem.bytes_per_node()
+    );
+}
+
+/// Tier-1 guard on SRP's per-node state where it is largest: a mobile
+/// dense trial, where every node holds routes to many destinations. The
+/// count is deterministic (capacities, not timings) and reads 10 471
+/// B/node, so the budget fails once that state grows by a sixth.
+#[test]
+fn srp_state_per_node_on_dense_stays_under_budget() {
+    let mut s = Family::Dense.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 200);
+    s.end = SimTime::from_secs(15);
+    let (summary, _, mem) = Sim::new(s).run_with_mem_report();
+    assert!(summary.delivery_ratio > 0.0, "trial carried no traffic");
+    assert_eq!(mem.nodes, 200);
+    let per_node = mem.proto_bytes / mem.nodes;
+    assert!(
+        per_node <= 12 * 1024,
+        "SRP state {per_node} B/node exceeds the 12 KiB budget"
     );
 }
 
