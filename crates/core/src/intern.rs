@@ -8,14 +8,18 @@
 //! label equality a single integer compare.
 //!
 //! Interning is **numeric**: two labels that are numerically equal under
-//! the paper's Definition 4 comparison (`1/2 == 2/4`) share one handle,
-//! because [`SplitLabel`]'s `Eq`/`Hash` already cross-multiply and hash
-//! the reduced form. The first representation seen is the one stored, so
+//! the paper's Definition 4 comparison (`1/2 == 2/4`) share one handle.
+//! The index is a list of handles sorted by `(seqno, fd)`, where `fd`
+//! compares by [`Fraction`](crate::Fraction)'s cross-multiplying `Ord`,
+//! and a lookup is a binary search. Two labels compare `Equal` under that
+//! order exactly when [`SplitLabel`]'s `Eq` holds, and no denominator is
+//! ever zero, so the order is total and its equivalence classes are the
+//! numeric ones. The first representation seen is the one stored, so
 //! `get` returns a label numerically equal to — not necessarily
 //! component-identical with — the interned one; hot structures that need
 //! the exact components (a node's own label) keep the full `SplitLabel`.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use crate::fraction::FracInt;
 use crate::label::SplitLabel;
@@ -40,8 +44,15 @@ pub type LabelHandle = u32;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LabelInterner<T: FracInt> {
+    /// Labels by handle, in first-insertion order.
     labels: Vec<SplitLabel<T>>,
-    index: HashMap<SplitLabel<T>, LabelHandle>,
+    /// Every handle once, sorted by its label's `(seqno, fd)`.
+    sorted: Vec<LabelHandle>,
+}
+
+/// The interner's total order: sequence number, then fraction value.
+fn by_value<T: FracInt>(a: &SplitLabel<T>, b: &SplitLabel<T>) -> Ordering {
+    a.seqno().cmp(&b.seqno()).then_with(|| a.fd().cmp(&b.fd()))
 }
 
 impl<T: FracInt> LabelInterner<T> {
@@ -49,20 +60,26 @@ impl<T: FracInt> LabelInterner<T> {
     pub fn new() -> Self {
         LabelInterner {
             labels: Vec::new(),
-            index: HashMap::new(),
+            sorted: Vec::new(),
         }
     }
 
     /// Returns the handle for `label`, interning it on first sight.
     /// Numerically equal labels (Definition 4) map to the same handle.
     pub fn intern(&mut self, label: SplitLabel<T>) -> LabelHandle {
-        if let Some(&h) = self.index.get(&label) {
-            return h;
+        let labels = &self.labels;
+        match self
+            .sorted
+            .binary_search_by(|&h| by_value(&labels[h as usize], &label))
+        {
+            Ok(i) => self.sorted[i],
+            Err(i) => {
+                let h = self.labels.len() as LabelHandle;
+                self.labels.push(label);
+                self.sorted.insert(i, h);
+                h
+            }
         }
-        let h = self.labels.len() as LabelHandle;
-        self.labels.push(label);
-        self.index.insert(label, h);
-        h
     }
 
     /// The label behind `handle` (the first representation interned).
@@ -84,12 +101,11 @@ impl<T: FracInt> LabelInterner<T> {
         self.labels.is_empty()
     }
 
-    /// Live heap bytes held by the interner (both the label store and the
-    /// lookup index; capacities, since the allocator holds capacity).
+    /// Live heap bytes held by the interner (the label store and the
+    /// sorted index; capacities, since the allocator holds capacity).
     pub fn mem_bytes(&self) -> usize {
         self.labels.capacity() * std::mem::size_of::<SplitLabel<T>>()
-            + self.index.capacity()
-                * (std::mem::size_of::<(SplitLabel<T>, LabelHandle)>() + std::mem::size_of::<u64>())
+            + self.sorted.capacity() * std::mem::size_of::<LabelHandle>()
     }
 }
 

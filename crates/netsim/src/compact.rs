@@ -77,10 +77,21 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
         match self.index_of(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
-                self.entries.insert(i, (key, value));
+                self.insert_at(i, key, value);
                 None
             }
         }
+    }
+
+    /// Inserts a new entry at sorted position `i`. The first entry of an
+    /// empty map reserves exactly one slot: most per-node tables hold one
+    /// entry for their whole life, and `Vec`'s first growth would reserve
+    /// four. Later growth stays amortised.
+    fn insert_at(&mut self, i: usize, key: K, value: V) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(1);
+        }
+        self.entries.insert(i, (key, value));
     }
 
     /// Removes and returns the value at `key`, if present.
@@ -162,7 +173,7 @@ impl<'a, K: Ord + Copy, V> Entry<'a, K, V> {
         let i = match self.slot {
             Ok(i) => i,
             Err(i) => {
-                self.map.entries.insert(i, (self.key, default()));
+                self.map.insert_at(i, self.key, default());
                 i
             }
         };
@@ -230,6 +241,20 @@ mod tests {
         m.retain(|k, _| k % 3 == 0);
         let keys: Vec<u32> = m.keys().copied().collect();
         assert_eq!(keys, vec![0, 3, 6, 9]);
+    }
+
+    #[test]
+    fn one_entry_map_holds_one_slot() {
+        let one = std::mem::size_of::<(u64, u32)>();
+        let mut m: VecMap<u64, u32> = VecMap::new();
+        m.insert(3, 30);
+        assert_eq!(m.mem_bytes(), one);
+        let mut e: VecMap<u64, u32> = VecMap::new();
+        *e.entry(3).or_insert(0) += 1;
+        assert_eq!(e.mem_bytes(), one);
+        // Growth past the first entry stays amortised.
+        m.insert(1, 10);
+        assert!(m.mem_bytes() >= 2 * one);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
@@ -32,20 +33,34 @@ use crate::time::SimTime;
 /// recycled once their heap entry is gone, and the generation is bumped on
 /// every recycle, so a stale token held across a pop can never cancel an
 /// unrelated later event.
+///
+/// The pair is stored bit-inverted in a `NonZeroU64`. Slot `u32::MAX` is
+/// the free list's end marker and is never reached (that many pending
+/// events would need over 100 GB of heap), so the packed pair is never all
+/// ones and its complement never zero; building a token panics rather
+/// than wrap if it ever were. The niche makes `Option<EventToken>` 8
+/// bytes, which halves the harness's per-node table of armed MAC timers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
+pub struct EventToken(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Option<EventToken>>() == 8);
 
 impl EventToken {
     fn new(slot: u32, gen: u32) -> Self {
-        EventToken(((slot as u64) << 32) | gen as u64)
+        let packed = ((slot as u64) << 32) | gen as u64;
+        EventToken(NonZeroU64::new(!packed).expect("slot u32::MAX is never allocated"))
+    }
+
+    fn packed(self) -> u64 {
+        !self.0.get()
     }
 
     fn slot(self) -> u32 {
-        (self.0 >> 32) as u32
+        (self.packed() >> 32) as u32
     }
 
     fn generation(self) -> u32 {
-        self.0 as u32
+        self.packed() as u32
     }
 }
 

@@ -1,6 +1,8 @@
 //! The SRP protocol engine: Procedures 1–4, Algorithm 1, SDC and the
 //! Eq. 9–11 relay rules from §III of the paper.
 
+use std::sync::Arc;
+
 use slr_core::{
     maintains_order, new_order, reduce_label, Frac32, LabelHandle, LabelInterner, SplitLabel32,
     SuccessorEntry, SuccessorTable,
@@ -32,7 +34,9 @@ pub enum MultipathPolicy {
     RoundRobin,
 }
 
-/// SRP tunables (paper defaults).
+/// SRP tunables (paper defaults). Constant for a trial: the harness
+/// builds one instance per protocol kind and every node's [`Srp`] shares
+/// it through an `Arc`.
 #[derive(Debug, Clone, Copy)]
 pub struct SrpConfig {
     /// Label retention after route invalidation (60 s, §III).
@@ -149,7 +153,7 @@ struct RreqCache {
 #[derive(Clone)]
 pub struct Srp {
     node: NodeId,
-    cfg: SrpConfig,
+    cfg: Arc<SrpConfig>,
     /// Our own destination sequence number (64-bit, non-zero at init,
     /// Definition 7). Only we may increment it.
     own_seqno: u64,
@@ -177,17 +181,20 @@ pub struct Srp {
 }
 
 impl Srp {
-    /// Creates the SRP instance for `node`.
-    pub fn new(node: NodeId, cfg: SrpConfig) -> Self {
+    /// Creates the SRP instance for `node`. Pass an `Arc` to share one
+    /// configuration among many nodes; a plain [`SrpConfig`] is wrapped in
+    /// a fresh one.
+    pub fn new(node: NodeId, cfg: impl Into<Arc<SrpConfig>>) -> Self {
+        let cfg = cfg.into();
         Srp {
             node,
-            cfg,
             own_seqno: 1,
             seqno_increments: 0,
             dests: VecMap::default(),
             rreq_seen: VecMap::default(),
             next_rreq_id: 0,
             discovery: Discovery::new(&cfg.discovery),
+            cfg,
             seqno_floor: VecMap::default(),
             interner: LabelInterner::new(),
             next_prune_at: SimTime::ZERO,

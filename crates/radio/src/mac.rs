@@ -20,6 +20,7 @@
 //! channel, arm or cancel a timer, deliver a payload upward, …).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use slr_netsim::VecMap;
 
@@ -31,7 +32,8 @@ use slr_netsim::time::{SimDuration, SimTime};
 use crate::frame::{Frame, FrameKind, ACK_BYTES, CTS_BYTES, DATA_OVERHEAD_BYTES, RTS_BYTES};
 use crate::phy::PhyConfig;
 
-/// MAC configuration (802.11 DSSS timing at 2 Mbps by default).
+/// MAC configuration (802.11 DSSS timing at 2 Mbps by default). A trial
+/// holds one instance, shared by every node's [`Mac`] through an `Arc`.
 #[derive(Debug, Clone, Copy)]
 pub struct MacConfig {
     /// PHY parameters (airtime computation, ranges).
@@ -249,7 +251,8 @@ enum RespState {
 
 /// The per-node MAC entity.
 pub struct Mac<P> {
-    cfg: MacConfig,
+    /// One instance per trial, shared by every node's MAC.
+    cfg: Arc<MacConfig>,
     node: usize,
     rng: SmallRng,
 
@@ -280,8 +283,12 @@ pub struct Mac<P> {
 
 impl<P: Clone> Mac<P> {
     /// Creates a MAC for `node` with its own deterministic RNG stream.
-    pub fn new(node: usize, cfg: MacConfig, seed: u64) -> Self {
+    /// Pass an `Arc` to share one configuration among a trial's MACs; a
+    /// plain [`MacConfig`] is wrapped in a fresh one.
+    pub fn new(node: usize, cfg: impl Into<Arc<MacConfig>>, seed: u64) -> Self {
+        let cfg = cfg.into();
         Mac {
+            cw: cfg.cw_min,
             cfg,
             node,
             rng: SmallRng::seed_from_u64(seed),
@@ -290,7 +297,6 @@ impl<P: Clone> Mac<P> {
             current: None,
             access: Access::Idle,
             response: None,
-            cw: cfg.cw_min,
             slots_remaining: 0,
             backoff_started: SimTime::ZERO,
             phys_busy: false,

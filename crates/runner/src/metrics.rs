@@ -294,10 +294,11 @@ impl Metrics {
 pub struct MemReport {
     /// Node count the per-node quotients divide by.
     pub nodes: usize,
-    /// Routing-protocol state summed over nodes (tables, buffers,
-    /// interners).
+    /// Routing-protocol state summed over nodes: each boxed instance
+    /// plus the tables, buffers and interners it owns.
     pub proto_bytes: usize,
-    /// MAC state summed over nodes (queues, dedup filters).
+    /// MAC state summed over nodes: each inline `Mac` plus its queues
+    /// and dedup filter, and the armed-timer slots.
     pub mac_bytes: usize,
     /// Shared-channel state (per-node radio state, in-flight window).
     pub channel_bytes: usize,

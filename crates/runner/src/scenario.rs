@@ -15,6 +15,8 @@
 //! Named combinations live in [`crate::registry`]; the paper's §V setup is
 //! [`Scenario::paper`] (uniform random + waypoint + CBR, no dynamics).
 
+use std::sync::{Arc, OnceLock};
+
 use slr_mobility::{Position, Terrain, WaypointConfig};
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_protocols::aodv::Aodv;
@@ -92,17 +94,25 @@ impl ProtocolKind {
         }
     }
 
-    /// Instantiates the protocol for `node`.
+    /// Instantiates the protocol for `node`. Every SRP node of one kind
+    /// shares a single [`SrpConfig`].
     pub fn build(&self, node: usize) -> Box<dyn RoutingProtocol> {
+        static SRP: OnceLock<Arc<SrpConfig>> = OnceLock::new();
+        static SRP_MP: OnceLock<Arc<SrpConfig>> = OnceLock::new();
         match self {
-            ProtocolKind::Srp => Box::new(Srp::new(node, SrpConfig::default())),
-            ProtocolKind::SrpMultipath => Box::new(Srp::new(
-                node,
-                SrpConfig {
-                    multipath: slr_protocols::srp::MultipathPolicy::RoundRobin,
-                    ..SrpConfig::default()
-                },
-            )),
+            ProtocolKind::Srp => {
+                let cfg = SRP.get_or_init(|| Arc::new(SrpConfig::default()));
+                Box::new(Srp::new(node, Arc::clone(cfg)))
+            }
+            ProtocolKind::SrpMultipath => {
+                let cfg = SRP_MP.get_or_init(|| {
+                    Arc::new(SrpConfig {
+                        multipath: slr_protocols::srp::MultipathPolicy::RoundRobin,
+                        ..SrpConfig::default()
+                    })
+                });
+                Box::new(Srp::new(node, Arc::clone(cfg)))
+            }
             ProtocolKind::Aodv => Box::new(Aodv::new(node)),
             ProtocolKind::Dsr => Box::new(Dsr::new(node, DsrConfig::default())),
             ProtocolKind::Ldr => Box::new(Ldr::new(node)),
@@ -311,7 +321,8 @@ pub struct Scenario {
     pub dynamics: DynamicsSpec,
     /// Adversarial participants (Byzantine/sybil/chaos nodes).
     pub adversary: AdversarySpec,
-    /// MAC configuration.
+    /// MAC configuration. A trial holds it once: every node's MAC
+    /// shares one `Arc` built from it.
     pub mac: MacConfig,
 }
 

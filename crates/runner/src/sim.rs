@@ -25,8 +25,8 @@ use slr_protocols::{
     RoutingProtocol, DATA_TTL,
 };
 use slr_radio::{
-    BeginTx, BruteForceMedium, Channel, Frame, Mac, MacEffect, MacTimer, NeighborQuery, Receiver,
-    TxId, ValidatingQuery,
+    BeginTx, BruteForceMedium, Channel, Frame, Mac, MacConfig, MacEffect, MacTimer, NeighborQuery,
+    Receiver, TxId, ValidatingQuery,
 };
 use slr_traffic::TrafficScript;
 
@@ -160,6 +160,9 @@ pub struct Sim {
     master: u64,
     sim: Simulator<Event>,
     channel: Channel<Payload>,
+    /// The trial's one MAC configuration, shared by every node's MAC
+    /// (a crash rebuild reuses it).
+    mac_cfg: Arc<MacConfig>,
     macs: Vec<Mac<Payload>>,
     protos: Vec<Box<dyn RoutingProtocol>>,
     proto_rngs: Vec<SmallRng>,
@@ -478,8 +481,12 @@ impl Sim {
         let tracker = PositionTracker::new(&mobility, scenario.mac.phy.cs_range_m);
         let static_script = mobility.is_static();
         let channel = Channel::new(n, scenario.mac.phy);
+        let mac_cfg = Arc::new(scenario.mac);
         let macs = (0..n)
-            .map(|i| Mac::new(i, scenario.mac, derive_seed(master, &[0x6d61, i as u64])))
+            .map(|i| {
+                let seed = derive_seed(master, &[0x6d61, i as u64]);
+                Mac::new(i, Arc::clone(&mac_cfg), seed)
+            })
             .collect();
         // The adversarial cast draws from its own protocol-independent
         // stream (like dynamics and traffic): every protocol faces the
@@ -524,6 +531,7 @@ impl Sim {
             master,
             sim: Simulator::new(),
             channel,
+            mac_cfg,
             macs,
             protos,
             proto_rngs,
@@ -909,8 +917,13 @@ impl Sim {
     pub fn mem_report(&self) -> MemReport {
         MemReport {
             nodes: self.scenario.nodes,
-            proto_bytes: self.protos.iter().map(|p| p.mem_bytes()).sum(),
+            proto_bytes: self
+                .protos
+                .iter()
+                .map(|p| std::mem::size_of_val(&**p) + p.mem_bytes())
+                .sum(),
             mac_bytes: self.macs.iter().map(Mac::mem_bytes).sum::<usize>()
+                + self.macs.capacity() * std::mem::size_of::<Mac<Payload>>()
                 + self.mac_timers.capacity()
                     * std::mem::size_of::<[Option<EventToken>; MacTimer::COUNT]>(),
             channel_bytes: self.channel.mem_bytes(),
@@ -1436,7 +1449,7 @@ impl Sim {
                 }
                 self.macs[i] = Mac::new(
                     i,
-                    self.scenario.mac,
+                    Arc::clone(&self.mac_cfg),
                     derive_seed(self.master, &[0x6d61, i as u64, epoch]),
                 );
                 self.protos[i] = build_protocol(&self.scenario, &self.adversary_mask, i);

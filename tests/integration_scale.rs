@@ -105,10 +105,40 @@ fn mem_report_accounts_every_subsystem() {
     );
 }
 
+/// Tier-1 guard on what every node holds before and beside its routes on
+/// the huge family: the inline `Mac`, the boxed protocol instance, the
+/// armed-timer slots and the small tables, as `MemReport` counts them.
+/// Per-trial constants held once per node (configuration copies,
+/// allocator minimums of one-entry tables) are what this budget catches.
+/// The count is deterministic, on the same 1 000-node trial as
+/// `mem_report_accounts_every_subsystem`, and reads 2 370 B/node (2 707
+/// while each node copied the MAC and SRP configurations).
+#[test]
+fn fixed_state_per_node_on_huge_stays_under_budget() {
+    let s = Family::Huge.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 1000);
+    let (_, _, mem) = Sim::new(s).run_with_mem_report();
+    let per_node = (mem.proto_bytes + mem.mac_bytes) / mem.nodes;
+    assert!(
+        per_node <= 2560,
+        "protocol + MAC state {per_node} B/node exceeds the 2.5 KiB budget"
+    );
+}
+
+/// The per-node structs themselves: a node's MAC lives inline in the
+/// harness's `Vec`, its protocol in a `Box`, and neither may carry a
+/// private copy of a per-trial constant.
+#[test]
+fn per_node_structs_stay_small() {
+    use std::mem::size_of;
+    assert!(size_of::<slr_radio::Mac<slr_runner::Payload>>() <= 336);
+    assert!(size_of::<slr_protocols::srp::Srp>() <= 272);
+}
+
 /// Tier-1 guard on SRP's per-node state where it is largest: a mobile
 /// dense trial, where every node holds routes to many destinations. The
-/// count is deterministic (capacities, not timings) and reads 10 471
-/// B/node, so the budget fails once that state grows by a sixth.
+/// count is deterministic (capacities, not timings) and reads 10 119
+/// B/node, the boxed instance included, so the budget fails once that
+/// state grows by a fifth.
 #[test]
 fn srp_state_per_node_on_dense_stays_under_budget() {
     let mut s = Family::Dense.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 200);

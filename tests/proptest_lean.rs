@@ -10,14 +10,23 @@
 //! Definition 1 inequalities the raw mediant did, against the advertiser,
 //! the node's own and cached labels, and every installed successor.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use slr_core::sternbrocot::simplest_between;
-use slr_core::{maintains_order, reduce_label, Fraction, LabelInterner, SplitLabel, SplitLabel32};
+use slr_core::{
+    maintains_order, reduce_label, Fraction, LabelHandle, LabelInterner, SplitLabel, SplitLabel32,
+};
 
 /// A proper fraction `n/d` with `0 < n < d`.
 fn frac(n: u32, d: u32) -> Fraction<u32> {
     Fraction::new(n, d).expect("strategy yields proper fractions")
+}
+
+/// `n/d` with `0 <= n <= d`, zero numerators and `d/d` included.
+fn frac_or_zero(n: u32, d: u32) -> Fraction<u32> {
+    Fraction::new(n, d).expect("0 <= n <= d and d > 0")
 }
 
 /// Strategy: a proper fraction with denominator up to `max_den`.
@@ -25,7 +34,61 @@ fn any_frac(max_den: u32) -> impl Strategy<Value = Fraction<u32>> {
     (2..=max_den).prop_flat_map(|d| (1..d).prop_map(move |n| frac(n, d)))
 }
 
+/// The hash-indexed interner the sorted one replaced, kept as the
+/// differential reference: a `HashMap` keyed by `SplitLabel`'s numeric
+/// `Eq`/`Hash`, storing the first representation seen.
+#[derive(Default)]
+struct HashInterner {
+    labels: Vec<SplitLabel32>,
+    index: HashMap<SplitLabel32, LabelHandle>,
+}
+
+impl HashInterner {
+    fn intern(&mut self, label: SplitLabel32) -> LabelHandle {
+        if let Some(&h) = self.index.get(&label) {
+            return h;
+        }
+        let h = self.labels.len() as LabelHandle;
+        self.labels.push(label);
+        self.index.insert(label, h);
+        h
+    }
+}
+
 proptest! {
+    /// The sorted interner is observably the hash-indexed one: on label
+    /// streams dense in numerically equal twins (`1/2`, `2/4`,
+    /// `500/1000`), destination zeros (`0/1`, `0/3`) and repeated and
+    /// distinct seqnos, both hand out the same handles in the same order,
+    /// agree on `len()`, and `get()` returns the same first-seen
+    /// components.
+    #[test]
+    fn sorted_interner_matches_hash_interner(
+        stream in proptest::collection::vec((0u64..6, 1u32..40, 0u32..40, 1u32..600, 0u32..3), 1..200),
+    ) {
+        let mut sorted: LabelInterner<u32> = LabelInterner::new();
+        let mut reference = HashInterner::default();
+        for &(sn, d, n, k, twin) in &stream {
+            // `twin == 0` scales the fraction up: a non-reduced twin of
+            // the plain `n/d` the other draws produce.
+            let (n, d) = (n.min(d), d);
+            let (n, d) = if twin == 0 { (n * k, d * k) } else { (n, d) };
+            let label = SplitLabel::new(sn, frac_or_zero(n, d));
+            let h = sorted.intern(label);
+            prop_assert_eq!(h, reference.intern(label), "handles diverged at {:?}", label);
+            prop_assert_eq!(sorted.len(), reference.labels.len());
+        }
+        for (h, want) in reference.labels.iter().enumerate() {
+            let got = sorted.get(h as LabelHandle);
+            prop_assert_eq!(got.seqno(), want.seqno());
+            prop_assert_eq!(
+                (got.fd().num(), got.fd().den()),
+                (want.fd().num(), want.fd().den()),
+                "handle {} lost its first-seen representation", h
+            );
+        }
+    }
+
     /// Interned handles round-trip: `get(intern(l))` is numerically equal
     /// to `l`, and re-interning yields the same handle.
     #[test]
