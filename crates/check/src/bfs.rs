@@ -24,7 +24,7 @@ use slr_protocols::model::ModelCheckable;
 /// A found invariant violation, with the full path that reaches it.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// The scripted prefix (from [`ModelConfig::prefix`]).
+    /// The scripted prefix (from [`ModelConfig::prefix`](crate::model::ModelConfig::prefix)).
     pub prefix: Vec<Action>,
     /// The explored suffix (shortest, by BFS order).
     pub actions: Vec<Action>,
@@ -261,15 +261,18 @@ fn describe_state<P: ModelCheckable>(model: &Model<'_, P>, st: &State<P>, k: usi
             println!("   node {i}: DOWN");
             continue;
         }
-        for d in st.nodes[i].model_destinations() {
-            let label = st.nodes[i].model_label(d);
-            let succs = st.nodes[i].model_successors(d, st.now);
+        let (mut dests, mut succs) = (Vec::new(), Vec::new());
+        st.nodes[i].destinations(&mut dests);
+        for d in dests {
+            let label = st.nodes[i].label(d);
+            succs.clear();
+            st.nodes[i].successors(d, st.now, &mut succs);
             let floor = st.nodes[i].model_seqno_floor(d);
             println!(
                 "   node {i} dest {d}: label={label} floor={floor} succs={:?}",
                 succs
                     .iter()
-                    .map(|(j, l)| format!("{j}@{l}"))
+                    .map(|e| format!("{}@{}", e.to, e.recorded))
                     .collect::<Vec<_>>()
             );
         }

@@ -32,9 +32,7 @@ use core::fmt;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use slr_core::invariant::{
-    check_destination, check_distance_zero, check_floor_monotone, SuccessorEdge,
-};
+use slr_core::invariant::{check_destination, check_distance_zero, check_floor_monotone};
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_protocols::api::{ControlPacket, DataPacket, NodeId, ProtoCtx, ProtoEffect, DATA_TTL};
 use slr_protocols::model::ModelCheckable;
@@ -770,20 +768,12 @@ impl<P: ModelCheckable> Model<'_, P> {
     ) -> Option<String> {
         let n = self.cfg.nodes;
         // Theorem 3 + Definition 1 per destination, over live nodes.
+        let mut edges = Vec::new();
         for t in 0..n {
-            let mut edges: Vec<SuccessorEdge<u32>> = Vec::new();
+            edges.clear();
             for i in 0..n {
-                if i == t || !st.alive[i] {
-                    continue;
-                }
-                let own = st.nodes[i].model_label(t);
-                for (j, recorded) in st.nodes[i].model_successors(t, st.now) {
-                    edges.push(SuccessorEdge {
-                        from: i,
-                        to: j,
-                        own,
-                        recorded,
-                    });
+                if i != t && st.alive[i] {
+                    st.nodes[i].successors(t, st.now, &mut edges);
                 }
             }
             if let Err(v) = check_destination(t, n, &edges) {

@@ -1,8 +1,10 @@
 //! Machine-readable SRP safety invariants, lifted from the paper for use
 //! by oracles, the model checker and `debug_assertions` hooks.
 //!
-//! The simulation harness (`Sim::check_srp_loop_freedom`) and the bounded
-//! model checker (`slr-check`) both need the same four predicates:
+//! The simulation harness's loop-freedom oracle (`Sim::check_loop_freedom`)
+//! runs the first two over every node's successor view at each checkpoint;
+//! the bounded model checker (`slr-check`) runs all four after every
+//! transition:
 //!
 //! * **Theorem 3** — the per-destination successor graph is acyclic at
 //!   every instant ([`check_acyclic`]);

@@ -33,6 +33,7 @@ use slr_netsim::time::SimDuration;
 
 use crate::api::{
     ControlPacket, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats, RoutingProtocol,
+    SuccessorView,
 };
 use crate::srp::{SrpMessage, SrpRreq};
 
@@ -70,8 +71,8 @@ const REPLAY_CACHE: usize = 8;
 
 /// A routing protocol wrapper that makes the node misbehave.
 ///
-/// `as_any` forwards to the inner protocol so harness oracles (the SRP
-/// loop-freedom check) can still introspect the node's real tables.
+/// `successor_view` forwards to the inner protocol so the loop-freedom
+/// oracle can still read the node's real tables.
 pub struct Adversary {
     inner: Box<dyn RoutingProtocol>,
     kind: AdversaryKind,
@@ -362,8 +363,8 @@ impl RoutingProtocol for Adversary {
         self.actions
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self.inner.as_any()
+    fn successor_view(&self) -> Option<&dyn SuccessorView> {
+        self.inner.successor_view()
     }
 
     fn mem_bytes(&self) -> usize {
@@ -377,6 +378,7 @@ mod tests {
     use crate::srp::{Srp, SrpConfig};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use slr_core::SplitLabel32;
     use slr_netsim::time::SimTime;
 
     fn ctx_at(rng: &mut SmallRng, secs: u64) -> ProtoCtx<'_> {
@@ -485,8 +487,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_downcast_reaches_inner_srp() {
+    fn successor_view_reaches_inner_srp() {
         let a = adversary(AdversaryKind::Byzantine);
-        assert!(a.as_any().downcast_ref::<Srp>().is_some());
+        let view = a.successor_view().expect("the wrapper forwards the view");
+        assert_eq!(view.label(3), SplitLabel32::destination(1));
     }
 }

@@ -505,10 +505,6 @@ impl RoutingProtocol for Aodv {
             audit_rejections: 0,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

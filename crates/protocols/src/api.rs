@@ -11,6 +11,7 @@
 
 use rand::rngs::SmallRng;
 
+use slr_core::{SplitLabel32, SuccessorEdge};
 use slr_netsim::time::{SimDuration, SimTime};
 
 use crate::aodv::AodvMessage;
@@ -202,6 +203,26 @@ pub struct ProtoStats {
     pub audit_rejections: u64,
 }
 
+/// One node's live per-destination labels and successor entries: the
+/// state Theorem 3 (acyclicity) and Definition 1 (`own ≺ recorded` on
+/// every edge) constrain. The harness's loop-freedom oracle and the
+/// model checker both read it and run [`slr_core::invariant`] over the
+/// edges; results go into buffers the caller owns.
+pub trait SuccessorView {
+    /// Appends the destinations with any installed successor entry.
+    fn destinations(&self, out: &mut Vec<NodeId>);
+
+    /// This node's current label (ordering) for `dst`; a destination
+    /// labels itself with its own sequence number and fraction 0.
+    fn label(&self, dst: NodeId) -> SplitLabel32;
+
+    /// Appends one edge per successor toward `dst`: from this node, with
+    /// its current label and the ordering recorded when the edge was
+    /// installed. Applies the protocol's own lazy expiry at `now`: an
+    /// entry the protocol would never act on again is not in the graph.
+    fn successors(&self, dst: NodeId, now: SimTime, out: &mut Vec<SuccessorEdge<u32>>);
+}
+
 /// A routing protocol instance living on one node.
 ///
 /// `Send` is a supertrait: the parallel event engine ships disjoint
@@ -269,9 +290,12 @@ pub trait RoutingProtocol: Send {
         0
     }
 
-    /// Dynamic downcast hook, used by the harness for protocol-specific
-    /// oracles (e.g. SRP's global loop-freedom check).
-    fn as_any(&self) -> &dyn std::any::Any;
+    /// This node's successor graph, for the loop-freedom oracle and the
+    /// model checker. `None` (the default) for protocols without one;
+    /// wrappers forward to the protocol they wrap.
+    fn successor_view(&self) -> Option<&dyn SuccessorView> {
+        None
+    }
 
     /// Live heap bytes of this node's routing state, for the per-node
     /// memory report at scale. Protocols without accounting report 0 so

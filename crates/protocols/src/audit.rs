@@ -38,6 +38,7 @@ use slr_core::Frac32;
 
 use crate::api::{
     ControlPacket, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats, RoutingProtocol,
+    SuccessorView,
 };
 use crate::srp::SrpMessage;
 
@@ -70,8 +71,8 @@ fn stern_brocot_member(f: &Frac32) -> bool {
 
 /// The audit wrapper around one honest node's protocol instance.
 ///
-/// `as_any` forwards to the inner protocol so the loop-freedom oracle
-/// still reaches the real routing tables.
+/// `successor_view` forwards to the inner protocol so the loop-freedom
+/// oracle still reaches the real routing tables.
 pub struct Audit {
     inner: Box<dyn RoutingProtocol>,
     /// Highest advertised sequence number seen per `(neighbor, dest)`.
@@ -228,8 +229,8 @@ impl RoutingProtocol for Audit {
         st
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self.inner.as_any()
+    fn successor_view(&self) -> Option<&dyn SuccessorView> {
+        self.inner.successor_view()
     }
 
     fn mem_bytes(&self) -> usize {
@@ -243,7 +244,7 @@ mod tests {
     use crate::srp::{Srp, SrpConfig, SrpRrep, SrpRreq};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use slr_core::Fraction;
+    use slr_core::{Fraction, SplitLabel32};
     use slr_netsim::time::SimTime;
 
     fn ctx_at(rng: &mut SmallRng, secs: u64) -> ProtoCtx<'_> {
@@ -382,8 +383,21 @@ mod tests {
     }
 
     #[test]
-    fn oracle_downcast_reaches_inner_srp() {
-        let a = audited();
-        assert!(a.as_any().downcast_ref::<Srp>().is_some());
+    fn successor_view_reaches_inner_srp() {
+        let mut a = audited();
+        let mut rng = SmallRng::seed_from_u64(6);
+        let lfd = Fraction::new(1, 2).unwrap();
+        let _ = a.on_control_received(&mut ctx_at(&mut rng, 1), 4, rrep(9, 5, lfd));
+        assert_eq!(a.rejections(), 0);
+        // The accepted reply installed 4 as a successor toward 9 in the
+        // inner engine, and the view reached through the wrapper sees it.
+        let view = a.successor_view().expect("the wrapper forwards the view");
+        let mut dests = Vec::new();
+        view.destinations(&mut dests);
+        assert_eq!(dests, vec![9]);
+        let mut edges = Vec::new();
+        view.successors(9, SimTime::from_secs(1), &mut edges);
+        let hops: Vec<_> = edges.iter().map(|e| (e.from, e.to, e.recorded)).collect();
+        assert_eq!(hops, vec![(0, 4, SplitLabel32::new(5, lfd))]);
     }
 }

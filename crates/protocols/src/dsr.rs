@@ -553,10 +553,6 @@ impl RoutingProtocol for Dsr {
             audit_rejections: 0,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -548,10 +548,6 @@ impl RoutingProtocol for Ldr {
             audit_rejections: 0,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -39,6 +39,6 @@ pub mod srp;
 pub use adversary::{Adversary, AdversaryKind};
 pub use api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
-    RoutingProtocol, SourceRoute, DATA_TTL,
+    RoutingProtocol, SourceRoute, SuccessorView, DATA_TTL,
 };
 pub use audit::Audit;

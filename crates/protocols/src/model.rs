@@ -12,18 +12,17 @@
 //!    timestamps rewritten as *deltas from `now`* (clamped at the horizon
 //!    that governs them) so two states that behave identically hash
 //!    identically regardless of absolute clock;
-//! 3. **invariant views** (`model_label` / `model_successors` /
-//!    `model_destinations` / `model_seqno_floor`) — the per-destination
-//!    label and successor graph the Theorem 3 / Definition 1 checks run
-//!    over, identical to what the simulation harness's loop-freedom
-//!    oracle reads.
+//! 3. **the successor graph** ([`SuccessorView`], not feature-gated) —
+//!    the per-destination labels and successor entries the Theorem 3 /
+//!    Definition 1 checks run over, the same view the simulation
+//!    harness's loop-freedom oracle reads — plus
+//!    [`ModelCheckable::model_seqno_floor`] for floor monotonicity.
 //!
 //! Everything here is additive and feature-gated: hot paths do not change
 //! when the feature is off, and nothing in the simulation harness depends
 //! on it.
 
-use crate::api::{NodeId, RoutingProtocol};
-use slr_core::SplitLabel32;
+use crate::api::{NodeId, RoutingProtocol, SuccessorView};
 use slr_netsim::time::{SimDuration, SimTime};
 
 /// Appends `v` to a canonical serialization.
@@ -42,24 +41,14 @@ pub(crate) fn age(out: &mut Vec<u8>, now: SimTime, then: SimTime, cap: SimDurati
 
 /// A routing protocol the bounded model checker can drive.
 ///
-/// Implemented by [`crate::srp::Srp`]; AODV/LDR can follow by providing
-/// the same views over their route tables.
-pub trait ModelCheckable: RoutingProtocol + Clone {
+/// Implemented by [`crate::srp::Srp`]; a protocol that exposes a
+/// [`SuccessorView`] of its route table can follow.
+pub trait ModelCheckable: RoutingProtocol + SuccessorView + Clone {
     /// Appends a canonical byte encoding of all behavior-relevant state
     /// to `out`. Stored absolute times must be encoded relative to `now`
     /// and clamped at their governing horizon; pure statistics counters
     /// must be excluded.
     fn model_canonical(&self, now: SimTime, out: &mut Vec<u8>);
-
-    /// This node's current label (ordering) for `dst`.
-    fn model_label(&self, dst: NodeId) -> SplitLabel32;
-
-    /// Current successors toward `dst` with their recorded advertisement
-    /// orderings, applying the same lazy expiry the protocol itself would.
-    fn model_successors(&self, dst: NodeId, now: SimTime) -> Vec<(NodeId, SplitLabel32)>;
-
-    /// Destinations with any installed successor state.
-    fn model_destinations(&self) -> Vec<NodeId>;
 
     /// The sequence-number floor retained for `dst` (0 if none).
     fn model_seqno_floor(&self, dst: NodeId) -> u64;

@@ -629,10 +629,6 @@ impl RoutingProtocol for Olsr {
         ProtoStats::default()
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     /// Capacities of every table, the sets inside them, and the route
     /// table with its rebuild scratch.
     fn mem_bytes(&self) -> usize {

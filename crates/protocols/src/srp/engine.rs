@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 use slr_core::{
     maintains_order, new_order, reduce_label, Frac32, LabelHandle, LabelInterner, SplitLabel32,
-    SuccessorEntry, SuccessorTable,
+    SuccessorEdge, SuccessorEntry, SuccessorTable,
 };
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::VecMap;
 
 use crate::api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
-    RoutingProtocol,
+    RoutingProtocol, SuccessorView,
 };
 use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
 use crate::srp::messages::{SrpMessage, SrpRerr, SrpRrep, SrpRreq};
@@ -1093,8 +1093,8 @@ impl RoutingProtocol for Srp {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn successor_view(&self) -> Option<&dyn SuccessorView> {
+        Some(self)
     }
 
     fn mem_bytes(&self) -> usize {
@@ -1102,10 +1102,20 @@ impl RoutingProtocol for Srp {
     }
 }
 
-impl Srp {
-    /// This node's current ordering for `dst` (oracle introspection; does
-    /// not apply DELETE_PERIOD expiry).
-    pub fn oracle_label(&self, dst: NodeId) -> SplitLabel32 {
+/// The live successor graph. Labels are read as stored (no
+/// DELETE_PERIOD expiry); successor entries apply the engine's
+/// per-entry freshness horizon.
+impl SuccessorView for Srp {
+    fn destinations(&self, out: &mut Vec<NodeId>) {
+        out.extend(
+            self.dests
+                .iter()
+                .filter(|(_, d)| !d.succs.is_empty())
+                .map(|(t, _)| *t),
+        );
+    }
+
+    fn label(&self, dst: NodeId) -> SplitLabel32 {
         if dst == self.node {
             return SplitLabel32::destination(self.own_seqno);
         }
@@ -1115,37 +1125,27 @@ impl Srp {
             .unwrap_or_else(SplitLabel32::unassigned)
     }
 
-    /// Current successors toward `dst` with their recorded advertisement
-    /// orderings (oracle introspection). Applies the same per-entry
-    /// freshness horizon as the engine's own pruning, lazily: expiry is
-    /// evaluated on query, so an entry the protocol would never act on
-    /// again must not appear in the oracle's successor graph either.
-    pub fn oracle_successors(&self, dst: NodeId, now: SimTime) -> Vec<(NodeId, SplitLabel32)> {
-        let lifetime = self.cfg.route_lifetime;
-        self.dests
-            .get(&dst)
-            .map(|d| {
-                d.succs
-                    .iter()
-                    .filter(|e| {
-                        // Mirror the engine: under the entry-expiry
-                        // regression flag the freshness horizon does not
-                        // exist, so the oracle graph keeps stale entries.
-                        cfg!(feature = "regress-pr7-entry-expiry") || !is_stale(e, now, lifetime)
-                    })
-                    .map(|e| (e.neighbor, e.label))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Destinations with any successor state (oracle introspection).
-    pub fn oracle_destinations(&self) -> Vec<NodeId> {
-        self.dests
-            .iter()
-            .filter(|(_, d)| !d.succs.is_empty())
-            .map(|(t, _)| *t)
-            .collect()
+    fn successors(&self, dst: NodeId, now: SimTime, out: &mut Vec<SuccessorEdge<u32>>) {
+        let Some(d) = self.dests.get(&dst) else {
+            return;
+        };
+        let (own, lifetime) = (self.label(dst), self.cfg.route_lifetime);
+        out.extend(
+            d.succs
+                .iter()
+                // Mirror the engine: under the entry-expiry regression flag
+                // the freshness horizon does not exist, so the graph keeps
+                // stale entries.
+                .filter(|e| {
+                    cfg!(feature = "regress-pr7-entry-expiry") || !is_stale(e, now, lifetime)
+                })
+                .map(|e| SuccessorEdge {
+                    from: self.node,
+                    to: e.neighbor,
+                    own,
+                    recorded: e.label,
+                }),
+        );
     }
 }
 
@@ -1235,18 +1235,6 @@ impl crate::model::ModelCheckable for Srp {
         remaining(out, self.next_prune_at, now);
     }
 
-    fn model_label(&self, dst: NodeId) -> SplitLabel32 {
-        self.oracle_label(dst)
-    }
-
-    fn model_successors(&self, dst: NodeId, now: SimTime) -> Vec<(NodeId, SplitLabel32)> {
-        self.oracle_successors(dst, now)
-    }
-
-    fn model_destinations(&self) -> Vec<NodeId> {
-        self.oracle_destinations()
-    }
-
     fn model_seqno_floor(&self, dst: NodeId) -> u64 {
         self.seqno_floor.get(&dst).copied().unwrap_or(0)
     }
@@ -1258,6 +1246,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use slr_core::Fraction;
+
+    /// The successors toward `dst`, with their recorded orderings, that
+    /// the view reports at `now`.
+    fn successors(b: &Srp, dst: NodeId, now: SimTime) -> Vec<(NodeId, SplitLabel32)> {
+        let mut edges = Vec::new();
+        SuccessorView::successors(b, dst, now, &mut edges);
+        assert!(edges
+            .iter()
+            .all(|e| e.from == b.node && e.own == b.label(dst)));
+        edges.iter().map(|e| (e.to, e.recorded)).collect()
+    }
 
     fn ctx_at(rng: &mut SmallRng, secs: u64) -> ProtoCtx<'_> {
         ProtoCtx {
@@ -1486,7 +1485,7 @@ mod tests {
             .set_route(10, 10, direct, 0, SplitLabel32::unassigned(), later)
             .is_some());
         assert!(b.route_active(10, later), "route itself stays active");
-        let succs = b.oracle_successors(10, later);
+        let succs = successors(&b, 10, later);
         assert!(
             succs.iter().all(|(n, _)| *n != 13),
             "unconfirmed entry for 13 must be pruned: {succs:?}"
@@ -1510,7 +1509,7 @@ mod tests {
         // The link to 5 breaks, then 5 advertises again (a fresher
         // sequence number, so the retained label accepts it).
         let _ = b.on_link_failure(&mut ctx_at(&mut rng, 2), 5, None);
-        assert!(b.oracle_successors(9, SimTime::from_secs(2)).is_empty());
+        assert!(successors(&b, 9, SimTime::from_secs(2)).is_empty());
         let again = SimTime::from_secs(8);
         let adv = SplitLabel32::new(4, Fraction::new(1, 2).unwrap());
         assert!(b
@@ -1519,12 +1518,12 @@ mod tests {
         // Past first install + ROUTE_LIFETIME the entry still stands...
         let past_first = first + lifetime + SimDuration::from_secs(1);
         assert!(b.route_active(9, past_first));
-        assert_eq!(b.oracle_successors(9, past_first).len(), 1);
+        assert_eq!(successors(&b, 9, past_first).len(), 1);
         // ...until re-advertisement + ROUTE_LIFETIME.
         let horizon = again + lifetime;
         let just_before = |t: SimTime| SimTime::from_nanos(t.as_nanos() - 1);
-        assert_eq!(b.oracle_successors(9, just_before(horizon)).len(), 1);
-        assert!(b.oracle_successors(9, horizon).is_empty());
+        assert_eq!(successors(&b, 9, just_before(horizon)).len(), 1);
+        assert!(successors(&b, 9, horizon).is_empty());
         // A re-advertisement while the entry is still installed (same
         // sequence number, so line 13 keeps it) restamps it too.
         let third = SimTime::from_secs(15);
@@ -1532,10 +1531,10 @@ mod tests {
         assert!(b
             .set_route(9, 5, adv, 1, SplitLabel32::unassigned(), third)
             .is_some());
-        assert_eq!(b.oracle_successors(9, third), vec![(5, adv)]);
+        assert_eq!(successors(&b, 9, third), vec![(5, adv)]);
         let horizon = third + lifetime;
-        assert_eq!(b.oracle_successors(9, just_before(horizon)).len(), 1);
-        assert!(b.oracle_successors(9, horizon).is_empty());
+        assert_eq!(successors(&b, 9, just_before(horizon)).len(), 1);
+        assert!(successors(&b, 9, horizon).is_empty());
         assert!(!b.route_active(9, horizon));
     }
 
@@ -1565,8 +1564,7 @@ mod tests {
         // The used successor outlives install + ROUTE_LIFETIME; the
         // unused one does not.
         let past_install = now + lifetime;
-        let hops: Vec<NodeId> = b
-            .oracle_successors(10, past_install)
+        let hops: Vec<NodeId> = successors(&b, 10, past_install)
             .iter()
             .map(|(n, _)| *n)
             .collect();
@@ -1574,8 +1572,8 @@ mod tests {
         // The used one lasts until t1 + ROUTE_LIFETIME.
         let horizon = t1 + lifetime;
         let just_before = SimTime::from_nanos(horizon.as_nanos() - 1);
-        assert_eq!(b.oracle_successors(10, just_before).len(), 1);
-        assert!(b.oracle_successors(10, horizon).is_empty());
+        assert_eq!(successors(&b, 10, just_before).len(), 1);
+        assert!(successors(&b, 10, horizon).is_empty());
     }
 
     #[test]

@@ -431,7 +431,7 @@ impl<P: Clone> Channel<P> {
     /// `bounds` must start at 0 and end at the node count), alongside a
     /// shared read-only view of the in-flight frame table. The parallel
     /// event engine hands each worker its shard: signal completions only
-    /// ever touch the completing receiver's own [`NodeState`] plus the
+    /// ever touch the completing receiver's own `NodeState` plus the
     /// (frozen, read-only) in-flight table, so disjoint node ranges
     /// commute. Per-shard `delivered`/`collisions` deltas must be folded
     /// back into [`Channel::stats`] by the caller afterwards.

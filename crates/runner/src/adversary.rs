@@ -171,7 +171,7 @@ impl AdversarySpec {
     }
 
     /// Compiles the deliberate link flaps of chaos adversaries: each
-    /// victim crashes and rejoins [`CHAOS_FLAPS`] times at seeded instants
+    /// victim crashes and rejoins `CHAOS_FLAPS` times at seeded instants
     /// inside the middle of `[start, end)`. Empty for the other kinds —
     /// their misbehaviour lives entirely at the protocol boundary.
     pub fn compile_flaps(

@@ -30,8 +30,9 @@
 //! * `--paper` — paper-scale scenarios instead of quick
 //! * `--json` — emit one JSON document with aggregates and per-trial
 //!   summaries instead of the text table
-//! * `--oracle` — additionally run SRP and SRP-MP trials under the
-//!   loop-freedom oracle (panics on any Theorem 3 violation)
+//! * `--oracle` — run SRP and SRP-MP trials under the loop-freedom
+//!   oracle, which checks every node's successor view for Definition 1
+//!   order breaks and Theorem 3 cycles (panics on either)
 //! * `--validate-spatial` — debug: cross-check the spatial index's answer
 //!   to every neighbor query against the brute-force oracle (pairs well
 //!   with `--oracle`; adds an O(N) scan per transmission)

@@ -284,6 +284,11 @@ impl SweepConfig {
                 probe.nodes
             ));
         }
+        // A trial of no flows offers nothing, and its delivery ratio of 0
+        // would read as total loss (a flow sweep rejects 0 the same way).
+        if probe.flows() == 0 {
+            return Err("flows must be >= 1 (a trial of no flows offers nothing)".to_string());
+        }
         // A waypoint pause leg starts before the end and lasts the whole
         // pause, so the clock must reach past the end by that much.
         if self.param == SweepParam::Pause {
@@ -471,8 +476,9 @@ pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
 ///
 /// # Panics
 ///
-/// Panics on a loop-freedom violation, or if `kind` does not run the SRP
-/// engine ([`ProtocolKind::runs_srp`]).
+/// Panics on a loop-freedom violation, or if `kind`'s protocol exposes no
+/// successor view to check (today only the SRP engine does:
+/// [`ProtocolKind::runs_srp`]).
 pub fn run_oracle_pass(
     cfg: &SweepConfig,
     kind: ProtocolKind,
@@ -697,6 +703,17 @@ mod tests {
             ..SweepConfig::default()
         };
         assert!(ok.validate().is_ok(), "orthogonal overrides are fine");
+    }
+
+    #[test]
+    fn validate_rejects_zero_flows_override() {
+        let cfg = |flows| SweepConfig {
+            override_flows: Some(flows),
+            ..SweepConfig::default()
+        };
+        let e = cfg(0).validate().unwrap_err();
+        assert!(e.contains("flows must be >= 1"), "{e}");
+        assert!(cfg(1).validate().is_ok());
     }
 
     /// Seconds from the command line are multiplied into `u64`

@@ -9,7 +9,7 @@
 //! halves:
 //!
 //! * **Cell-accurate bucketing.** Nodes live in a
-//!   [`SpatialIndex`](slr_netsim::SpatialIndex) whose cell side exceeds
+//!   [`SpatialIndex`] whose cell side exceeds
 //!   the carrier-sense range. A node's bucket only changes when it
 //!   crosses a cell boundary, and mobility trajectories are
 //!   piecewise-linear, so those crossing times are *computable in

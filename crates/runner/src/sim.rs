@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use slr_core::invariant::{check_acyclic, check_edge_order, InvariantViolation};
 use slr_mobility::{MobilityScript, Position};
 use slr_netsim::admittance::{Admittance, DynAction};
 use slr_netsim::pool::{with_core_pool, WindowExec};
@@ -22,7 +23,7 @@ use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::{EventToken, Scheduled, Simulator};
 use slr_protocols::{
     Adversary, Audit, ControlPacket, DataDropReason, DataPacket, ProtoCtx, ProtoEffect,
-    RoutingProtocol, DATA_TTL,
+    RoutingProtocol, SuccessorView, DATA_TTL,
 };
 use slr_radio::{
     BeginTx, BruteForceMedium, Channel, Frame, Mac, MacConfig, MacEffect, MacTimer, NeighborQuery,
@@ -1823,20 +1824,10 @@ impl Sim {
         self.metrics
     }
 
-    /// Which nodes run adversarial scripts this trial (empty when the
-    /// scenario fields no adversaries).
-    pub fn adversary_mask(&self) -> &[bool] {
-        &self.adversary_mask
-    }
-
-    /// Access to per-node protocol state (testing/diagnostics).
-    pub fn protocol(&self, node: usize) -> &dyn RoutingProtocol {
-        self.protos[node].as_ref()
-    }
-
-    /// Machine-checks Theorem 3 on the *live* SRP state: for every
-    /// destination, the global successor graph must be acyclic and every
-    /// successor edge must point at a strictly lower recorded ordering.
+    /// Machine-checks the live successor graph of every destination:
+    /// every edge must satisfy Definition 1 (`own ≺ recorded`,
+    /// [`check_edge_order`]) and the honest subgraph must be acyclic
+    /// (Theorem 3, [`check_acyclic`]).
     ///
     /// Returns the number of edges whose successor's *current* label has
     /// drifted out of order (possible only across DELETE_PERIOD forgetting;
@@ -1844,26 +1835,26 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// Panics if the protocol under test is not SRP.
+    /// Panics if a node's protocol exposes no [`SuccessorView`].
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_srp_loop_freedom(&self) -> Result<u64, String> {
-        use slr_core::dag::find_cycle;
-        use slr_protocols::srp::Srp;
-
-        let srps: Vec<&Srp> = self
+    pub fn check_loop_freedom(&self) -> Result<u64, String> {
+        let views: Vec<&dyn SuccessorView> = self
             .protos
             .iter()
             .map(|p| {
-                p.as_any()
-                    .downcast_ref::<Srp>()
-                    .expect("loop-freedom oracle requires SRP")
+                p.successor_view().unwrap_or_else(|| {
+                    panic!("loop-freedom oracle: {} has no successor view", p.name())
+                })
             })
             .collect();
-        let n = srps.len();
-        let mut dests: Vec<usize> = srps.iter().flat_map(|s| s.oracle_destinations()).collect();
+        let n = views.len();
+        let mut dests = Vec::new();
+        for view in &views {
+            view.destinations(&mut dests);
+        }
         dests.sort_unstable();
         dests.dedup();
 
@@ -1877,65 +1868,47 @@ impl Sim {
         let adversarial = |i: usize| self.adversary_mask.get(i).copied().unwrap_or(false);
         let now = self.now();
         let mut soft_violations = 0u64;
+        let mut edges = Vec::new();
         for t in dests {
-            let mut edges = Vec::new();
-            for (i, srp) in srps.iter().enumerate() {
-                let own = srp.oracle_label(t);
-                for (j, recorded) in srp.oracle_successors(t, now) {
-                    // Hard invariant: the node's label strictly precedes
-                    // the ordering recorded for each successor (Eqs. 5–6).
-                    if !own.precedes(&recorded) {
-                        return Err(format!(
-                            "dest {t}: node {i} label {own} !≺ recorded {recorded} at {j}"
-                        ));
-                    }
-                    if adversarial(i) {
-                        continue;
-                    }
-                    edges.push((i, j));
-                    // Soft check: the successor's current label should
-                    // still be in order unless it was forgotten.
-                    let current = srps[j].oracle_label(t);
-                    if !adversarial(j)
+            edges.clear();
+            for view in &views {
+                view.successors(t, now, &mut edges);
+            }
+            check_edge_order(t, &edges).map_err(|v| v.to_string())?;
+            edges.retain(|e| !adversarial(e.from));
+            // Soft check: the successor's current label should still be
+            // in order unless it was forgotten.
+            soft_violations += edges
+                .iter()
+                .filter(|e| {
+                    let current = views[e.to].label(t);
+                    !adversarial(e.to)
                         && !current.is_unassigned()
-                        && !own.precedes(&current)
-                        && j != t
-                    {
-                        soft_violations += 1;
+                        && !e.own.precedes(&current)
+                        && e.to != t
+                })
+                .count() as u64;
+            if let Err(v) = check_acyclic(t, n, &edges) {
+                // Each cycle node's label and successor entries, so a
+                // violation report is diagnosable post-mortem.
+                let mut report = v.to_string();
+                if let InvariantViolation::Cycle { nodes, .. } = &v {
+                    for &i in nodes {
+                        report += &format!(" — node {i} label {} succs", views[i].label(t));
+                        for e in edges.iter().filter(|e| e.from == i) {
+                            report += &format!(" {}:{}", e.to, e.recorded);
+                        }
                     }
                 }
-            }
-            // Hard invariant: no routing loops, ever (Theorem 3).
-            if let Some(cycle) = find_cycle(n, &edges) {
-                // Dump each cycle node's label and successor entries so a
-                // violation report is diagnosable post-mortem.
-                let detail: Vec<String> = cycle
-                    .iter()
-                    .map(|&i| {
-                        let succs: Vec<String> = srps[i]
-                            .oracle_successors(t, now)
-                            .into_iter()
-                            .map(|(j, r)| format!("{j}:{r}"))
-                            .collect();
-                        format!(
-                            "node {i} label {} succs [{}]",
-                            srps[i].oracle_label(t),
-                            succs.join(", ")
-                        )
-                    })
-                    .collect();
-                return Err(format!(
-                    "dest {t}: successor cycle {cycle:?} — {}",
-                    detail.join("; ")
-                ));
+                return Err(report);
             }
         }
         Ok(soft_violations)
     }
 
-    /// Like [`Sim::run`], but additionally runs the SRP loop-freedom
-    /// oracle every `check_interval` of virtual time, panicking on any
-    /// hard violation. Returns the summary and the total count of soft
+    /// Like [`Sim::run`], but additionally runs the loop-freedom oracle
+    /// ([`Sim::check_loop_freedom`]) every `check_interval` of virtual
+    /// time, panicking on any hard violation. Returns the summary and the total count of soft
     /// order violations observed.
     ///
     /// Works under every engine — the ISSUE-4 principle that the oracle
@@ -1984,14 +1957,14 @@ impl Sim {
             };
             if force_check || adv_acted || (boundary && now >= next_check) {
                 soft += sim
-                    .check_srp_loop_freedom()
+                    .check_loop_freedom()
                     .unwrap_or_else(|e| panic!("loop-freedom violated: {e}"));
                 checks += 1;
                 next_check = now + check_interval;
             }
         });
         soft += self
-            .check_srp_loop_freedom()
+            .check_loop_freedom()
             .unwrap_or_else(|e| panic!("loop-freedom violated: {e}"));
         checks += 1;
         self.metrics.oracle_checks = checks;

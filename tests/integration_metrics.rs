@@ -130,9 +130,6 @@ impl RoutingProtocol for PingPong {
     fn stats(&self) -> ProtoStats {
         ProtoStats::default()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[test]
