@@ -12,6 +12,11 @@
 //!   multipath forwarding over the same sweep.
 //! * `benchmark` is the repository benchmark declared in
 //!   `BENCHMARK.json` (see `src/bin/benchmark/README.md`).
+//!
+//! The figure binaries parse the same flags as `slrsim` into one
+//! validated sweep ([`Cli::parse`]). `--oracle` is a property of that
+//! sweep, so here too it runs the SRP and SRP-MP trials under the
+//! loop-freedom oracle and prints its `oracle:` report to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,30 +29,24 @@ use slr_runner::experiment::SweepConfig;
 pub struct Cli {
     /// Sweep configuration assembled from the flags.
     pub sweep: SweepConfig,
-    /// Whether `--paper` was requested.
-    pub paper: bool,
 }
 
 impl Cli {
     /// Parses `std::env::args` with the flag parser shared with `slrsim`
-    /// ([`slr_runner::cli::parse_cli`]).
-    ///
-    /// Flags: `--paper`, `--trials N` (default 10 at paper scale, else 3),
-    /// `--seed N`, `--threads N` (default: available parallelism),
-    /// `--pauses a,b,c` (defaults to the paper's eight pause times),
-    /// `--scenario NAME` (any registry family; its default param/values
-    /// replace the pause sweep), `--param NAME`, `--values a,b,c`,
-    /// `--dynamics churn[:R]|partition[:K]|crash[:N]`.
+    /// ([`slr_runner::cli::parse_cli`]), exiting with status 2 on an
+    /// error. Every shared flag applies except `--protocol` and `--json`:
+    /// the binaries fix their own protocol sets and output. `--trials`
+    /// defaults to 10 at paper scale, else 3.
     pub fn parse() -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let opts = match parse_cli(&args) {
-            Ok(opts) => opts,
+        let cli = match parse_cli(&args, |paper| if paper { 10 } else { 3 }) {
+            Ok(cli) => cli,
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);
             }
         };
-        match opts.action {
+        match cli.action {
             CliAction::Help => {
                 eprintln!("{}", usage("(figure/table binary)"));
                 std::process::exit(0);
@@ -58,61 +57,23 @@ impl Cli {
             }
             CliAction::Run => {}
         }
-        // The figure/table binaries fix their own protocol sets and output
-        // formats; accepting these flags and ignoring them would silently
-        // change what an hours-long sweep appears to measure.
-        if opts.protocols.is_some() || opts.json || opts.oracle {
+        // Accepting these flags and ignoring them would silently change
+        // what an hours-long sweep appears to measure.
+        if cli.protocols.is_some() || cli.json {
             eprintln!(
-                "--protocol/--json/--oracle are slrsim flags; the figure binaries \
+                "--protocol/--json are slrsim flags; the figure binaries \
                  run the paper's protocol set with their own output"
             );
             std::process::exit(2);
         }
-        let paper = opts.paper;
-        let workers = opts.effective_workers();
-        let trials = opts.trials.unwrap_or(if paper { 10 } else { 3 });
-        let threads = opts.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-        let (param, values) =
-            match SweepConfig::resolve(opts.family, opts.param, opts.values, paper) {
-                Ok(resolved) => resolved,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-        let sweep = SweepConfig {
-            seed: opts.seed,
-            trials,
-            family: opts.family,
-            param,
-            values,
-            paper_scale: paper,
-            threads,
-            override_nodes: opts.nodes,
-            override_flows: opts.flows,
-            override_duration: opts.duration,
-            override_dynamics: opts.dynamics,
-            override_adversary: opts.adversary,
-            validate_spatial: opts.validate_spatial,
-            engine: opts.engine,
-            workers,
-        };
-        if let Err(e) = sweep.validate() {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        Cli { sweep, paper }
+        Cli { sweep: cli.sweep }
     }
 
     /// One-line description of the configuration, for run logs.
     pub fn describe(&self) -> String {
         format!(
             "{} scale, family {}, {} trials/point, {} {:?}, seed {}, {} threads",
-            if self.paper {
+            if self.sweep.paper_scale {
                 "paper (100 nodes, 910 s)"
             } else {
                 "quick (50 nodes, 160 s)"
@@ -144,7 +105,6 @@ mod tests {
                 threads: 2,
                 ..SweepConfig::default()
             },
-            paper: false,
         };
         assert!(cli.describe().contains("quick"));
         assert!(cli.describe().contains("paper-sweep"));

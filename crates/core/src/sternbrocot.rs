@@ -253,108 +253,6 @@ impl SbPath {
     }
 }
 
-/// The continued-fraction expansion `[a0; a1, a2, …]` of `num/den`
-/// (`den > 0`), using the standard Euclidean form where every coefficient
-/// after `a0` is positive.
-///
-/// The sum of coefficients (minus one) is the Stern–Brocot depth of the
-/// reduced fraction — the quantity [`crate::Fraction::stern_brocot_depth`]
-/// reports — so this exposes exactly how much split budget a label has
-/// consumed and where.
-///
-/// # Examples
-///
-/// ```
-/// use slr_core::sternbrocot::continued_fraction;
-/// assert_eq!(continued_fraction(3, 10), vec![0, 3, 3]); // 3/10 = 0+1/(3+1/3)
-/// assert_eq!(continued_fraction(5, 8), vec![0, 1, 1, 1, 2]);
-/// ```
-pub fn continued_fraction(num: u128, den: u128) -> Vec<u128> {
-    assert!(den > 0, "denominator must be positive");
-    let mut out = Vec::new();
-    let (mut a, mut b) = (num, den);
-    loop {
-        out.push(a / b);
-        let r = a % b;
-        if r == 0 {
-            return out;
-        }
-        a = b;
-        b = r;
-    }
-}
-
-/// Reconstructs `num/den` (in lowest terms) from a continued fraction.
-///
-/// # Panics
-///
-/// Panics if `cf` is empty or a coefficient after the first is zero.
-pub fn from_continued_fraction(cf: &[u128]) -> (u128, u128) {
-    assert!(!cf.is_empty(), "continued fraction needs a coefficient");
-    let mut num = *cf.last().expect("non-empty");
-    let mut den: u128 = 1;
-    for &c in cf[..cf.len() - 1].iter().rev() {
-        assert!(num != 0, "interior coefficients must be positive");
-        // x → c + 1/x.
-        let new_num = c * num + den;
-        den = num;
-        num = new_num;
-    }
-    (num, den)
-}
-
-/// The Farey sequence `F_n`: all reduced fractions in `[0, 1]` with
-/// denominator ≤ `n`, ascending. Uses the classic next-term recurrence,
-/// so it runs in O(|F_n|) with O(1) state.
-///
-/// Mediants of adjacent Farey terms are exactly the next-denominator
-/// insertions — the structure behind both SRP's splitting and the
-/// conclusion's reduction proposal.
-///
-/// # Examples
-///
-/// ```
-/// use slr_core::sternbrocot::farey_sequence;
-/// let f5: Vec<(u64, u64)> = farey_sequence(5).collect();
-/// assert_eq!(f5.len(), 11);
-/// assert_eq!(f5[0], (0, 1));
-/// assert_eq!(f5[5], (1, 2));
-/// assert_eq!(f5[10], (1, 1));
-/// ```
-pub fn farey_sequence(n: u64) -> FareySequence {
-    assert!(n >= 1, "Farey order must be at least 1");
-    FareySequence {
-        n,
-        cur: Some(((0, 1), (1, n))),
-    }
-}
-
-/// Iterator over a Farey sequence; see [`farey_sequence`].
-#[derive(Debug, Clone)]
-pub struct FareySequence {
-    n: u64,
-    /// The two most recent terms `(a/b, c/d)`, or `None` when exhausted.
-    cur: Option<((u64, u64), (u64, u64))>,
-}
-
-impl Iterator for FareySequence {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        let ((a, b), (c, d)) = self.cur?;
-        if (a, b) == (1, 1) {
-            self.cur = None;
-            return Some((1, 1));
-        }
-        // Standard recurrence: e/f = (⌊(n+b)/d⌋·c − a, ⌊(n+b)/d⌋·d − b).
-        let k = (self.n + b) / d;
-        let e = k * c - a;
-        let f = k * d - b;
-        self.cur = Some(((c, d), (e, f)));
-        Some((a, b))
-    }
-}
-
 /// Lexicographic comparison with `L < ε < R`.
 fn cmp_paths(a: &[Step], b: &[Step]) -> Ordering {
     let n = a.len().min(b.len());
@@ -585,77 +483,6 @@ mod tests {
         }
         assert!(SbPath::from_fraction(0, 1).is_none());
         assert!(SbPath::from_fraction(1, 1).is_none());
-    }
-
-    #[test]
-    fn continued_fraction_roundtrip() {
-        for (n, d) in [
-            (3u128, 10u128),
-            (5, 8),
-            (1, 2),
-            (2, 3),
-            (355, 1130),
-            (17, 19),
-        ] {
-            let cf = continued_fraction(n, d);
-            let (rn, rd) = from_continued_fraction(&cf);
-            // Roundtrip reproduces the reduced value.
-            assert_eq!(n * rd, rn * d, "{n}/{d} → {cf:?} → {rn}/{rd}");
-        }
-        // Depth relation: sum of coefficients − 1 = Stern–Brocot depth.
-        let f = Fraction::<u32>::new(3, 10).unwrap();
-        let cf = continued_fraction(3, 10);
-        let sum: u128 = cf.iter().sum();
-        assert_eq!(sum as u64 - 1, f.stern_brocot_depth());
-    }
-
-    #[test]
-    fn continued_fraction_of_integers() {
-        assert_eq!(continued_fraction(0, 1), vec![0]);
-        assert_eq!(continued_fraction(1, 1), vec![1]);
-        assert_eq!(continued_fraction(7, 1), vec![7]);
-    }
-
-    #[test]
-    fn farey_sequence_f5_is_known() {
-        let f5: Vec<(u64, u64)> = farey_sequence(5).collect();
-        assert_eq!(
-            f5,
-            vec![
-                (0, 1),
-                (1, 5),
-                (1, 4),
-                (1, 3),
-                (2, 5),
-                (1, 2),
-                (3, 5),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (1, 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn farey_sequence_lengths_match_totients() {
-        // |F_n| = 1 + Σ φ(k): 2, 3, 5, 7, 11, 13, 19, 23, 29, 33.
-        let expected = [2usize, 3, 5, 7, 11, 13, 19, 23, 29, 33];
-        for (i, &len) in expected.iter().enumerate() {
-            assert_eq!(farey_sequence(i as u64 + 1).count(), len, "F_{}", i + 1);
-        }
-    }
-
-    #[test]
-    fn farey_adjacent_terms_are_neighbors() {
-        // Adjacent Farey terms satisfy bc − ad = 1 (unimodularity) — the
-        // property that makes their mediant the unique simplest insertion.
-        let terms: Vec<(u64, u64)> = farey_sequence(8).collect();
-        for w in terms.windows(2) {
-            let (a, b) = w[0];
-            let (c, d) = w[1];
-            assert_eq!(c * b - a * d, 1, "{a}/{b} and {c}/{d}");
-        }
     }
 
     #[test]

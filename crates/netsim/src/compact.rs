@@ -11,9 +11,7 @@
 //! The map iterates in ascending key order, which is *more* deterministic
 //! than the hash-ordered iteration it replaces: callers that previously
 //! collected keys and sorted them can rely on the order directly. Lookup,
-//! insertion and removal semantics match `std::collections` maps, so the
-//! engine can alias either representation behind one name and diff the
-//! two for bit-identity.
+//! insertion and removal semantics match `std::collections` maps.
 
 /// A map backed by a single `Vec` of entries kept sorted by key.
 ///

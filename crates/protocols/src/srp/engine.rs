@@ -209,8 +209,7 @@ impl Srp {
     /// [`SrpConfig::rreq_cache_lifetime`], from the paths that insert
     /// into the swept tables, so a node's tables are bounded by its
     /// *recent* flood arrival rate instead of growing for the whole
-    /// trial. Purely age-based, so behavior is identical under both
-    /// table representations.
+    /// trial. Purely age-based.
     fn prune_caches(&mut self, now: SimTime) {
         if now < self.next_prune_at {
             return;
@@ -897,10 +896,7 @@ impl Srp {
         // node (label-unassigned, so it accepts any route offer) adopt a
         // path back through us and close a loop.
         if rerr.cold_reboot {
-            // Ascending destination order, so the RERR cascade is
-            // identical under both table representations.
-            let mut dests: Vec<NodeId> = self.dests.keys().copied().collect();
-            dests.sort_unstable();
+            let dests: Vec<NodeId> = self.dests.keys().copied().collect();
             for t in dests {
                 let ds = self.dests.get_mut(&t).expect("iterating keys");
                 if ds.succs.contains(&prev) {
@@ -1051,11 +1047,9 @@ impl RoutingProtocol for Srp {
     ) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        // Break the next hop everywhere (ascending destination order, so
-        // the RERR cascade is identical under both table representations).
+        // Break the next hop everywhere.
         let mut lost = Vec::new();
-        let mut dests: Vec<NodeId> = self.dests.keys().copied().collect();
-        dests.sort_unstable();
+        let dests: Vec<NodeId> = self.dests.keys().copied().collect();
         for t in dests {
             let ds = self.dests.get_mut(&t).expect("iterating keys");
             if ds.succs.contains(&next_hop) {
@@ -1176,11 +1170,8 @@ impl crate::model::ModelCheckable for Srp {
         put(out, self.next_rreq_id);
 
         put(out, 0xA1);
-        let mut dest_keys: Vec<NodeId> = self.dests.keys().copied().collect();
-        dest_keys.sort_unstable();
-        put(out, dest_keys.len() as u64);
-        for t in dest_keys {
-            let ds = self.dests.get(&t).expect("iterating keys");
+        put(out, self.dests.len() as u64);
+        for (&t, ds) in self.dests.iter() {
             put(out, t as u64);
             put_label(out, &ds.label);
             put(out, ds.dist as u64);
@@ -1206,11 +1197,8 @@ impl crate::model::ModelCheckable for Srp {
         }
 
         put(out, 0xA2);
-        let mut seen_keys: Vec<(NodeId, u64)> = self.rreq_seen.keys().copied().collect();
-        seen_keys.sort_unstable();
-        put(out, seen_keys.len() as u64);
-        for key in seen_keys {
-            let c = self.rreq_seen.get(&key).expect("iterating keys");
+        put(out, self.rreq_seen.len() as u64);
+        for (key, c) in self.rreq_seen.iter() {
             put(out, key.0 as u64);
             put(out, key.1);
             put_label(out, &self.interner.get(c.cached));
@@ -1223,12 +1211,10 @@ impl crate::model::ModelCheckable for Srp {
             .model_canonical(&self.cfg.discovery, now, out);
 
         put(out, 0xA6);
-        let mut floor_keys: Vec<NodeId> = self.seqno_floor.keys().copied().collect();
-        floor_keys.sort_unstable();
-        put(out, floor_keys.len() as u64);
-        for d in floor_keys {
+        put(out, self.seqno_floor.len() as u64);
+        for (&d, &floor) in self.seqno_floor.iter() {
             put(out, d as u64);
-            put(out, *self.seqno_floor.get(&d).expect("iterating keys"));
+            put(out, floor);
         }
 
         put(out, 0xA7);

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Flags (all optional; the parser is shared with the `slr-bench`
-//! binaries, see [`slr_runner::cli`]):
+//! binaries and the examples, see [`slr_runner::cli`]):
 //!
 //! * `--scenario NAME` — scenario family (default `paper-sweep`); see
 //!   `--list-scenarios`
@@ -30,9 +30,11 @@
 //! * `--paper` — paper-scale scenarios instead of quick
 //! * `--json` — emit one JSON document with aggregates and per-trial
 //!   summaries instead of the text table
-//! * `--oracle` — run SRP and SRP-MP trials under the loop-freedom
-//!   oracle, which checks every node's successor view for Definition 1
-//!   order breaks and Theorem 3 cycles (panics on either)
+//! * `--oracle` — run the SRP and SRP-MP trials of the sweep under the
+//!   loop-freedom oracle, which checks every node's successor view for
+//!   Definition 1 order breaks and Theorem 3 cycles (panics on either).
+//!   It is a property of the sweep (`SweepConfig::oracle`), so every
+//!   front end that takes the shared flags honours it
 //! * `--validate-spatial` — debug: cross-check the spatial index's answer
 //!   to every neighbor query against the brute-force oracle (pairs well
 //!   with `--oracle`; adds an O(N) scan per transmission)
@@ -45,20 +47,20 @@
 //! * `--list-scenarios` — print the registry and exit
 
 use slr_runner::cli::{parse_cli, render_scenario_list, usage, CliAction};
-use slr_runner::experiment::{run_oracle_pass, run_sweep, Metric, SweepConfig};
+use slr_runner::experiment::{run_sweep, Metric};
 use slr_runner::report::render_json;
 use slr_runner::scenario::ProtocolKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_cli(&args) {
-        Ok(opts) => opts,
+    let cli = match parse_cli(&args, |_| 1) {
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    match opts.action {
+    match cli.action {
         CliAction::ListScenarios => {
             print!("{}", render_scenario_list());
             return;
@@ -70,58 +72,13 @@ fn main() {
         CliAction::Run => {}
     }
 
-    let workers = opts.effective_workers();
-    let protocols = opts
+    let cfg = cli.sweep;
+    let protocols = cli
         .protocols
         .unwrap_or_else(|| ProtocolKind::all().to_vec());
-    let family = opts.family;
-    let (param, values) = match SweepConfig::resolve(family, opts.param, opts.values, opts.paper) {
-        Ok(resolved) => resolved,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let mut cfg = SweepConfig {
-        seed: opts.seed,
-        trials: opts.trials.unwrap_or(1),
-        family,
-        param,
-        values,
-        paper_scale: opts.paper,
-        override_nodes: opts.nodes,
-        override_flows: opts.flows,
-        override_duration: opts.duration,
-        override_dynamics: opts.dynamics,
-        override_adversary: opts.adversary,
-        validate_spatial: opts.validate_spatial,
-        engine: opts.engine,
-        workers,
-        ..SweepConfig::default()
-    };
-    if let Some(t) = opts.threads {
-        cfg.threads = t;
-    }
-    if let Err(e) = cfg.validate() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
+    let result = run_sweep(&protocols, &cfg);
 
-    // Under --oracle, every SRP-engine protocol runs once under the
-    // loop-freedom oracle; its summaries feed the stats directly (no
-    // duplicate simulation). Other protocols go through the sweep.
-    let (oracled, others): (Vec<ProtocolKind>, Vec<ProtocolKind>) =
-        protocols.iter().partition(|p| opts.oracle && p.runs_srp());
-    if opts.oracle && oracled.is_empty() {
-        eprintln!("--oracle: no SRP in the protocol set, skipping");
-    }
-    let mut result = run_sweep(&others, &cfg);
-    for &kind in &oracled {
-        result.runs.extend(run_oracle_pass(&cfg, kind));
-    }
-    result.protocols = protocols.clone();
-
-    if opts.json {
+    if cli.json {
         print!("{}", render_json(&result));
         return;
     }
@@ -129,9 +86,9 @@ fn main() {
     let first = cfg.scenario_for(protocols[0], cfg.values[0], 0);
     eprintln!(
         "scenario {} ({}), sweeping {} over {:?}, {} trial(s), seed {}",
-        family.name(),
+        cfg.family.name(),
         first.describe(),
-        param.name(),
+        cfg.param.name(),
         cfg.values,
         cfg.trials,
         cfg.seed
@@ -139,7 +96,7 @@ fn main() {
     println!(
         "{:<8} {:>8} {:>9} {:>9} {:>11} {:>12} {:>9}",
         "proto",
-        param.name(),
+        cfg.param.name(),
         "delivery",
         "load",
         "latency(s)",

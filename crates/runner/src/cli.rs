@@ -1,14 +1,15 @@
 //! The shared command-line parser for every harness front-end.
 //!
-//! `slrsim` and the `slr-bench` figure/table binaries accept the same core
-//! sweep flags; this module owns the single flag loop both build on, so
-//! the front-ends cannot drift (previously each hand-rolled its own copy).
-//! Parsing is strict: unknown flags, missing flag arguments and
-//! conflicting shorthands are errors, not warnings — a typo must not
-//! silently change what an hours-long sweep measures.
+//! `slrsim`, the `slr-bench` figure/table binaries and the examples accept
+//! the same sweep flags; [`parse_cli`] turns them into one validated
+//! [`SweepConfig`], so the front-ends cannot drift. Parsing is strict:
+//! unknown flags, missing flag arguments, conflicting shorthands and
+//! sweeps the registry cannot run are errors, not warnings — a typo must
+//! not silently change what an hours-long sweep measures.
 
 use crate::adversary::AdversarySpec;
 use crate::dynamics::DynamicsSpec;
+use crate::experiment::SweepConfig;
 use crate::registry::{Family, SweepParam};
 use crate::scenario::ProtocolKind;
 use crate::sim::EngineKind;
@@ -24,98 +25,21 @@ pub enum CliAction {
     Help,
 }
 
-/// Every option the shared flag set can express. Front-ends consume the
-/// subset they support and turn the rest into their defaults.
+/// A parsed invocation: what to do, and the sweep to do it with.
 #[derive(Debug, Clone)]
-pub struct CliOptions {
-    /// Scenario family (`--scenario`, default paper-sweep).
-    pub family: Family,
-    /// Swept parameter (`--param`), if given.
-    pub param: Option<SweepParam>,
-    /// Sweep values (`--values` / `--pauses`), if given.
-    pub values: Option<Vec<u64>>,
-    /// Protocol set (`--protocol NAME|all`), if given.
-    pub protocols: Option<Vec<ProtocolKind>>,
-    /// Trials per point (`--trials`), if given.
-    pub trials: Option<u64>,
-    /// Base seed (`--seed`, default 42).
-    pub seed: u64,
-    /// The sweep's thread ceiling (`--threads`), if given; see
-    /// [`crate::experiment::SweepConfig::threads`].
-    pub threads: Option<usize>,
-    /// Workers *within* a trial for `--engine parallel` (`--workers
-    /// N|auto`), if given. `auto` is resolved to the host's parallelism
-    /// at parse time, so downstream consumers (and the JSON config echo)
-    /// always see a concrete number.
-    pub workers: Option<usize>,
-    /// Node-count override (`--nodes`), if given.
-    pub nodes: Option<usize>,
-    /// Flow-count override (`--flows`), if given.
-    pub flows: Option<usize>,
-    /// Duration override in seconds (`--duration`), if given.
-    pub duration: Option<u64>,
-    /// Dynamics override (`--dynamics churn[:R]|partition[:K]|crash[:N]`).
-    pub dynamics: Option<DynamicsSpec>,
-    /// Adversary override (`--adversary byzantine[:P]|sybil[:P]|chaos[:P]|none`).
-    pub adversary: Option<AdversarySpec>,
-    /// `--paper`: full §V scale.
-    pub paper: bool,
-    /// `--oracle`: run SRP and SRP-MP under the loop-freedom oracle.
-    pub oracle: bool,
-    /// `--validate-spatial`: cross-check every spatial-index neighbor
-    /// query against the brute-force oracle (debug; slows trials to the
-    /// old O(N·N) cost).
-    pub validate_spatial: bool,
-    /// `--engine batched|parallel`: how transmission-end events are
-    /// dispatched (batched by default; parallel executes conservative
-    /// windows on `--workers` threads, bit-identical at any worker count).
-    pub engine: EngineKind,
-    /// `--json`: machine-readable output.
-    pub json: bool,
+pub struct Invocation {
     /// What to do (run / list / help).
     pub action: CliAction,
-}
-
-impl Default for CliOptions {
-    fn default() -> Self {
-        CliOptions {
-            family: Family::PaperSweep,
-            param: None,
-            values: None,
-            protocols: None,
-            trials: None,
-            seed: 42,
-            threads: None,
-            workers: None,
-            nodes: None,
-            flows: None,
-            duration: None,
-            dynamics: None,
-            adversary: None,
-            paper: false,
-            oracle: false,
-            validate_spatial: false,
-            engine: EngineKind::Batched,
-            json: false,
-            action: CliAction::Run,
-        }
-    }
-}
-
-impl CliOptions {
-    /// Resolves `--workers` to a concrete intra-trial width: the explicit
-    /// flag under `--engine parallel`, else the machine's cores capped at
-    /// 8 (where the scaling curve flattens), else 1 for the batched
-    /// engine. The single defaulting policy every front-end shares.
-    pub fn effective_workers(&self) -> usize {
-        match (self.engine, self.workers) {
-            (EngineKind::Parallel, Some(w)) => w,
-            (EngineKind::Parallel, None) => std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
-            _ => 1,
-        }
-    }
+    /// The sweep the flags describe, with family defaults filled in, the
+    /// `--pause` shorthand and `--workers auto` resolved, and
+    /// [`SweepConfig::validate`] passed. For `ListScenarios` and `Help`
+    /// nothing runs, so the flags are only syntax-checked and this is
+    /// [`SweepConfig::default`].
+    pub sweep: SweepConfig,
+    /// Protocol set (`--protocol NAME|all`), if given.
+    pub protocols: Option<Vec<ProtocolKind>>,
+    /// `--json`: machine-readable output.
+    pub json: bool,
 }
 
 /// The one-line usage string shared by the front-ends.
@@ -160,16 +84,31 @@ pub fn render_scenario_list() -> String {
     out
 }
 
-/// Parses the shared flag set. `args` excludes the binary name (pass
-/// `std::env::args().skip(1)` collected).
+/// Parses the shared flag set into a validated sweep. `args` excludes the
+/// binary name (pass `std::env::args().skip(1)` collected).
+/// `default_trials` gives the trials per point when `--trials` is absent,
+/// from whether `--paper` was given.
+///
+/// `--workers` defaults to the machine's cores capped at 8 (where the
+/// scaling curve flattens) under `--engine parallel`, and is 1 under the
+/// batched engine; `auto` resolves to the host's full parallelism, so
+/// the JSON config echo always records a concrete number.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on unknown flags, missing or
-/// malformed flag arguments, and conflicting shorthands (`--pause` vs.
-/// `--param`/`--values`).
-pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
-    let mut opts = CliOptions::default();
+/// malformed flag arguments, conflicting shorthands (`--pause` vs.
+/// `--param`/`--values`), and on a sweep that [`SweepConfig::resolve`]
+/// or [`SweepConfig::validate`] rejects.
+pub fn parse_cli(args: &[String], default_trials: fn(bool) -> u64) -> Result<Invocation, String> {
+    let mut sweep = SweepConfig::default();
+    let mut param = None;
+    let mut values = None;
+    let mut trials = None;
+    let mut workers = None;
+    let mut protocols = None;
+    let mut json = false;
+    let mut action = CliAction::Run;
     // `--pause S` is shorthand for `--param pause --values S`; mixing the
     // shorthand with the explicit flags would leave the later flag
     // silently winning, so it is rejected instead.
@@ -189,12 +128,12 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
         match flag {
             "--scenario" | "--family" => {
                 let name = take_value()?;
-                opts.family = Family::parse(&name)
+                sweep.family = Family::parse(&name)
                     .ok_or_else(|| format!("unknown scenario {name:?}; try --list-scenarios"))?;
             }
             "--param" => {
                 let name = take_value()?;
-                opts.param = Some(SweepParam::parse(&name).ok_or_else(|| {
+                param = Some(SweepParam::parse(&name).ok_or_else(|| {
                     format!(
                         "unknown sweep parameter {name:?} ({})",
                         SweepParam::ALL
@@ -208,7 +147,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
             }
             "--values" | "--pauses" => {
                 let list = take_value()?;
-                opts.values = Some(
+                values = Some(
                     crate::experiment::parse_values(&list).map_err(|e| format!("{flag}: {e}"))?,
                 );
                 saw_values = true;
@@ -218,13 +157,13 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                 let pause: u64 = v.trim().parse().map_err(|_| {
                     format!("--pause needs an integer number of seconds, got {v:?}")
                 })?;
-                opts.param = Some(SweepParam::Pause);
-                opts.values = Some(vec![pause]);
+                param = Some(SweepParam::Pause);
+                values = Some(vec![pause]);
                 saw_pause_shorthand = true;
             }
             "--protocol" => {
                 let name = take_value()?;
-                opts.protocols = Some(if name.eq_ignore_ascii_case("all") {
+                protocols = Some(if name.eq_ignore_ascii_case("all") {
                     ProtocolKind::all().to_vec()
                 } else {
                     vec![ProtocolKind::parse(&name).ok_or_else(|| {
@@ -232,18 +171,13 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                     })?]
                 });
             }
-            "--trials" => opts.trials = Some(parse_num(flag, &take_value()?)?),
-            "--seed" => opts.seed = parse_num(flag, &take_value()?)?,
-            "--threads" => opts.threads = Some(parse_num(flag, &take_value()?)? as usize),
+            "--trials" => trials = Some(parse_num(flag, &take_value()?)?),
+            "--seed" => sweep.seed = parse_num(flag, &take_value()?)?,
+            "--threads" => sweep.threads = parse_num(flag, &take_value()?)? as usize,
             "--workers" => {
                 let v = take_value()?;
                 let w = if v.eq_ignore_ascii_case("auto") {
-                    // Resolve immediately: everything downstream (the
-                    // trials-at-once count, the JSON echo) wants the
-                    // concrete number, not the sentinel.
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
+                    host_parallelism()
                 } else {
                     let w = parse_num(flag, &v)? as usize;
                     if w == 0 {
@@ -254,18 +188,18 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                     }
                     w
                 };
-                opts.workers = Some(w);
+                workers = Some(w);
             }
-            "--nodes" => opts.nodes = Some(parse_num(flag, &take_value()?)? as usize),
-            "--flows" => opts.flows = Some(parse_num(flag, &take_value()?)? as usize),
-            "--duration" => opts.duration = Some(parse_num(flag, &take_value()?)?),
-            "--dynamics" => opts.dynamics = Some(DynamicsSpec::parse(&take_value()?)?),
-            "--adversary" => opts.adversary = Some(AdversarySpec::parse(&take_value()?)?),
-            "--paper" => opts.paper = true,
-            "--oracle" => opts.oracle = true,
-            "--validate-spatial" => opts.validate_spatial = true,
+            "--nodes" => sweep.override_nodes = Some(parse_num(flag, &take_value()?)? as usize),
+            "--flows" => sweep.override_flows = Some(parse_num(flag, &take_value()?)? as usize),
+            "--duration" => sweep.override_duration = Some(parse_num(flag, &take_value()?)?),
+            "--dynamics" => sweep.override_dynamics = Some(DynamicsSpec::parse(&take_value()?)?),
+            "--adversary" => sweep.override_adversary = Some(AdversarySpec::parse(&take_value()?)?),
+            "--paper" => sweep.paper_scale = true,
+            "--oracle" => sweep.oracle = true,
+            "--validate-spatial" => sweep.validate_spatial = true,
             "--engine" => {
-                opts.engine = match take_value()?.as_str() {
+                sweep.engine = match take_value()?.as_str() {
                     "batched" => EngineKind::Batched,
                     "parallel" => EngineKind::Parallel,
                     other => {
@@ -275,9 +209,9 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                     }
                 }
             }
-            "--json" => opts.json = true,
-            "--list-scenarios" | "--list" => opts.action = CliAction::ListScenarios,
-            "--help" | "-h" => opts.action = CliAction::Help,
+            "--json" => json = true,
+            "--list-scenarios" | "--list" => action = CliAction::ListScenarios,
+            "--help" | "-h" => action = CliAction::Help,
             other => return Err(format!("unknown flag {other}; see --help")),
         }
         i += 1;
@@ -289,7 +223,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                 .to_string(),
         );
     }
-    if opts.workers.is_some() && opts.engine != EngineKind::Parallel {
+    if workers.is_some() && sweep.engine != EngineKind::Parallel {
         return Err(
             "--workers only applies to --engine parallel: only parallel trials \
              open windows that can occupy extra cores (the batched engine \
@@ -297,7 +231,33 @@ pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
                 .to_string(),
         );
     }
-    Ok(opts)
+    if action != CliAction::Run {
+        return Ok(Invocation {
+            action,
+            sweep: SweepConfig::default(),
+            protocols,
+            json,
+        });
+    }
+    (sweep.param, sweep.values) =
+        SweepConfig::resolve(sweep.family, param, values, sweep.paper_scale)?;
+    sweep.trials = trials.unwrap_or_else(|| default_trials(sweep.paper_scale));
+    if sweep.engine == EngineKind::Parallel {
+        sweep.workers = workers.unwrap_or_else(|| host_parallelism().min(8));
+    }
+    sweep.validate()?;
+    Ok(Invocation {
+        action,
+        sweep,
+        protocols,
+        json,
+    })
+}
+
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 fn parse_num(flag: &str, v: &str) -> Result<u64, String> {
@@ -309,20 +269,46 @@ fn parse_num(flag: &str, v: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::PAUSE_TIMES;
 
-    fn parse(args: &[&str]) -> Result<CliOptions, String> {
-        parse_cli(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    fn parse(args: &[&str]) -> Result<Invocation, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_cli(&args, |_| 1)
     }
 
     #[test]
     fn defaults_with_no_args() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.family, Family::PaperSweep);
-        assert_eq!(o.param, None);
-        assert_eq!(o.values, None);
-        assert_eq!(o.seed, 42);
+        assert_eq!(o.sweep.family, Family::PaperSweep);
+        assert_eq!(o.sweep.param, SweepParam::Pause);
+        assert_eq!(o.sweep.values, PAUSE_TIMES.to_vec());
+        assert_eq!(o.sweep.seed, 42);
+        assert_eq!(o.sweep.trials, 1);
+        assert_eq!(o.sweep.workers, 1);
         assert_eq!(o.action, CliAction::Run);
-        assert!(!o.paper && !o.json && !o.oracle && !o.validate_spatial);
+        assert_eq!(o.protocols, None);
+        assert!(!o.sweep.paper_scale && !o.json && !o.sweep.oracle && !o.sweep.validate_spatial);
+    }
+
+    #[test]
+    fn trials_default_comes_from_the_caller() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let figures = |paper| if paper { 10 } else { 3 };
+        assert_eq!(parse_cli(&args(&[]), figures).unwrap().sweep.trials, 3);
+        assert_eq!(
+            parse_cli(&args(&["--paper"]), figures)
+                .unwrap()
+                .sweep
+                .trials,
+            10
+        );
+        assert_eq!(
+            parse_cli(&args(&["--paper", "--trials", "2"]), figures)
+                .unwrap()
+                .sweep
+                .trials,
+            2
+        );
     }
 
     #[test]
@@ -358,34 +344,41 @@ mod tests {
             "--validate-spatial",
         ])
         .unwrap();
-        assert_eq!(o.family, Family::Churn);
-        assert_eq!(o.param, Some(SweepParam::ChurnRate));
-        assert_eq!(o.values, Some(vec![2, 6, 12]));
+        let s = &o.sweep;
+        assert_eq!(s.family, Family::Churn);
+        assert_eq!(s.param, SweepParam::ChurnRate);
+        assert_eq!(s.values, vec![2, 6, 12]);
         assert_eq!(o.protocols, Some(vec![ProtocolKind::Srp]));
-        assert_eq!(o.trials, Some(5));
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.threads, Some(3));
-        assert_eq!(o.nodes, Some(20));
-        assert_eq!(o.flows, Some(4));
-        assert_eq!(o.duration, Some(60));
+        assert_eq!(s.trials, 5);
+        assert_eq!(s.seed, 7);
+        assert_eq!(s.threads, 3);
+        assert_eq!(s.override_nodes, Some(20));
+        assert_eq!(s.override_flows, Some(4));
+        assert_eq!(s.override_duration, Some(60));
         assert_eq!(
-            o.dynamics,
+            s.override_dynamics,
             Some(DynamicsSpec::LinkChurn {
                 flaps_per_minute: 12.0,
                 mean_down_secs: 2.0
             })
         );
-        assert_eq!(o.adversary, Some(AdversarySpec::Byzantine { percent: 20 }));
-        assert!(o.paper && o.json && o.oracle);
-        assert!(o.validate_spatial);
+        assert_eq!(
+            s.override_adversary,
+            Some(AdversarySpec::Byzantine { percent: 20 })
+        );
+        assert!(s.paper_scale && o.json && s.oracle);
+        assert!(s.validate_spatial);
     }
 
     #[test]
     fn adversary_flag_parses_and_rejects() {
         let o = parse(&["--adversary", "sybil"]).unwrap();
-        assert_eq!(o.adversary, Some(AdversarySpec::default_sybil()));
+        assert_eq!(
+            o.sweep.override_adversary,
+            Some(AdversarySpec::default_sybil())
+        );
         let o = parse(&["--adversary", "none"]).unwrap();
-        assert_eq!(o.adversary, Some(AdversarySpec::None));
+        assert_eq!(o.sweep.override_adversary, Some(AdversarySpec::None));
         assert!(parse(&["--adversary", "gremlin"]).is_err());
         assert!(parse(&["--adversary", "chaos:80"]).is_err());
         assert!(usage("slrsim").contains("--adversary"));
@@ -424,24 +417,24 @@ mod tests {
     #[test]
     fn values_parsing_is_strict() {
         assert_eq!(
-            parse(&["--values", "1, 2,3"]).unwrap().values,
-            Some(vec![1, 2, 3])
+            parse(&["--values", "1, 2,3"]).unwrap().sweep.values,
+            vec![1, 2, 3]
         );
         let e = parse(&["--values", "10,1O0"]).unwrap_err();
         assert!(e.contains("--values"), "{e}");
         assert!(parse(&["--values", ""]).is_err());
         // --pauses is the slr-bench-era alias for the same list.
         assert_eq!(
-            parse(&["--pauses", "0,900"]).unwrap().values,
-            Some(vec![0, 900])
+            parse(&["--pauses", "0,900"]).unwrap().sweep.values,
+            vec![0, 900]
         );
     }
 
     #[test]
     fn pause_shorthand_conflicts_with_explicit_flags() {
         let o = parse(&["--pause", "300"]).unwrap();
-        assert_eq!(o.param, Some(SweepParam::Pause));
-        assert_eq!(o.values, Some(vec![300]));
+        assert_eq!(o.sweep.param, SweepParam::Pause);
+        assert_eq!(o.sweep.values, vec![300]);
         assert!(parse(&["--pause", "300", "--values", "1,2"]).is_err());
         assert!(parse(&["--param", "nodes", "--pause", "300"]).is_err());
         assert!(parse(&["--pause", "nope"]).is_err());
@@ -456,6 +449,22 @@ mod tests {
         assert!(parse(&["--trials", "three"]).is_err());
     }
 
+    /// The sweep comes back resolved and validated: a flag set the
+    /// registry or the validator rejects is a parse error.
+    #[test]
+    fn invalid_sweeps_are_errors() {
+        let e = parse(&["--scenario", "grid", "--pause", "100"]).unwrap_err();
+        assert!(e.contains("static mobility"), "{e}");
+        let e = parse(&["--trials", "0"]).unwrap_err();
+        assert!(e.contains("trials"), "{e}");
+        let e = parse(&["--scenario", "grid", "--nodes", "9"]).unwrap_err();
+        assert!(e.contains("--nodes conflicts"), "{e}");
+        // Nothing runs for --help or --list-scenarios, so the sweep is
+        // not checked there.
+        let o = parse(&["--trials", "0", "--help"]).unwrap();
+        assert_eq!(o.action, CliAction::Help);
+    }
+
     #[test]
     fn actions_and_aliases() {
         assert_eq!(
@@ -466,7 +475,7 @@ mod tests {
         assert_eq!(parse(&["--help"]).unwrap().action, CliAction::Help);
         assert_eq!(parse(&["-h"]).unwrap().action, CliAction::Help);
         assert_eq!(
-            parse(&["--family", "grid"]).unwrap().family,
+            parse(&["--family", "grid"]).unwrap().sweep.family,
             Family::Grid,
             "--family is an alias for --scenario"
         );
@@ -475,12 +484,12 @@ mod tests {
     #[test]
     fn parallel_engine_and_workers() {
         let o = parse(&["--engine", "parallel", "--workers", "4"]).unwrap();
-        assert_eq!(o.engine, EngineKind::Parallel);
-        assert_eq!(o.workers, Some(4));
-        // `--engine parallel` without `--workers` defers the width to the
-        // front-end's default (`CliOptions::effective_workers`).
+        assert_eq!(o.sweep.engine, EngineKind::Parallel);
+        assert_eq!(o.sweep.workers, 4);
+        // `--engine parallel` without `--workers` takes the host's cores,
+        // capped at 8.
         let o = parse(&["--engine", "parallel"]).unwrap();
-        assert_eq!(o.workers, None);
+        assert_eq!(o.sweep.workers, host_parallelism().min(8));
         // Guard rails: workers need the parallel engine, and at least 1.
         let e = parse(&["--workers", "4"]).unwrap_err();
         assert!(e.contains("--engine parallel"), "{e}");
@@ -495,13 +504,11 @@ mod tests {
 
     #[test]
     fn workers_auto_resolves_to_host_parallelism() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let host = host_parallelism();
         let o = parse(&["--engine", "parallel", "--workers", "auto"]).unwrap();
-        assert_eq!(o.workers, Some(host), "auto must resolve at parse time");
+        assert_eq!(o.sweep.workers, host, "auto must resolve at parse time");
         let o = parse(&["--engine", "parallel", "--workers", "AUTO"]).unwrap();
-        assert_eq!(o.workers, Some(host), "auto is case-insensitive");
+        assert_eq!(o.sweep.workers, host, "auto is case-insensitive");
         // The sentinel still needs the parallel engine, and the guard
         // explains why rather than just refusing.
         let e = parse(&["--workers", "auto"]).unwrap_err();
@@ -514,6 +521,65 @@ mod tests {
     fn protocol_all_expands() {
         let o = parse(&["--protocol", "ALL"]).unwrap();
         assert_eq!(o.protocols, Some(ProtocolKind::all().to_vec()));
+    }
+
+    /// Random flag sequences from the real flag names and junk values:
+    /// the parser answers every one with `Ok` or `Err`, never a panic,
+    /// and every sweep it accepts builds its first scenario.
+    #[test]
+    fn parse_cli_never_panics() {
+        let usage = usage("slrsim");
+        let flags: Vec<&str> = usage
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|t| t.starts_with("--"))
+            .collect();
+        assert!(flags.len() >= 20, "too few flags in usage: {flags:?}");
+        let max = u64::MAX.to_string();
+        let junk = [
+            "",
+            "-1",
+            "0",
+            "auto",
+            max.as_str(),
+            "1,,2",
+            "partition:0",
+            "byzantine:100",
+            "1",
+            "30",
+            "grid",
+            "crash-rejoin",
+            "nodes",
+            "parallel",
+            "srp",
+        ];
+        // splitmix64: a fixed, dependency-free token stream.
+        let mut state = 0x5EED_u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut accepted = 0;
+        for _ in 0..3000 {
+            let len = next(8);
+            let args: Vec<String> = (0..len)
+                .map(|_| {
+                    if next(2) == 0 {
+                        flags[next(flags.len())].to_string()
+                    } else {
+                        junk[next(junk.len())].to_string()
+                    }
+                })
+                .collect();
+            if let Ok(o) = parse_cli(&args, |_| 1) {
+                accepted += 1;
+                o.sweep
+                    .scenario_for(ProtocolKind::Srp, o.sweep.values[0], 0);
+            }
+        }
+        assert!(accepted > 100, "only {accepted} sequences accepted");
     }
 
     #[test]

@@ -132,6 +132,13 @@ pub struct SweepConfig {
     /// any worker count; this only trades wall clock. Each parallel
     /// trial's workers count against [`SweepConfig::threads`].
     pub workers: usize,
+    /// Run every trial of an SRP-engine protocol
+    /// ([`ProtocolKind::runs_srp`]) under the loop-freedom oracle (CLI
+    /// `--oracle`): [`Sim::run_with_loop_oracle`] checks each node's
+    /// successor view every simulated second and after every dynamics
+    /// event, and panics on a Definition 1 order break or a Theorem 3
+    /// cycle. Other protocols expose no successor view and run unchecked.
+    pub oracle: bool,
 }
 
 impl Default for SweepConfig {
@@ -154,6 +161,7 @@ impl Default for SweepConfig {
             validate_spatial: false,
             engine: EngineKind::default(),
             workers: 1,
+            oracle: false,
         }
     }
 }
@@ -440,21 +448,54 @@ pub fn parse_values(list: &str) -> Result<Vec<u64>, String> {
 /// its own derived RNG streams, window scheduling cannot reach
 /// simulation output, and results are collected in trial order.
 ///
+/// Under [`SweepConfig::oracle`] the SRP-engine trials run under the
+/// loop-freedom oracle, and once all trials are back one `oracle:` line
+/// per trial and one per protocol go to stderr, in sweep order.
+///
 /// # Panics
 ///
 /// Panics if the configuration fails [`SweepConfig::validate`] — CLIs
 /// should validate (or build via [`SweepConfig::resolve`]) first for a
-/// clean error instead.
+/// clean error instead — and on a loop-freedom violation.
 pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
     if let Err(e) = cfg.validate() {
         panic!("invalid sweep configuration: {e}");
     }
+    let checked = |kind: ProtocolKind| cfg.oracle && kind.runs_srp();
+    if cfg.oracle && !protocols.iter().any(|&k| checked(k)) {
+        eprintln!("--oracle: no SRP in the protocol set, skipping");
+    }
     let jobs = trial_jobs(protocols, cfg);
     let summaries = run_trials(cfg, &jobs, |&(kind, value, trial)| {
-        cfg.sim_for(kind, value, trial).run()
+        let sim = cfg.sim_for(kind, value, trial);
+        if checked(kind) {
+            sim.run_with_loop_oracle(SimDuration::from_secs(1))
+        } else {
+            sim.run()
+        }
     });
+    // Jobs come protocol by protocol, `per_kind` each; the last job of a
+    // protocol closes its oracle report.
+    let per_kind = cfg.values.len() * cfg.trials as usize;
     let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
-    for (&(kind, value, _), summary) in jobs.iter().zip(summaries) {
+    for (i, (&(kind, value, trial), summary)) in jobs.iter().zip(summaries).enumerate() {
+        if checked(kind) {
+            eprintln!(
+                "oracle: {} {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
+                kind.name(),
+                cfg.param.name(),
+                value,
+                trial,
+                summary.oracle_soft_violations,
+                summary.dynamics_events,
+            );
+            if i % per_kind == per_kind - 1 {
+                eprintln!(
+                    "oracle: loop-freedom held at every {} checkpoint",
+                    kind.name()
+                );
+            }
+        }
         runs.entry((kind.name(), value)).or_default().push(summary);
     }
     SweepResult {
@@ -466,46 +507,6 @@ pub fn run_sweep(protocols: &[ProtocolKind], cfg: &SweepConfig) -> SweepResult {
         engine: cfg.engine,
         workers: cfg.workers,
     }
-}
-
-/// Runs every point of `kind` once under the loop-freedom oracle (the
-/// oracle inspects each trial's own protocol state every simulated second
-/// and after every dynamics event, so trials still run side by side) and
-/// returns the summaries, so they double as `kind`'s sweep results. The
-/// per-trial `oracle:` report lines go to stderr in trial order.
-///
-/// # Panics
-///
-/// Panics on a loop-freedom violation, or if `kind`'s protocol exposes no
-/// successor view to check (today only the SRP engine does:
-/// [`ProtocolKind::runs_srp`]).
-pub fn run_oracle_pass(
-    cfg: &SweepConfig,
-    kind: ProtocolKind,
-) -> BTreeMap<(&'static str, u64), Vec<TrialSummary>> {
-    let jobs = trial_jobs(&[kind], cfg);
-    let results = run_trials(cfg, &jobs, |&(kind, value, trial)| {
-        cfg.sim_for(kind, value, trial)
-            .run_with_loop_oracle(SimDuration::from_secs(1))
-    });
-    let mut runs: BTreeMap<(&'static str, u64), Vec<TrialSummary>> = BTreeMap::new();
-    for (&(_, value, trial), (summary, soft)) in jobs.iter().zip(results) {
-        eprintln!(
-            "oracle: {} {}={} trial {} OK ({} soft order drift(s), {} dynamics event(s))",
-            kind.name(),
-            cfg.param.name(),
-            value,
-            trial,
-            soft,
-            summary.dynamics_events,
-        );
-        runs.entry((kind.name(), value)).or_default().push(summary);
-    }
-    eprintln!(
-        "oracle: loop-freedom held at every {} checkpoint",
-        kind.name()
-    );
-    runs
 }
 
 /// The `(protocol, value, trial)` jobs of a sweep, in sweep order (so
@@ -563,31 +564,6 @@ fn run_trials<J: Sync, T: Send>(
 /// Runs a single trial (the building block for examples and tests).
 pub fn run_trial(scenario: Scenario) -> TrialSummary {
     Sim::new(scenario).run()
-}
-
-/// A convenience wrapper for quick single-point comparisons.
-pub fn quick_compare(
-    protocols: &[ProtocolKind],
-    pause: u64,
-    trials: u64,
-    seed: u64,
-) -> Vec<(&'static str, MeanCi)> {
-    let cfg = SweepConfig {
-        seed,
-        trials,
-        values: vec![pause],
-        ..SweepConfig::default()
-    };
-    let result = run_sweep(protocols, &cfg);
-    protocols
-        .iter()
-        .map(|p| (p.name(), result.point(*p, pause, Metric::DeliveryRatio)))
-        .collect()
-}
-
-/// Duration helper used by binaries to describe scenarios.
-pub fn pause_duration(pause: u64) -> SimDuration {
-    SimDuration::from_secs(pause)
 }
 
 #[cfg(test)]
@@ -833,18 +809,19 @@ mod tests {
         }
     }
 
-    /// SRP-MP runs the same `Srp` engine as SRP, so the oracle pass must
+    /// SRP-MP runs the same `Srp` engine as SRP, so an oracle sweep must
     /// check it too rather than skip it.
     #[test]
     fn oracle_pass_checks_srp_multipath() {
         let cfg = SweepConfig {
+            oracle: true,
             trials: 1,
             values: vec![9],
             override_duration: Some(30),
             ..SweepConfig::for_family(Family::Grid, false)
         };
-        let runs = run_oracle_pass(&cfg, ProtocolKind::SrpMultipath);
-        let cell = &runs[&(ProtocolKind::SrpMultipath.name(), 9)];
+        let result = run_sweep(&[ProtocolKind::SrpMultipath], &cfg);
+        let cell = &result.runs[&(ProtocolKind::SrpMultipath.name(), 9)];
         assert_eq!(cell.len(), 1);
         assert!(cell[0].oracle_checks > 0, "the oracle never ran");
     }
@@ -911,7 +888,7 @@ mod tests {
         assert_eq!(msg, "trial 3 boom");
     }
 
-    /// The oracle pass runs its trials side by side; the summaries (and
+    /// An oracle sweep runs its trials side by side; the summaries (and
     /// with them the oracle's check and soft-violation counts) must not
     /// depend on how many run at once.
     #[test]
@@ -922,13 +899,41 @@ mod tests {
                 values: vec![9, 16],
                 override_duration: Some(30),
                 threads,
+                oracle: true,
                 ..SweepConfig::for_family(Family::Grid, false)
             };
-            run_oracle_pass(&cfg, ProtocolKind::Srp)
+            run_sweep(&[ProtocolKind::Srp], &cfg).runs
         };
         let one = pass(1);
         assert_eq!(one.values().map(Vec::len).sum::<usize>(), 4);
         assert_eq!(one, pass(2));
+    }
+
+    /// `oracle` checks exactly the SRP-engine trials of a sweep, and
+    /// leaves the others as they run without it.
+    #[test]
+    fn oracle_runs_inside_the_sweep() {
+        let sweep = |oracle| {
+            let cfg = SweepConfig {
+                trials: 2,
+                values: vec![16],
+                override_duration: Some(30),
+                threads: 2,
+                oracle,
+                ..SweepConfig::for_family(Family::CrashRejoin, false)
+            };
+            run_sweep(&[ProtocolKind::Srp, ProtocolKind::Aodv], &cfg).runs
+        };
+        let (on, off) = (sweep(true), sweep(false));
+        let srp = &on[&(ProtocolKind::Srp.name(), 16)];
+        assert_eq!(srp.len(), 2);
+        for t in srp {
+            assert!(t.oracle_checks > 0, "an SRP trial went unchecked");
+            assert!(t.dynamics_events > 0, "crash-rejoin never fired");
+        }
+        let aodv = &on[&(ProtocolKind::Aodv.name(), 16)];
+        assert!(aodv.iter().all(|t| t.oracle_checks == 0));
+        assert_eq!(aodv, &off[&(ProtocolKind::Aodv.name(), 16)]);
     }
 
     #[test]

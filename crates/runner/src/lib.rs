@@ -42,7 +42,7 @@ pub mod stats;
 pub mod trace;
 
 pub use adversary::AdversarySpec;
-pub use cli::{parse_cli, CliAction, CliOptions};
+pub use cli::{parse_cli, CliAction, Invocation};
 pub use dynamics::DynamicsSpec;
 pub use experiment::{run_sweep, run_trial, Metric, SweepConfig, SweepResult, PAUSE_TIMES};
 pub use medium::{MediumView, PositionTracker};

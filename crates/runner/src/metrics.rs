@@ -325,12 +325,6 @@ impl MemReport {
     pub fn bytes_per_node(&self) -> f64 {
         self.total() as f64 / self.nodes.max(1) as f64
     }
-
-    /// Protocol + MAC state per node — the budgeted quantity (the other
-    /// subsystems either scale with traffic or are shared).
-    pub fn proto_mac_bytes_per_node(&self) -> f64 {
-        (self.proto_bytes + self.mac_bytes) as f64 / self.nodes.max(1) as f64
-    }
 }
 
 /// The per-trial summary consumed by the statistics layer.

@@ -136,7 +136,7 @@ pub enum EngineKind {
     /// same-timestamp windows whose node-local tasks (receiver
     /// completions, protocol reactions, application arrivals, protocol
     /// timers) execute concurrently on a persistent worker pool (see
-    /// [`Sim::set_workers`]); global side effects merge in canonical
+    /// [`Sim::with_workers`]); global side effects merge in canonical
     /// order, so output is bit-identical to [`EngineKind::Batched`] at
     /// any worker count. MAC timers (the only events that can start a
     /// transmission — DIFS/SIFS > 0 is the conservative-lookahead bound)
@@ -230,12 +230,12 @@ pub struct Sim {
     par_scratch: Vec<WorkerScratch>,
     /// Window-occupancy statistics for the parallel engine (cheap
     /// counters, always maintained; wall-clock shares only when
-    /// [`Sim::enable_window_stats`] turned timing on).
+    /// [`Sim::run_with_window_stats`] turned timing on).
     wstats: WindowStats,
     /// Whether to pay for the serial/parallel wall-clock attribution.
     wstats_timing: bool,
     /// Per-phase wall-clock accumulators (batched engine only; enabled by
-    /// [`Sim::enable_phase_timing`]).
+    /// [`Sim::run_phased`]).
     phase: Option<Box<PhaseTimes>>,
     /// Metrics for the trial.
     pub metrics: Metrics,
@@ -264,8 +264,8 @@ struct WindowBufs {
 
 /// Window-occupancy statistics of one parallel-engine trial (the
 /// benchmark's `runner.par.*` metrics). Counters are worker-count
-/// independent diagnostics; the wall-clock fields need
-/// [`Sim::enable_window_stats`].
+/// independent diagnostics; the wall-clock fields are filled only by
+/// [`Sim::run_with_window_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
     /// Events dispatched serially between windows (MAC timers, dynamics).
@@ -324,7 +324,7 @@ impl WindowStats {
 }
 
 /// Where a serial trial's wall clock goes, by harness phase (see
-/// [`Sim::enable_phase_timing`]): the attribution behind the
+/// [`Sim::run_phased`]): the attribution behind the
 /// benchmark's `runner.sim.phase_*_s` metrics, which is what makes the
 /// parallel engine's `runner.par.speedup_vs_batched` explainable — only
 /// the signal / MAC / protocol phases parallelize; the medium query runs
@@ -575,13 +575,8 @@ impl Sim {
 
     /// Selects how transmission-end events are dispatched (batched by
     /// default).
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
-    }
-
-    /// Builder form of [`Sim::set_engine`].
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.set_engine(engine);
+        self.engine = engine;
         self
     }
 
@@ -595,29 +590,18 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if `workers` is zero.
-    pub fn set_workers(&mut self, workers: usize) {
+    pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "at least one worker (the dispatch thread)");
         self.workers = workers;
-    }
-
-    /// Builder form of [`Sim::set_workers`].
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.set_workers(workers);
         self
     }
 
     /// Turns on wall-clock attribution of the parallel engine's serial
-    /// vs. parallel sections in [`Sim::window_stats`]. Off by default —
-    /// the counters are always maintained, only the `Instant` probes are
-    /// gated (they are per-event, so never free).
-    pub fn enable_window_stats(&mut self) {
+    /// vs. parallel sections. Off by default — the counters are always
+    /// maintained, only the `Instant` probes are gated (they are
+    /// per-event, so never free).
+    fn enable_window_stats(&mut self) {
         self.wstats_timing = true;
-    }
-
-    /// Window-occupancy statistics accumulated so far (parallel engine;
-    /// all-zero under the batched engine).
-    pub fn window_stats(&self) -> WindowStats {
-        self.wstats
     }
 
     /// Runs the trial with serial/parallel wall-clock attribution enabled
@@ -636,7 +620,7 @@ impl Sim {
     /// MAC / protocol) during the trial, reported by [`Sim::run_phased`].
     /// Batched engine only — the parallel engine's workers overlap phases
     /// by design, so per-phase wall clock is not well-defined there.
-    pub fn enable_phase_timing(&mut self) {
+    fn enable_phase_timing(&mut self) {
         self.phase = Some(Box::default());
     }
 
@@ -690,13 +674,10 @@ impl Sim {
     }
 
     /// Like [`Sim::run_detailed`], additionally reporting where the wall
-    /// clock went by harness phase (enables phase timing if the caller
-    /// has not already). The attribution behind the benchmark's
+    /// clock went by harness phase. The attribution behind the benchmark's
     /// `runner.sim.phase_*_s` metrics; meaningful under the batched engine.
     pub fn run_phased(mut self) -> (TrialSummary, Metrics, PhaseTimes) {
-        if self.phase.is_none() {
-            self.enable_phase_timing();
-        }
+        self.enable_phase_timing();
         self.run_loop();
         let phases = *self.phase.take().expect("enabled above");
         let nodes = self.scenario.nodes;
@@ -1908,8 +1889,9 @@ impl Sim {
 
     /// Like [`Sim::run`], but additionally runs the loop-freedom oracle
     /// ([`Sim::check_loop_freedom`]) every `check_interval` of virtual
-    /// time, panicking on any hard violation. Returns the summary and the total count of soft
-    /// order violations observed.
+    /// time, panicking on any hard violation. The summary's
+    /// `oracle_checks` and `oracle_soft_violations` count the checkpoints
+    /// and the soft order violations observed.
     ///
     /// Works under every engine — the ISSUE-4 principle that the oracle
     /// stays in the loop while the machinery around it is restructured
@@ -1921,7 +1903,7 @@ impl Sim {
     /// census, and the check count are bit-identical across engines and
     /// worker counts. Adversarial trials additionally check after every
     /// instant at which an adversary acted.
-    pub fn run_with_loop_oracle(mut self, check_interval: SimDuration) -> (TrialSummary, u64) {
+    pub fn run_with_loop_oracle(mut self, check_interval: SimDuration) -> TrialSummary {
         let mut next_check = SimTime::ZERO + check_interval;
         let mut soft = 0u64;
         let mut checks = 0u64;
@@ -1970,8 +1952,7 @@ impl Sim {
         self.metrics.oracle_checks = checks;
         self.metrics.oracle_soft_violations = soft;
         let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), soft)
+        self.finalize_metrics().summarize(nodes)
     }
 }
 

@@ -24,19 +24,20 @@ use slr_runner::sim::{EngineKind, Sim};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_cli(&args) {
-        Ok(opts) => opts,
+    let cli = match parse_cli(&args, |_| 1) {
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    if opts.action != CliAction::Run {
+    if cli.action != CliAction::Run {
         eprintln!("{}", usage("manet_demo"));
         return;
     }
-    let pause = match (&opts.param, &opts.values) {
-        (Some(SweepParam::Pause), Some(v)) => v[0],
+    let sweep = cli.sweep;
+    let pause = match sweep.param {
+        SweepParam::Pause => sweep.values[0],
         _ => 0,
     };
 
@@ -46,7 +47,7 @@ fn main() {
         "proto", "delivery", "load", "latency(s)", "drops/node", "seqno"
     );
     for kind in ProtocolKind::all() {
-        let scenario = Scenario::quick(kind, pause, opts.seed, 0);
+        let scenario = Scenario::quick(kind, pause, sweep.seed, 0);
         let summary = Sim::new(scenario).run();
         println!(
             "{:<8} {:>10.3} {:>10.3} {:>12.4} {:>12.1} {:>10.2}",
@@ -64,22 +65,21 @@ fn main() {
     // Part 2: the dense family under the selected engine. Both engines
     // are bit-identical by contract; the demo proves it on the spot
     // whenever the parallel engine is picked.
-    let nodes = opts.nodes.unwrap_or(300) as u64;
-    let workers = opts.effective_workers();
-    let engine_name = match opts.engine {
+    let nodes = sweep.override_nodes.unwrap_or(300) as u64;
+    let engine_name = match sweep.engine {
         EngineKind::Batched => "batched".to_string(),
-        EngineKind::Parallel => format!("parallel ({workers} workers)"),
+        EngineKind::Parallel => format!("parallel ({} workers)", sweep.workers),
     };
     let dense_scenario = || {
         let mut s = Family::Dense.scenario_at(
             ProtocolKind::Srp,
-            opts.seed,
+            sweep.seed,
             0,
-            opts.paper,
+            sweep.paper_scale,
             SweepParam::Nodes,
             nodes,
         );
-        if let Some(d) = opts.duration {
+        if let Some(d) = sweep.override_duration {
             s.end = slr_netsim::time::SimTime::from_secs(d);
         }
         s
@@ -90,15 +90,15 @@ fn main() {
     );
     let start = std::time::Instant::now();
     let summary = Sim::new(dense_scenario())
-        .with_engine(opts.engine)
-        .with_workers(workers)
+        .with_engine(sweep.engine)
+        .with_workers(sweep.workers)
         .run();
     let wall = start.elapsed().as_secs_f64();
     println!(
         "  delivery {:.3}, load {:.3}, latency {:.4} s — {wall:.2} s wall clock",
         summary.delivery_ratio, summary.network_load, summary.latency
     );
-    if opts.engine != EngineKind::Batched {
+    if sweep.engine != EngineKind::Batched {
         let baseline = Sim::new(dense_scenario())
             .with_engine(EngineKind::Batched)
             .run();

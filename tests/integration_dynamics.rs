@@ -93,7 +93,7 @@ fn srp_loop_free_under_all_dynamics_families_across_seeds() {
         for seed in 0..20u64 {
             let mut s = small(family, ProtocolKind::Srp, seed);
             s.end = SimTime::from_secs(40);
-            let (summary, _soft) = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(2));
+            let summary = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(2));
             assert!(
                 summary.dynamics_events > 0,
                 "{} seed {seed}: dynamics never fired",

@@ -21,12 +21,11 @@
 
 use slr_netsim::admittance::DynAction;
 use slr_netsim::time::{SimDuration, SimTime};
-use slr_runner::experiment::run_oracle_pass;
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::report::render_json;
 use slr_runner::scenario::{ProtocolKind, Scenario};
 use slr_runner::sim::{EngineKind, Sim};
-use slr_runner::{run_sweep, DynamicsSpec, SweepConfig, SweepResult};
+use slr_runner::{run_sweep, DynamicsSpec, SweepConfig};
 use slr_traffic::{PacketSpec, TrafficScript};
 
 use slr_mobility::Position;
@@ -247,7 +246,7 @@ fn injected_mid_airtime_dynamics_keep_engines_identical() {
     let run = |engine| {
         let mut sim = audit_sim(engine);
         if engine == EngineKind::Parallel {
-            sim.set_workers(4);
+            sim = sim.with_workers(4);
         }
         let t = step_to_first_signal(&mut sim);
         sim.inject_dynamics(t + SimDuration::from_micros(25), DynAction::NodeCrash(1));
@@ -323,8 +322,8 @@ fn cli_json_byte_identical_across_engines() {
 }
 
 /// The `--oracle` variant of the same regression: SRP trials run under
-/// the loop-freedom oracle (`run_oracle_pass`, as `slrsim --oracle` runs
-/// them) on a crash–rejoin workload, and the rendered JSON must still be
+/// the loop-freedom oracle (`SweepConfig::oracle`, as `slrsim --oracle`
+/// runs them) on a crash–rejoin workload, and the rendered JSON must still be
 /// byte-identical between batched and parallel@2 after stripping the
 /// engine/workers echo.
 #[test]
@@ -335,15 +334,8 @@ fn cli_json_byte_identical_with_oracle() {
         cfg.override_dynamics = Some(DynamicsSpec::default_crash(2));
         cfg.engine = engine;
         cfg.workers = workers;
-        render_json(&SweepResult {
-            runs: run_oracle_pass(&cfg, ProtocolKind::Srp),
-            protocols: vec![ProtocolKind::Srp],
-            family: cfg.family,
-            param: cfg.param,
-            values: cfg.values.clone(),
-            engine: cfg.engine,
-            workers: cfg.workers,
-        })
+        cfg.oracle = true;
+        render_json(&run_sweep(&[ProtocolKind::Srp], &cfg))
     };
 
     let batched = oracle_json(EngineKind::Batched, 1);

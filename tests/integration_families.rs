@@ -47,7 +47,7 @@ fn static_grid_delivers_everything_loop_free() {
     // hard (cycles / order breaks, which would panic) or soft (label
     // drift, which only DELETE_PERIOD forgetting under churn can cause).
     let s = Family::Grid.scenario_at(ProtocolKind::Srp, 9, 0, false, SweepParam::Nodes, 16);
-    let (summary, soft) = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(1));
+    let summary = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(1));
     assert!(
         summary.originated > 100,
         "too little traffic: {}",
@@ -58,7 +58,10 @@ fn static_grid_delivers_everything_loop_free() {
         "grid delivery {} below 0.99",
         summary.delivery_ratio
     );
-    assert_eq!(soft, 0, "static grid must show zero soft order violations");
+    assert_eq!(
+        summary.oracle_soft_violations, 0,
+        "static grid must show zero soft order violations"
+    );
     assert_eq!(
         summary.avg_seqno, 0.0,
         "SRP must not touch sequence numbers"
@@ -68,13 +71,13 @@ fn static_grid_delivers_everything_loop_free() {
 #[test]
 fn static_line_delivers_loop_free() {
     let s = Family::Line.scenario_at(ProtocolKind::Srp, 4, 0, false, SweepParam::Nodes, 6);
-    let (summary, soft) = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(1));
+    let summary = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(1));
     assert!(
         summary.delivery_ratio >= 0.99,
         "line delivery {}",
         summary.delivery_ratio
     );
-    assert_eq!(soft, 0);
+    assert_eq!(summary.oracle_soft_violations, 0);
 }
 
 #[test]

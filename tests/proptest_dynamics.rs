@@ -91,7 +91,7 @@ proptest! {
     ) {
         let s = churn_scenario(ProtocolKind::Srp, seed, side, rate);
         // Hard violations panic inside the oracle.
-        let (summary, _soft) = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(2));
+        let summary = Sim::new(s).run_with_loop_oracle(SimDuration::from_secs(2));
         prop_assert!(summary.originated > 0, "no traffic generated");
     }
 
