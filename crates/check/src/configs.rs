@@ -30,8 +30,6 @@ use crate::model::{Action, Flow, Model, ModelConfig};
 pub fn model_srp_config() -> SrpConfig {
     SrpConfig {
         delete_period: SimDuration::from_secs(3),
-        max_denom: 1_000_000_000,
-        lie_k: 10_000,
         min_reply_hops: 0,
         route_lifetime: SimDuration::from_secs(2),
         // First-ring TTL (5) already covers every model topology
@@ -41,10 +39,9 @@ pub fn model_srp_config() -> SrpConfig {
             buffer_capacity: 4,
             buffer_timeout: SimDuration::from_secs(1 << 20),
             rerr_rate_limit: SimDuration::ZERO,
+            rreq_cache_lifetime: SimDuration::from_secs(1 << 20),
         },
         multipath: MultipathPolicy::SingleMinHop,
-        reduce_den_threshold: 1 << 27,
-        rreq_cache_lifetime: SimDuration::from_secs(1 << 20),
     }
 }
 

@@ -10,7 +10,7 @@
 //! AODV's average node sequence number growing with mobility.
 
 use slr_netsim::time::{SimDuration, SimTime};
-use slr_netsim::{FastHashMap, VecMap};
+use slr_netsim::VecMap;
 
 use crate::api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
@@ -111,9 +111,7 @@ pub struct Aodv {
     node: NodeId,
     own_seqno: u64,
     seqno_increments: u64,
-    next_rreq_id: u64,
     routes: VecMap<NodeId, Route>,
-    rreq_seen: FastHashMap<(NodeId, u64), SimTime>,
     discovery: Discovery,
 }
 
@@ -124,9 +122,7 @@ impl Aodv {
             node,
             own_seqno: 0,
             seqno_increments: 0,
-            next_rreq_id: 0,
             routes: VecMap::new(),
-            rreq_seen: FastHashMap::default(),
             discovery: Discovery::new(DISCOVERY),
         }
     }
@@ -214,17 +210,16 @@ impl Aodv {
         // a route discovery. This is the Fig. 7 growth driver.
         self.own_seqno += 1;
         self.seqno_increments += 1;
-        self.next_rreq_id += 1;
+        let rreq_id = self.discovery.originate(self.node, now, ());
         let (dst_seqno, unknown) = match self.routes.get(&ring.dst) {
             Some(r) if r.valid_seqno => (r.seqno, false),
             _ => (0, true),
         };
-        self.rreq_seen.insert((self.node, self.next_rreq_id), now);
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Aodv(AodvMessage::Rreq(AodvRreq {
                 orig: self.node,
                 orig_seqno: self.own_seqno,
-                rreq_id: self.next_rreq_id,
+                rreq_id,
                 dst: ring.dst,
                 dst_seqno,
                 unknown,
@@ -253,14 +248,11 @@ impl Aodv {
     ) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        if rreq.orig == self.node {
+        self.discovery.sweep(DISCOVERY, now);
+        let flood = (rreq.orig, rreq.rreq_id);
+        if rreq.orig == self.node || !self.discovery.first_sight(flood, now, || ()) {
             return fx;
         }
-        let key = (rreq.orig, rreq.rreq_id);
-        if self.rreq_seen.contains_key(&key) {
-            return fx;
-        }
-        self.rreq_seen.insert(key, now);
 
         // Reverse route to the originator.
         self.update_route(
@@ -505,11 +497,16 @@ impl RoutingProtocol for Aodv {
             audit_rejections: 0,
         }
     }
+
+    fn mem_bytes(&self) -> usize {
+        self.discovery.mem_bytes() + self.routes.mem_bytes()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::{Flood, FloodId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -802,6 +799,42 @@ mod tests {
             }]
         ));
         assert_eq!(b.stats().discoveries, 4);
+    }
+
+    /// A node that hears one flood a second for three flood lifetimes
+    /// logs only the last lifetime's: the sweep forgets the rest.
+    #[test]
+    fn flood_log_holds_one_lifetime() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut b = Aodv::new(1);
+        let lifetime = 120;
+        assert_eq!(
+            DISCOVERY.rreq_cache_lifetime,
+            SimDuration::from_secs(lifetime)
+        );
+        for id in 0..=3 * lifetime {
+            let rreq = AodvRreq {
+                orig: 7,
+                orig_seqno: 1,
+                rreq_id: id,
+                dst: 9,
+                dst_seqno: 0,
+                unknown: true,
+                hop_count: 0,
+                ttl: 1,
+            };
+            let _ = b.on_control_received(
+                &mut ctx_at(&mut rng, id),
+                7,
+                ControlPacket::Aodv(AodvMessage::Rreq(rreq)),
+            );
+        }
+        let logged: Vec<u64> = (0..=3 * lifetime)
+            .filter(|&id| b.discovery.flood((7, id)).is_some())
+            .collect();
+        assert_eq!(logged, Vec::from_iter(2 * lifetime + 1..=3 * lifetime));
+        let entry = std::mem::size_of::<(FloodId, Flood<()>)>();
+        assert!(b.mem_bytes() >= b.routes.mem_bytes() + logged.len() * entry);
     }
 
     #[test]

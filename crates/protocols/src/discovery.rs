@@ -6,13 +6,17 @@
 //! the last ring. [`Discovery`] owns that whole decision — the
 //! route-pending [`PacketBuffer`], the per-destination attempt table, the
 //! timer-token codec, the buffer-timeout sweep, the overflow and give-up
-//! drops — and the per-destination RERR rate limiter.
+//! drops — the per-destination RERR rate limiter, and the flood log:
+//! request ids, Procedure 2's duplicate suppression and one age sweep
+//! over the log and the RERR stamps.
 //!
 //! It never branches on which protocol calls it. It emits the drops and
 //! arms the timer; the caller floods its own request in between, so every
 //! protocol's effects come out as drops → request → timer. What stays
-//! with the protocol is the request itself and the retry predicate: what
-//! a timer does when a route appeared while it ran (AODV, LDR and SRP
+//! with the protocol is the request itself, the relay state it logs with
+//! each flood (`()` for AODV and DSR, the reverse hop for LDR, that plus
+//! the cached solicitation for SRP), and the retry predicate: what a
+//! timer does when a route appeared while it ran (AODV, LDR and SRP
 //! cancel the discovery, DSR flushes the buffer).
 
 use slr_netsim::time::{SimDuration, SimTime};
@@ -39,6 +43,10 @@ pub struct DiscoveryConfig {
     pub buffer_timeout: SimDuration,
     /// Minimum spacing between RERRs for the same destination.
     pub rerr_rate_limit: SimDuration,
+    /// Retention horizon of the flood log. An entry is consulted only
+    /// while a copy of its request or reply can still arrive, within the
+    /// largest ring timeout (2 × 64 hops × per-hop latency ≈ 5 s).
+    pub rreq_cache_lifetime: SimDuration,
 }
 
 impl DiscoveryConfig {
@@ -48,6 +56,7 @@ impl DiscoveryConfig {
         buffer_capacity: 64,
         buffer_timeout: SimDuration::from_secs(30),
         rerr_rate_limit: SimDuration::from_secs(1),
+        rreq_cache_lifetime: SimDuration::from_secs(120),
     };
 
     /// Arms the timeout of the ring the caller has just flooded.
@@ -99,24 +108,42 @@ fn decode_token(token: u64) -> Option<Attempt> {
     })
 }
 
-/// One node's discovery state: held packets, live attempts, RERR stamps.
+/// A flood: its originator and the request id the originator gave it.
+pub type FloodId = (NodeId, u64);
+
+/// A flood-log entry: when this node first saw the flood, and the relay
+/// state its protocol keeps for it.
+pub(crate) type Flood<F> = (SimTime, F);
+
+/// One node's discovery state: held packets, live attempts, RERR stamps
+/// and the flood log, whose entries carry the protocol's relay state `F`.
 #[derive(Debug, Clone)]
-pub struct Discovery {
+pub struct Discovery<F = ()> {
     buffer: PacketBuffer,
     /// Destination → the attempt its in-progress discovery is on.
     attempts: VecMap<NodeId, u32>,
     /// Destination → when this node last reported it unreachable.
     last_rerr: VecMap<NodeId, SimTime>,
+    /// Every flood seen since the last sweep or within one lifetime
+    /// before it, this node's own included.
+    floods: VecMap<FloodId, Flood<F>>,
+    /// The request id of the last flood this node originated.
+    last_rreq_id: u64,
+    /// When [`Discovery::sweep`] next does any work.
+    next_sweep_at: SimTime,
     started: u64,
 }
 
-impl Discovery {
+impl<F> Discovery<F> {
     /// Empty state, holding at most `cfg.buffer_capacity` packets.
     pub fn new(cfg: &DiscoveryConfig) -> Self {
         Discovery {
             buffer: PacketBuffer::new(cfg.buffer_capacity),
             attempts: VecMap::new(),
             last_rerr: VecMap::new(),
+            floods: VecMap::new(),
+            last_rreq_id: 0,
+            next_sweep_at: SimTime::ZERO,
             started: 0,
         }
     }
@@ -146,9 +173,10 @@ impl Discovery {
         Some(Attempt { dst, n: 0 })
     }
 
-    /// The shared start of every timer: drops the packets held longer than
-    /// the buffer timeout, then returns the attempt `token` reports if it
-    /// is a discovery's current one (`None` for stale and foreign tokens).
+    /// The shared start of every timer: runs [`Discovery::sweep`], drops
+    /// the packets held longer than the buffer timeout, then returns the
+    /// attempt `token` reports if it is a discovery's current one (`None`
+    /// for stale and foreign tokens).
     pub fn on_timer(
         &mut self,
         cfg: &DiscoveryConfig,
@@ -156,6 +184,7 @@ impl Discovery {
         now: SimTime,
         fx: &mut Vec<ProtoEffect>,
     ) -> Option<Attempt> {
+        self.sweep(cfg, now);
         let expired = self.buffer.take_expired(now, cfg.buffer_timeout);
         drop_all(expired, DataDropReason::BufferTimeout, fx);
         let due = decode_token(token)?;
@@ -225,8 +254,50 @@ impl Discovery {
         (!lost.is_empty()).then_some(lost)
     }
 
-    /// Forgets RERR stamps old enough to be no-ops.
-    pub fn prune_rerr(&mut self, cfg: &DiscoveryConfig, now: SimTime) {
+    /// Takes the request id for a flood `node` originates and logs the
+    /// flood with relay state `relay`, so its echoes are duplicates.
+    pub fn originate(&mut self, node: NodeId, now: SimTime, relay: F) -> u64 {
+        self.last_rreq_id += 1;
+        self.floods.insert((node, self.last_rreq_id), (now, relay));
+        self.last_rreq_id
+    }
+
+    /// Procedure 2's duplicate test. The first copy of flood `id` is
+    /// logged with relay state `relay()` and answers `true`; a flood
+    /// already in the log answers `false` and changes nothing.
+    pub fn first_sight(&mut self, id: FloodId, now: SimTime, relay: impl FnOnce() -> F) -> bool {
+        if self.floods.contains_key(&id) {
+            return false;
+        }
+        self.floods.insert(id, (now, relay()));
+        true
+    }
+
+    /// The relay state logged for flood `id`.
+    pub fn flood(&self, id: FloodId) -> Option<&F> {
+        self.floods.get(&id).map(|(_, relay)| relay)
+    }
+
+    /// Mutable access to the relay state logged for flood `id`.
+    pub fn flood_mut(&mut self, id: FloodId) -> Option<&mut F> {
+        self.floods.get_mut(&id).map(|(_, relay)| relay)
+    }
+
+    /// The retention sweep: forgets floods first seen a
+    /// [`DiscoveryConfig::rreq_cache_lifetime`] ago or longer, and RERR
+    /// stamps old enough to be no-ops. Does work at most once per
+    /// lifetime, so the log holds at most two lifetimes of floods and
+    /// costs nothing between sweeps. Protocols call it at the top of
+    /// request handling; [`Discovery::on_timer`] calls it on every timer.
+    pub fn sweep(&mut self, cfg: &DiscoveryConfig, now: SimTime) {
+        if now < self.next_sweep_at {
+            return;
+        }
+        let lifetime = cfg.rreq_cache_lifetime;
+        self.next_sweep_at = now + lifetime;
+        self.floods
+            .retain(|_, (seen_at, _)| now.saturating_since(*seen_at) < lifetime);
+        self.floods.shrink_to_fit();
         let limit = cfg.rerr_rate_limit;
         self.last_rerr
             .retain(|_, t| now.saturating_since(*t) < limit);
@@ -239,17 +310,49 @@ impl Discovery {
         self.started
     }
 
-    /// Live heap bytes: the attempt table, the RERR stamps and the buffer.
+    /// Live heap bytes: the attempt table, the RERR stamps, the flood log
+    /// and the buffer.
     pub fn mem_bytes(&self) -> usize {
-        self.attempts.mem_bytes() + self.last_rerr.mem_bytes() + self.buffer.mem_bytes()
+        self.attempts.mem_bytes()
+            + self.last_rerr.mem_bytes()
+            + self.floods.mem_bytes()
+            + self.buffer.mem_bytes()
     }
 
-    /// Canonical serialization for the model checker: attempts, held
-    /// packets and RERR stamps, ages clamped at the horizon that governs
-    /// them.
+    /// The request id of the last flood this node originated (model
+    /// checker state).
     #[cfg(feature = "model-check")]
-    pub fn model_canonical(&self, cfg: &DiscoveryConfig, now: SimTime, out: &mut Vec<u8>) {
+    pub fn last_rreq_id(&self) -> u64 {
+        self.last_rreq_id
+    }
+
+    /// When the next sweep does any work (model checker state).
+    #[cfg(feature = "model-check")]
+    pub fn next_sweep_at(&self) -> SimTime {
+        self.next_sweep_at
+    }
+
+    /// Canonical serialization for the model checker: the flood log (each
+    /// entry's relay state as `relay` writes it), attempts, held packets
+    /// and RERR stamps, ages clamped at the horizon that governs them.
+    #[cfg(feature = "model-check")]
+    pub fn model_canonical(
+        &self,
+        cfg: &DiscoveryConfig,
+        now: SimTime,
+        out: &mut Vec<u8>,
+        mut relay: impl FnMut(&mut Vec<u8>, &F),
+    ) {
         use crate::model::{age, put};
+        put(out, 0xA2);
+        put(out, self.floods.len() as u64);
+        for (id, (seen_at, f)) in self.floods.iter() {
+            put(out, id.0 as u64);
+            put(out, id.1);
+            relay(out, f);
+            age(out, now, *seen_at, cfg.rreq_cache_lifetime);
+        }
+
         put(out, 0xA3);
         put(out, self.attempts.len() as u64);
         for (dst, n) in self.attempts.iter() {
@@ -445,7 +548,7 @@ mod tests {
     #[test]
     fn ring_schedule() {
         assert_eq!(RING, [5, 16, 64]);
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let mut fx = Vec::new();
         let a = d.hold(pkt(0, 9, 1), SimTime::ZERO, &mut fx).unwrap();
         assert_eq!(a.ttl(), 5);
@@ -456,7 +559,7 @@ mod tests {
 
     #[test]
     fn one_discovery_per_destination() {
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let mut fx = Vec::new();
         assert!(d.hold(pkt(0, 9, 1), SimTime::ZERO, &mut fx).is_some());
         assert!(d.hold(pkt(0, 9, 2), SimTime::ZERO, &mut fx).is_none());
@@ -468,7 +571,7 @@ mod tests {
 
     #[test]
     fn stale_attempt_timer_is_ignored() {
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let mut fx = Vec::new();
         let first = d.hold(pkt(0, 9, 1), SimTime::ZERO, &mut fx).unwrap();
         let now = SimTime::from_secs(1);
@@ -489,7 +592,7 @@ mod tests {
 
     #[test]
     fn giving_up_drops_only_that_destinations_packets() {
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let mut fx = Vec::new();
         let now = SimTime::ZERO;
         let mut ring = d.hold(pkt(0, 9, 1), now, &mut fx).unwrap();
@@ -519,7 +622,7 @@ mod tests {
             buffer_capacity: 2,
             ..DiscoveryConfig::default()
         };
-        let mut d = Discovery::new(&cfg);
+        let mut d: Discovery = Discovery::new(&cfg);
         let mut fx = Vec::new();
         d.hold(pkt(0, 9, 1), SimTime::ZERO, &mut fx);
         d.hold(pkt(0, 9, 2), SimTime::ZERO, &mut fx);
@@ -558,7 +661,7 @@ mod tests {
 
     #[test]
     fn expiry_sweep_keeps_arrival_order() {
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let mut fx = Vec::new();
         // Interleave old and young packets over two destinations.
         for (uid, (dst, at)) in [(9, 0), (8, 20), (8, 1), (9, 21), (9, 2), (8, 22)]
@@ -590,7 +693,7 @@ mod tests {
 
     #[test]
     fn rerr_limiter_window_boundary() {
-        let mut d = Discovery::new(&CFG);
+        let mut d: Discovery = Discovery::new(&CFG);
         let t0 = SimTime::from_secs(5);
         assert_eq!(d.rerr_due(&CFG, vec![3, 1], |&x| x, t0), Some(vec![3, 1]));
         // Inside the window nothing is reported again; a new destination is.
@@ -604,9 +707,83 @@ mod tests {
             Some(vec![(1, 7)])
         );
         assert_eq!(d.rerr_due(&CFG, Vec::<NodeId>::new(), |&x| x, edge), None);
-        // Pruning forgets only stamps that no longer suppress anything.
-        d.prune_rerr(&CFG, edge);
+        // The sweep forgets only stamps that no longer suppress anything.
+        d.sweep(&CFG, edge);
         assert_eq!(d.rerr_due(&CFG, vec![3, 1, 2], |&x| x, edge), Some(vec![3]));
+    }
+
+    #[test]
+    fn flood_log_answers_first_sight_and_keeps_the_first_relay_state() {
+        let mut d: Discovery<u32> = Discovery::new(&CFG);
+        let t = SimTime::from_secs(1);
+        assert_eq!(d.originate(4, t, 0), 1);
+        assert_eq!(d.originate(4, t, 0), 2);
+        assert!(!d.first_sight((4, 2), t, || 9), "own floods are logged");
+        assert!(d.first_sight((7, 2), t, || 1));
+        assert!(!d.first_sight((7, 2), t, || 2));
+        assert_eq!(d.flood((7, 2)), Some(&1));
+        *d.flood_mut((7, 2)).unwrap() = 3;
+        assert_eq!(d.flood((7, 2)), Some(&3));
+        assert_eq!(d.flood((7, 1)), None);
+    }
+
+    #[test]
+    fn sweep_runs_once_per_lifetime_and_forgets_only_old_floods() {
+        let mut d: Discovery = Discovery::new(&CFG);
+        let lifetime = CFG.rreq_cache_lifetime;
+        let t0 = SimTime::from_secs(10);
+        d.sweep(&CFG, t0);
+        assert!(d.first_sight((1, 1), t0, || ()));
+        assert!(d.first_sight((1, 2), t0 + SimDuration::from_secs(1), || ()));
+        // Between sweeps nothing is forgotten, however old.
+        d.sweep(&CFG, SimTime::from_nanos((t0 + lifetime).as_nanos() - 1));
+        assert!(d.flood((1, 1)).is_some());
+        // The next sweep drops exactly the floods a lifetime old.
+        d.sweep(&CFG, t0 + lifetime);
+        assert_eq!((d.flood((1, 1)), d.flood((1, 2))), (None, Some(&())));
+        assert!(d.first_sight((1, 1), t0 + lifetime, || ()), "forgotten");
+    }
+
+    /// Inside one lifetime the sweep forgets nothing, so the flood log
+    /// must answer exactly as the per-protocol sets it replaced: random
+    /// `(origin, id, time)` arrivals and own floods, checked against a
+    /// plain set.
+    #[test]
+    fn first_sight_matches_a_plain_set_within_one_lifetime() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use slr_netsim::FastHashSet;
+        const OWN: NodeId = 8;
+        let lifetime = CFG.rreq_cache_lifetime.as_nanos();
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut log: Discovery<u32> = Discovery::new(&CFG);
+            let mut set = FastHashSet::default();
+            let mut first_relay = Vec::new();
+            let start = rng.gen_range(0..lifetime);
+            let mut t = start;
+            for step in 0..300u32 {
+                t += rng.gen_range(0..lifetime / 300);
+                assert!(t - start < lifetime);
+                let now = SimTime::from_nanos(t);
+                log.sweep(&CFG, now);
+                if rng.gen_range(0..10) == 0 {
+                    let id = (OWN, log.originate(OWN, now, step));
+                    assert!(set.insert(id), "request ids are fresh");
+                    first_relay.push((id, step));
+                    continue;
+                }
+                let id = (rng.gen_range(0..OWN), rng.gen_range(0..12));
+                let new = log.first_sight(id, now, || step);
+                assert_eq!(new, set.insert(id), "seed {seed} step {step}");
+                if new {
+                    first_relay.push((id, step));
+                }
+            }
+            for (id, step) in first_relay {
+                assert_eq!(log.flood(id), Some(&step), "seed {seed}");
+            }
+        }
     }
 
     #[test]

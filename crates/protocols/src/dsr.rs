@@ -89,29 +89,17 @@ impl DsrMessage {
     }
 }
 
-/// DSR tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct DsrConfig {
-    /// Maximum cached paths.
-    pub cache_capacity: usize,
-    /// Cached-path lifetime (deliberately long; see module docs).
-    pub cache_lifetime: SimDuration,
-    /// Salvage attempts allowed per packet.
-    pub salvage_limit: u8,
-}
-
-impl Default for DsrConfig {
-    fn default() -> Self {
-        DsrConfig {
-            cache_capacity: 64,
-            cache_lifetime: SimDuration::from_secs(300),
-            salvage_limit: 15,
-        }
-    }
-}
-
 /// DSR runs route discovery on the defaults.
 const DISCOVERY: &DiscoveryConfig = &DiscoveryConfig::DEFAULT;
+
+/// Maximum cached paths.
+const CACHE_CAPACITY: usize = 64;
+
+/// Cached-path lifetime (deliberately long; see module docs).
+const CACHE_LIFETIME: SimDuration = SimDuration::from_secs(300);
+
+/// Salvage attempts allowed per packet.
+const SALVAGE_LIMIT: u8 = 15;
 
 #[derive(Debug, Clone)]
 struct CachedPath {
@@ -122,23 +110,17 @@ struct CachedPath {
 /// The DSR instance on one node.
 pub struct Dsr {
     node: NodeId,
-    cfg: DsrConfig,
     cache: Vec<CachedPath>,
-    next_rreq_id: u64,
-    rreq_seen: FastHashMap<(NodeId, u64), SimTime>,
     discovery: Discovery,
     salvage_counts: FastHashMap<u64, u8>,
 }
 
 impl Dsr {
     /// Creates the DSR instance for `node`.
-    pub fn new(node: NodeId, cfg: DsrConfig) -> Self {
+    pub fn new(node: NodeId) -> Self {
         Dsr {
             node,
-            cfg,
             cache: Vec::new(),
-            next_rreq_id: 0,
-            rreq_seen: FastHashMap::default(),
             discovery: Discovery::new(DISCOVERY),
             salvage_counts: FastHashMap::default(),
         }
@@ -156,12 +138,12 @@ impl Dsr {
                 return;
             }
         }
-        let expires = now + self.cfg.cache_lifetime;
+        let expires = now + CACHE_LIFETIME;
         if let Some(e) = self.cache.iter_mut().find(|c| c.path == path) {
             e.expires = expires;
             return;
         }
-        if self.cache.len() >= self.cfg.cache_capacity {
+        if self.cache.len() >= CACHE_CAPACITY {
             // Evict the entry expiring soonest.
             if let Some((idx, _)) = self.cache.iter().enumerate().min_by_key(|(_, c)| c.expires) {
                 self.cache.remove(idx);
@@ -238,12 +220,11 @@ impl Dsr {
 
     /// Floods one ring of a discovery and arms its timeout.
     fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
-        self.next_rreq_id += 1;
-        self.rreq_seen.insert((self.node, self.next_rreq_id), now);
+        let rreq_id = self.discovery.originate(self.node, now, ());
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Dsr(DsrMessage::Rreq(DsrRreq {
                 orig: self.node,
-                rreq_id: self.next_rreq_id,
+                rreq_id,
                 target: ring.dst,
                 route: vec![self.node],
                 ttl: ring.ttl(),
@@ -274,14 +255,14 @@ impl Dsr {
     ) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        if rreq.orig == self.node || rreq.route.contains(&self.node) {
+        self.discovery.sweep(DISCOVERY, now);
+        let flood = (rreq.orig, rreq.rreq_id);
+        if rreq.orig == self.node
+            || rreq.route.contains(&self.node)
+            || !self.discovery.first_sight(flood, now, || ())
+        {
             return fx;
         }
-        let key = (rreq.orig, rreq.rreq_id);
-        if self.rreq_seen.contains_key(&key) {
-            return fx;
-        }
-        self.rreq_seen.insert(key, now);
 
         // The accumulated record is a route back to the originator.
         let mut here = rreq.route.clone();
@@ -523,7 +504,7 @@ impl RoutingProtocol for Dsr {
         }
         // Salvage: re-route from our own cache, up to the salvage limit.
         let salvages = self.salvage_counts.entry(p.uid).or_insert(0);
-        if *salvages < self.cfg.salvage_limit {
+        if *salvages < SALVAGE_LIMIT {
             *salvages += 1;
             if let Some(route) = self.find_route(p.dst, now) {
                 p.source_route = None;
@@ -553,11 +534,21 @@ impl RoutingProtocol for Dsr {
             audit_rejections: 0,
         }
     }
+
+    fn mem_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let paths: usize = self.cache.iter().map(|c| c.path.capacity()).sum();
+        self.discovery.mem_bytes()
+            + self.cache.capacity() * size_of::<CachedPath>()
+            + paths * size_of::<NodeId>()
+            + self.salvage_counts.capacity() * size_of::<(u64, u8)>()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::{Flood, FloodId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -591,9 +582,9 @@ mod tests {
     #[test]
     fn discovery_accumulates_route_and_replies() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut a = Dsr::new(0, DsrConfig::default());
-        let mut b = Dsr::new(1, DsrConfig::default());
-        let mut c = Dsr::new(2, DsrConfig::default());
+        let mut a = Dsr::new(0);
+        let mut b = Dsr::new(1);
+        let mut c = Dsr::new(2);
 
         let fx = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 2, 1));
         let rreq = fx
@@ -676,7 +667,7 @@ mod tests {
     #[test]
     fn forwarding_follows_source_route() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut b = Dsr::new(1, DsrConfig::default());
+        let mut b = Dsr::new(1);
         let mut p = data(0, 2, 9);
         p.source_route = Some(SourceRoute::new(vec![0, 1, 2]));
         let fx = b.on_data_received(&mut ctx_at(&mut rng, 1), 0, p);
@@ -688,7 +679,7 @@ mod tests {
     #[test]
     fn cached_route_reply() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut b = Dsr::new(1, DsrConfig::default());
+        let mut b = Dsr::new(1);
         b.cache_path(&[1, 5, 9], SimTime::from_secs(1));
         let rreq = DsrRreq {
             orig: 0,
@@ -718,7 +709,7 @@ mod tests {
     #[test]
     fn salvage_uses_alternate_cached_route() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut b = Dsr::new(1, DsrConfig::default());
+        let mut b = Dsr::new(1);
         b.cache_path(&[1, 4, 9], SimTime::from_secs(1));
         let mut p = data(0, 9, 7);
         p.source_route = Some(SourceRoute::new(vec![0, 1, 5, 9]));
@@ -737,29 +728,37 @@ mod tests {
     #[test]
     fn salvage_limit_drops() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let cfg = DsrConfig {
-            salvage_limit: 1,
-            ..DsrConfig::default()
-        };
-        let mut b = Dsr::new(1, cfg);
+        let mut b = Dsr::new(1);
         b.cache_path(&[1, 4, 9], SimTime::from_secs(1));
         let p = data(0, 9, 7);
-        let _ = b.on_link_failure(&mut ctx_at(&mut rng, 1), 5, Some(p.clone()));
-        // Second failure for the same packet exceeds the limit.
+        let salvage_failed = |fx: &[ProtoEffect]| {
+            fx.iter().any(|e| {
+                matches!(
+                    e,
+                    ProtoEffect::DropData {
+                        reason: DataDropReason::SalvageFailed,
+                        ..
+                    }
+                )
+            })
+        };
+        // Every failure up to the limit salvages the packet over node 4.
+        for _ in 0..SALVAGE_LIMIT {
+            let fx = b.on_link_failure(&mut ctx_at(&mut rng, 1), 5, Some(p.clone()));
+            assert!(!salvage_failed(&fx), "{fx:?}");
+            assert!(fx
+                .iter()
+                .any(|e| matches!(e, ProtoEffect::SendData { next_hop: 4, .. })));
+        }
+        // The next failure for the same packet exceeds the limit.
         let fx = b.on_link_failure(&mut ctx_at(&mut rng, 1), 4, Some(p));
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            ProtoEffect::DropData {
-                reason: DataDropReason::SalvageFailed,
-                ..
-            }
-        )));
+        assert!(salvage_failed(&fx), "{fx:?}");
     }
 
     #[test]
     fn rerr_scrubs_cache() {
         let mut rng = SmallRng::seed_from_u64(6);
-        let mut b = Dsr::new(1, DsrConfig::default());
+        let mut b = Dsr::new(1);
         b.cache_path(&[1, 5, 9], SimTime::from_secs(1));
         assert!(b.find_route(9, SimTime::from_secs(1)).is_some());
         let rerr = DsrRerr {
@@ -782,7 +781,7 @@ mod tests {
     #[test]
     fn timer_flushes_once_a_route_appears_and_gives_up_after_the_last_ring() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut a = Dsr::new(0, DsrConfig::default());
+        let mut a = Dsr::new(0);
         let _ = a.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
         // The cache learns a path while the first ring is out (overheard
         // traffic): the timer sends the held packet instead of retrying.
@@ -798,7 +797,7 @@ mod tests {
         assert_eq!(packet.source_route.as_ref().unwrap().hops, [0, 4, 9]);
         assert!(a.discovery.is_idle() && a.discovery.buffer().is_empty());
 
-        let mut b = Dsr::new(0, DsrConfig::default());
+        let mut b = Dsr::new(0);
         let _ = b.on_data_from_app(&mut ctx_at(&mut rng, 1), data(0, 9, 1));
         for n in 0..2 {
             let fx = b.on_timer(&mut ctx_at(&mut rng, 2), Attempt { dst: 9, n }.token());
@@ -822,8 +821,55 @@ mod tests {
     }
 
     #[test]
+    fn full_cache_evicts_the_path_expiring_soonest() {
+        let mut b = Dsr::new(1);
+        for i in 0..CACHE_CAPACITY as NodeId {
+            b.cache_path(&[1, 100 + i], SimTime::from_secs(i as u64));
+        }
+        assert_eq!(b.cache.len(), CACHE_CAPACITY);
+        let now = SimTime::from_secs(100);
+        b.cache_path(&[1, 999], now);
+        assert_eq!(b.cache.len(), CACHE_CAPACITY);
+        assert!(b.find_route(100, now).is_none(), "the oldest path is gone");
+        assert!(b.find_route(101, now).is_some() && b.find_route(999, now).is_some());
+    }
+
+    /// A node that hears one flood a second for three flood lifetimes
+    /// logs only the last lifetime's: the sweep forgets the rest.
+    #[test]
+    fn flood_log_holds_one_lifetime() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut b = Dsr::new(1);
+        let lifetime = 120;
+        assert_eq!(
+            DISCOVERY.rreq_cache_lifetime,
+            SimDuration::from_secs(lifetime)
+        );
+        for id in 0..=3 * lifetime {
+            let rreq = DsrRreq {
+                orig: 7,
+                rreq_id: id,
+                target: 9,
+                route: vec![7],
+                ttl: 1,
+            };
+            let _ = b.on_control_received(
+                &mut ctx_at(&mut rng, id),
+                7,
+                ControlPacket::Dsr(DsrMessage::Rreq(rreq)),
+            );
+        }
+        let logged: Vec<u64> = (0..=3 * lifetime)
+            .filter(|&id| b.discovery.flood((7, id)).is_some())
+            .collect();
+        assert_eq!(logged, Vec::from_iter(2 * lifetime + 1..=3 * lifetime));
+        let entry = std::mem::size_of::<(FloodId, Flood<()>)>();
+        assert!(b.mem_bytes() >= logged.len() * entry);
+    }
+
+    #[test]
     fn cache_rejects_looping_paths_and_expires() {
-        let mut b = Dsr::new(1, DsrConfig::default());
+        let mut b = Dsr::new(1);
         b.cache_path(&[1, 5, 1, 9], SimTime::from_secs(1));
         assert!(b.cache.is_empty());
         b.cache_path(&[1, 5, 9], SimTime::from_secs(1));

@@ -20,13 +20,13 @@
 //! triggers destination resets at a comparable rate.
 
 use slr_netsim::time::{SimDuration, SimTime};
-use slr_netsim::{FastHashMap, VecMap};
+use slr_netsim::VecMap;
 
 use crate::api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
     RoutingProtocol,
 };
-use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
+use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, FloodId, Forwarded};
 
 /// LDR route request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +122,7 @@ struct DestState {
     expires: SimTime,
 }
 
-/// Engaged-calculation cache: reverse path for replies.
+/// Per-flood relay state: the reverse path for replies.
 #[derive(Debug, Clone, Copy)]
 struct RreqCache {
     last_hop: NodeId,
@@ -134,10 +134,8 @@ pub struct Ldr {
     node: NodeId,
     own_seqno: u64,
     seqno_increments: u64,
-    next_rreq_id: u64,
     dests: VecMap<NodeId, DestState>,
-    rreq_seen: FastHashMap<(NodeId, u64), RreqCache>,
-    discovery: Discovery,
+    discovery: Discovery<RreqCache>,
     resets_requested: u64,
 }
 
@@ -148,9 +146,7 @@ impl Ldr {
             node,
             own_seqno: 1,
             seqno_increments: 0,
-            next_rreq_id: 0,
             dests: VecMap::new(),
-            rreq_seen: FastHashMap::default(),
             discovery: Discovery::new(DISCOVERY),
             resets_requested: 0,
         }
@@ -212,8 +208,12 @@ impl Ldr {
     }
 
     /// Floods one ring of a discovery and arms its timeout.
-    fn send_rreq(&mut self, ring: Attempt, fx: &mut Vec<ProtoEffect>) {
-        self.next_rreq_id += 1;
+    fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
+        let relay = RreqCache {
+            last_hop: self.node,
+            replied: false,
+        };
+        let rreq_id = self.discovery.originate(self.node, now, relay);
         // Local repair failed once: ask the destination for a reset (see
         // module docs for this approximation).
         let reset = ring.n >= 1;
@@ -224,17 +224,10 @@ impl Ldr {
             Some(d) => (d.seqno, d.fd, false),
             None => (0, u32::MAX, true),
         };
-        self.rreq_seen.insert(
-            (self.node, self.next_rreq_id),
-            RreqCache {
-                last_hop: self.node,
-                replied: false,
-            },
-        );
         fx.push(ProtoEffect::SendControl {
             packet: ControlPacket::Ldr(LdrMessage::Rreq(LdrRreq {
                 orig: self.node,
-                rreq_id: self.next_rreq_id,
+                rreq_id,
                 dst: ring.dst,
                 dst_seqno,
                 fd,
@@ -265,20 +258,15 @@ impl Ldr {
     ) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        if rreq.orig == self.node {
-            return fx;
-        }
+        self.discovery.sweep(DISCOVERY, now);
         let key = (rreq.orig, rreq.rreq_id);
-        if self.rreq_seen.contains_key(&key) {
+        let relay = || RreqCache {
+            last_hop: prev,
+            replied: false,
+        };
+        if rreq.orig == self.node || !self.discovery.first_sight(key, now, relay) {
             return fx;
         }
-        self.rreq_seen.insert(
-            key,
-            RreqCache {
-                last_hop: prev,
-                replied: false,
-            },
-        );
 
         if rreq.dst == self.node {
             // Destination: reset the ordering when asked (or when the
@@ -287,7 +275,7 @@ impl Ldr {
                 self.own_seqno = self.own_seqno.max(rreq.dst_seqno) + 1;
                 self.seqno_increments += 1;
             }
-            self.rreq_seen.get_mut(&key).expect("present").replied = true;
+            self.discovery.flood_mut(key).expect("present").replied = true;
             fx.push(ProtoEffect::SendControl {
                 packet: ControlPacket::Ldr(LdrMessage::Rrep(LdrRrep {
                     orig: rreq.orig,
@@ -309,7 +297,7 @@ impl Ldr {
                 d.seqno > rreq.dst_seqno || (d.seqno == rreq.dst_seqno && d.dist < rreq.fd);
             if in_order {
                 let (seqno, dist) = (d.seqno, d.dist);
-                self.rreq_seen.get_mut(&key).expect("present").replied = true;
+                self.discovery.flood_mut(key).expect("present").replied = true;
                 fx.push(ProtoEffect::SendControl {
                     packet: ControlPacket::Ldr(LdrMessage::Rrep(LdrRrep {
                         orig: rreq.orig,
@@ -374,48 +362,42 @@ impl Ldr {
                 return fx;
             }
             // Relay along the reverse path.
-            if let Some(cache) = self.rreq_seen.get_mut(&(rrep.orig, rrep.rreq_id)) {
-                if !cache.replied {
-                    cache.replied = true;
-                    let last_hop = cache.last_hop;
-                    let d = self.dests.get(&t).expect("just adopted");
-                    fx.push(ProtoEffect::SendControl {
-                        packet: ControlPacket::Ldr(LdrMessage::Rrep(LdrRrep {
-                            orig: rrep.orig,
-                            rreq_id: rrep.rreq_id,
-                            dst: t,
-                            dst_seqno: d.seqno,
-                            dist: d.dist,
-                        })),
-                        next_hop: Some(last_hop),
-                    });
-                }
-            }
+            self.relay_reply((rrep.orig, rrep.rreq_id), t, &mut fx);
         } else if self.route_active(t, now) {
-            // Infeasible, but we hold an in-order route: advertise it.
-            if let Some(cache) = self.rreq_seen.get_mut(&(rrep.orig, rrep.rreq_id)) {
-                if !cache.replied && !terminus {
-                    cache.replied = true;
-                    let last_hop = cache.last_hop;
-                    let d = self.dests.get(&t).expect("active");
-                    fx.push(ProtoEffect::SendControl {
-                        packet: ControlPacket::Ldr(LdrMessage::Rrep(LdrRrep {
-                            orig: rrep.orig,
-                            rreq_id: rrep.rreq_id,
-                            dst: t,
-                            dst_seqno: d.seqno,
-                            dist: d.dist,
-                        })),
-                        next_hop: Some(last_hop),
-                    });
-                }
-            }
+            // Infeasible, but we hold an in-order route: use or advertise it.
             if terminus {
                 let held = self.discovery.settle(t);
                 forward_all(held, &mut fx, |p| self.try_forward(p, now));
+            } else {
+                self.relay_reply((rrep.orig, rrep.rreq_id), t, &mut fx);
             }
         }
         fx
+    }
+
+    /// Answers `flood` once, along the reverse hop logged with it,
+    /// advertising our own label for `t` (which must have a route).
+    fn relay_reply(&mut self, flood: FloodId, t: NodeId, fx: &mut Vec<ProtoEffect>) {
+        let Some(cache) = self.discovery.flood_mut(flood) else {
+            return;
+        };
+        if std::mem::replace(&mut cache.replied, true) {
+            return;
+        }
+        let d = self
+            .dests
+            .get(&t)
+            .expect("route to the advertised destination");
+        fx.push(ProtoEffect::SendControl {
+            packet: ControlPacket::Ldr(LdrMessage::Rrep(LdrRrep {
+                orig: flood.0,
+                rreq_id: flood.1,
+                dst: t,
+                dst_seqno: d.seqno,
+                dist: d.dist,
+            })),
+            next_hop: Some(cache.last_hop),
+        });
     }
 
     fn handle_rerr(&mut self, now: SimTime, prev: NodeId, rerr: LdrRerr) -> Vec<ProtoEffect> {
@@ -454,7 +436,7 @@ impl RoutingProtocol for Ldr {
         };
         let mut fx = Vec::new();
         if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
-            self.send_rreq(ring, &mut fx);
+            self.send_rreq(ring, now, &mut fx);
         }
         fx
     }
@@ -481,7 +463,7 @@ impl RoutingProtocol for Ldr {
             next_hop: Some(from),
         });
         if let Some(ring) = self.discovery.hold(packet, now, &mut fx) {
-            self.send_rreq(ring, &mut fx);
+            self.send_rreq(ring, now, &mut fx);
         }
         fx
     }
@@ -511,7 +493,7 @@ impl RoutingProtocol for Ldr {
         if self.route_active(due.dst, now) {
             self.discovery.cancel(due.dst);
         } else if let Some(ring) = self.discovery.retry(due, &mut fx) {
-            self.send_rreq(ring, &mut fx);
+            self.send_rreq(ring, now, &mut fx);
         }
         fx
     }
@@ -533,7 +515,7 @@ impl RoutingProtocol for Ldr {
         }
         self.send_rerr(lost, now, &mut fx);
         if let Some(ring) = packet.and_then(|p| self.discovery.hold(p, now, &mut fx)) {
-            self.send_rreq(ring, &mut fx);
+            self.send_rreq(ring, now, &mut fx);
         }
         fx
     }
@@ -548,11 +530,16 @@ impl RoutingProtocol for Ldr {
             audit_rejections: 0,
         }
     }
+
+    fn mem_bytes(&self) -> usize {
+        self.discovery.mem_bytes() + self.dests.mem_bytes()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::{Flood, FloodId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -728,6 +715,43 @@ mod tests {
             })),
         );
         assert!(rrep_of(&fx).is_some());
+    }
+
+    /// A node that hears one flood a second for three flood lifetimes
+    /// logs only the last lifetime's: the sweep forgets the rest.
+    #[test]
+    fn flood_log_holds_one_lifetime() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut b = Ldr::new(1);
+        let lifetime = 120;
+        assert_eq!(
+            DISCOVERY.rreq_cache_lifetime,
+            SimDuration::from_secs(lifetime)
+        );
+        for id in 0..=3 * lifetime {
+            let rreq = LdrRreq {
+                orig: 7,
+                rreq_id: id,
+                dst: 9,
+                dst_seqno: 0,
+                fd: u32::MAX,
+                unknown: true,
+                reset: false,
+                hop_count: 0,
+                ttl: 1,
+            };
+            let _ = b.on_control_received(
+                &mut ctx_at(&mut rng, id),
+                7,
+                ControlPacket::Ldr(LdrMessage::Rreq(rreq)),
+            );
+        }
+        let logged: Vec<u64> = (0..=3 * lifetime)
+            .filter(|&id| b.discovery.flood((7, id)).is_some())
+            .collect();
+        assert_eq!(logged, Vec::from_iter(2 * lifetime + 1..=3 * lifetime));
+        let entry = std::mem::size_of::<(FloodId, Flood<RreqCache>)>();
+        assert!(b.mem_bytes() >= b.dests.mem_bytes() + logged.len() * entry);
     }
 
     #[test]

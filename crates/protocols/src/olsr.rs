@@ -74,35 +74,23 @@ impl OlsrMessage {
     }
 }
 
-/// OLSR tunables (draft defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct OlsrConfig {
-    /// HELLO interval (2 s).
-    pub hello_interval: SimDuration,
-    /// TC interval (5 s).
-    pub tc_interval: SimDuration,
-    /// Jitter applied to both (± up to this much).
-    pub jitter: SimDuration,
-    /// Neighbor hold time (3 × hello).
-    pub neighbor_hold: SimDuration,
-    /// Topology hold time (3 × tc).
-    pub topology_hold: SimDuration,
-    /// TC flood TTL.
-    pub tc_ttl: u8,
-}
+/// HELLO interval (draft default).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
-impl Default for OlsrConfig {
-    fn default() -> Self {
-        OlsrConfig {
-            hello_interval: SimDuration::from_secs(2),
-            tc_interval: SimDuration::from_secs(5),
-            jitter: SimDuration::from_millis(500),
-            neighbor_hold: SimDuration::from_secs(6),
-            topology_hold: SimDuration::from_secs(15),
-            tc_ttl: 64,
-        }
-    }
-}
+/// TC interval (draft default).
+const TC_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Jitter applied to both intervals (± up to this much).
+const JITTER: SimDuration = SimDuration::from_millis(500);
+
+/// Neighbor hold time (3 × hello).
+const NEIGHBOR_HOLD: SimDuration = SimDuration::from_secs(6);
+
+/// Topology hold time (3 × tc).
+const TOPOLOGY_HOLD: SimDuration = SimDuration::from_secs(15);
+
+/// TC flood TTL.
+const TC_TTL: u8 = 64;
 
 const TOKEN_HELLO: u64 = 1;
 const TOKEN_TC: u64 = 2;
@@ -228,7 +216,6 @@ impl RouteTable {
 /// The OLSR instance on one node.
 pub struct Olsr {
     node: NodeId,
-    cfg: OlsrConfig,
     neighbors: VecMap<NodeId, Neighbor>,
     /// Chosen multipoint relays, ascending.
     mprs: Vec<NodeId>,
@@ -259,10 +246,9 @@ const REROUTE_LIMIT: u8 = 3;
 
 impl Olsr {
     /// Creates the OLSR instance for `node`.
-    pub fn new(node: NodeId, cfg: OlsrConfig) -> Self {
+    pub fn new(node: NodeId) -> Self {
         Olsr {
             node,
-            cfg,
             neighbors: VecMap::new(),
             mprs: Vec::new(),
             selectors: Vec::new(),
@@ -409,7 +395,7 @@ impl Olsr {
 
     fn handle_hello(&mut self, now: SimTime, h: OlsrHello) {
         let sym = h.sym_neighbors.contains(&self.node) || h.heard_neighbors.contains(&self.node);
-        let expires = now + self.cfg.neighbor_hold;
+        let expires = now + NEIGHBOR_HOLD;
         self.next_expiry = self.next_expiry.min(expires);
         self.neighbors.insert(
             h.origin,
@@ -444,7 +430,7 @@ impl Olsr {
         if !fresh {
             return fx;
         }
-        let expires = now + self.cfg.topology_hold;
+        let expires = now + TOPOLOGY_HOLD;
         self.next_expiry = self.next_expiry.min(expires);
         self.topology.insert(
             tc.origin,
@@ -470,7 +456,7 @@ impl Olsr {
     }
 
     fn jittered(&self, base: SimDuration, rng: &mut impl Rng) -> SimDuration {
-        let j = self.cfg.jitter.as_nanos();
+        let j = JITTER.as_nanos();
         if j == 0 {
             return base;
         }
@@ -565,7 +551,7 @@ impl RoutingProtocol for Olsr {
                     packet: ControlPacket::Olsr(OlsrMessage::Hello(hello)),
                     next_hop: None,
                 });
-                let d = self.jittered(self.cfg.hello_interval, ctx.rng);
+                let d = self.jittered(HELLO_INTERVAL, ctx.rng);
                 fx.push(ProtoEffect::SetTimer {
                     token: TOKEN_HELLO,
                     delay: d,
@@ -580,12 +566,12 @@ impl RoutingProtocol for Olsr {
                             origin: self.node,
                             seq: self.tc_seq,
                             selectors: self.selectors.clone(),
-                            ttl: self.cfg.tc_ttl,
+                            ttl: TC_TTL,
                         })),
                         next_hop: None,
                     });
                 }
-                let d = self.jittered(self.cfg.tc_interval, ctx.rng);
+                let d = self.jittered(TC_INTERVAL, ctx.rng);
                 fx.push(ProtoEffect::SetTimer {
                     token: TOKEN_TC,
                     delay: d,
@@ -768,7 +754,7 @@ mod tests {
     #[test]
     fn control_traffic_alone_never_rebuilds_the_table() {
         let mut rng = SmallRng::seed_from_u64(20);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         for i in 0..50u64 {
             let from = 1 + (i as usize % 4);
             let _ = o.on_control_received(
@@ -789,7 +775,7 @@ mod tests {
     #[test]
     fn a_hundred_fresh_tcs_cost_one_rebuild_at_the_first_data_packet() {
         let mut rng = SmallRng::seed_from_u64(21);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5], &[], &[]));
         for seq in 1..=100u64 {
             let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, tc(7, seq, &[5], 8));
@@ -817,10 +803,9 @@ mod tests {
     /// before it removes anything.
     #[test]
     fn timer_expiry_flushes_the_pending_rebuild_first() {
-        let cfg = OlsrConfig::default();
-        let hold_ms = cfg.neighbor_hold.as_nanos() / 1_000_000;
+        let hold_ms = NEIGHBOR_HOLD.as_nanos() / 1_000_000;
         let mut rng = SmallRng::seed_from_u64(22);
-        let mut o = Olsr::new(0, cfg);
+        let mut o = Olsr::new(0);
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5], &[], &[]));
         assert_eq!(o.eager_routes(), BTreeMap::from([(1, 1), (5, 1)]));
         // Dirty, but this timer removes nothing: no reason to rebuild yet.
@@ -855,7 +840,7 @@ mod tests {
     #[test]
     fn expiry_watermark_never_hides_an_expired_entry() {
         let mut rng = SmallRng::seed_from_u64(23);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0], &[], &[]));
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 3), 2, hello(2, &[0], &[], &[]));
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 3), 2, tc(9, 1, &[2], 8));
@@ -880,7 +865,7 @@ mod tests {
     #[test]
     fn ids_off_the_wire_do_not_size_the_table() {
         let mut rng = SmallRng::seed_from_u64(24);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let far = NodeId::MAX;
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, far], &[], &[]));
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, tc(far - 1, 1, &[far], 8));
@@ -927,8 +912,8 @@ mod tests {
             let mut script = SmallRng::seed_from_u64(1000 + seed);
             let (mut rng_lazy, mut rng_twin) =
                 (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-            let mut lazy = Olsr::new(0, OlsrConfig::default());
-            let mut twin = Olsr::new(0, OlsrConfig::default());
+            let mut lazy = Olsr::new(0);
+            let mut twin = Olsr::new(0);
             let mut reference: BTreeMap<NodeId, NodeId> = BTreeMap::new();
             let mut now_ms = 0u64;
             let mut reads = 0u64;
@@ -1030,7 +1015,7 @@ mod tests {
     #[test]
     fn link_sensing_promotes_to_sym() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         // First hello from 1 does not mention us: asymmetric.
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[], &[], &[]));
         assert!(o.sym_neighbors().is_empty());
@@ -1042,7 +1027,7 @@ mod tests {
     #[test]
     fn routes_via_two_hop_neighborhood() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         // 1 is a sym neighbor whose sym neighbors include 5.
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5], &[], &[]));
         assert_eq!(o.next_hop(5), Some(1));
@@ -1052,7 +1037,7 @@ mod tests {
     #[test]
     fn tc_extends_topology() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5], &[], &[]));
         // TC from node 7 advertising selector 5: link 7–5 known.
         let tc = ControlPacket::Olsr(OlsrMessage::Tc(OlsrTc {
@@ -1068,7 +1053,7 @@ mod tests {
     #[test]
     fn tc_forwarded_only_by_selected_mprs() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         // Node 1 chose us as MPR.
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0], &[], &[0]));
         let tc = OlsrTc {
@@ -1087,7 +1072,7 @@ mod tests {
             .any(|e| matches!(e, ProtoEffect::SendControl { .. })));
         // From a node that did not select us: no forwarding (and the TC is
         // stale anyway the second time).
-        let mut o2 = Olsr::new(0, OlsrConfig::default());
+        let mut o2 = Olsr::new(0);
         let _ = o2.on_control_received(&mut ctx_at(&mut rng, 1), 2, hello(2, &[0], &[], &[]));
         let fx = o2.on_control_received(
             &mut ctx_at(&mut rng, 1),
@@ -1100,7 +1085,7 @@ mod tests {
     #[test]
     fn mpr_selection_covers_two_hop() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         // Neighbors 1 and 2; 1 covers {5, 6}, 2 covers {6}.
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5, 6], &[], &[]));
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 2, hello(2, &[0, 6], &[], &[]));
@@ -1112,7 +1097,7 @@ mod tests {
     #[test]
     fn hello_timer_reschedules_and_emits() {
         let mut rng = SmallRng::seed_from_u64(6);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let fx = o.on_start(&mut ctx_at(&mut rng, 0));
         assert_eq!(fx.len(), 2);
         let fx = o.on_timer(&mut ctx_at(&mut rng, 1), TOKEN_HELLO);
@@ -1135,7 +1120,7 @@ mod tests {
     #[test]
     fn no_route_drops_data() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let p = DataPacket {
             src: 0,
             dst: 9,
@@ -1158,7 +1143,7 @@ mod tests {
     #[test]
     fn link_failure_reroutes() {
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut o = Olsr::new(0, OlsrConfig::default());
+        let mut o = Olsr::new(0);
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 1, hello(1, &[0, 5], &[], &[]));
         let _ = o.on_control_received(&mut ctx_at(&mut rng, 1), 2, hello(2, &[0, 5], &[], &[]));
         // Route to 5 exists via 1 or 2; kill whichever is in use.

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use slr_core::{
-    maintains_order, new_order, reduce_label, Frac32, LabelHandle, LabelInterner, SplitLabel32,
-    SuccessorEdge, SuccessorEntry, SuccessorTable,
+    maintains_order, needs_denominator_reset, new_order, reduce_label, Frac32, LabelHandle,
+    LabelInterner, SplitLabel32, SuccessorEdge, SuccessorEntry, SuccessorTable,
 };
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_netsim::VecMap;
@@ -14,7 +14,7 @@ use crate::api::{
     ControlPacket, DataDropReason, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats,
     RoutingProtocol, SuccessorView,
 };
-use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, Forwarded};
+use crate::discovery::{forward_all, Attempt, Discovery, DiscoveryConfig, FloodId, Forwarded};
 use crate::srp::messages::{SrpMessage, SrpRerr, SrpRrep, SrpRreq};
 
 /// How SRP picks among its feasible successors when forwarding data.
@@ -34,6 +34,20 @@ pub enum MultipathPolicy {
     RoundRobin,
 }
 
+/// Denominator threshold that triggers a path-reset probe (10⁹, §III).
+const MAX_DENOM: u64 = 1_000_000_000;
+
+/// The §V "lying" scale constant (k = 10000).
+const LIE_K: u64 = 10_000;
+
+/// Feasible-distance denominator at which Set Route attempts the Farey
+/// reduction of §VI (replace the raw mediant with
+/// [`slr_core::reduce_label`]'s simplest order-preserving fraction).
+/// `2^27` sits above the largest denominator any registry family reaches
+/// (~8.0×10⁷), so every run adopts exactly the paper's unreduced mediants
+/// bit for bit.
+const REDUCE_DEN_THRESHOLD: u32 = 1 << 27;
+
 /// SRP tunables (paper defaults). Constant for a trial: the harness
 /// builds one instance per protocol kind and every node's [`Srp`] shares
 /// it through an `Arc`.
@@ -41,50 +55,28 @@ pub enum MultipathPolicy {
 pub struct SrpConfig {
     /// Label retention after route invalidation (60 s, §III).
     pub delete_period: SimDuration,
-    /// Denominator threshold that triggers a path-reset probe (10⁹, §III).
-    pub max_denom: u64,
-    /// The §V "lying" scale constant (k = 10000).
-    pub lie_k: u64,
     /// Minimum hops a RREQ must travel before an intermediate node may
     /// reply (§V's false-positive-RREP heuristic).
     pub min_reply_hops: u32,
     /// Active-route lifetime without use.
     pub route_lifetime: SimDuration,
-    /// Procedure 1: ring timeouts, the route-pending buffer and the RERR
-    /// rate limit.
+    /// Procedure 1: ring timeouts, the route-pending buffer, the RERR
+    /// rate limit and the retention of Procedure 2's engaged-calculation
+    /// cache, which lives in the discovery's flood log.
     pub discovery: DiscoveryConfig,
     /// Data-plane successor choice (§III leaves this open; the paper's
     /// evaluation is uni-path).
     pub multipath: MultipathPolicy,
-    /// Feasible-distance denominator at which Set Route attempts the
-    /// Farey reduction of §VI (replace the raw mediant with
-    /// [`slr_core::reduce_label`]'s simplest order-preserving fraction).
-    /// The default, `2^27`, sits above the largest denominator any
-    /// registry family reaches (~8.0×10⁷), so default runs adopt exactly
-    /// the paper's unreduced mediants bit for bit; scale profiles lower
-    /// it to bound label width under churn.
-    pub reduce_den_threshold: u32,
-    /// Retention horizon for engaged-calculation cache entries
-    /// (`rreq_seen`). An engaged entry is only consulted while its flood's
-    /// reply can still arrive — bounded by the largest ring timeout
-    /// (2 × 64 hops × per-hop latency ≈ 5 s) — so entries older than this
-    /// are dead weight; without the sweep the cache grows by one entry
-    /// per flood forever, the dominant per-node leak at 100k nodes.
-    pub rreq_cache_lifetime: SimDuration,
 }
 
 impl Default for SrpConfig {
     fn default() -> Self {
         SrpConfig {
             delete_period: SimDuration::from_secs(60),
-            max_denom: 1_000_000_000,
-            lie_k: 10_000,
             min_reply_hops: 2,
             route_lifetime: SimDuration::from_secs(10),
             discovery: DiscoveryConfig::default(),
             multipath: MultipathPolicy::SingleMinHop,
-            reduce_den_threshold: 1 << 27,
-            rreq_cache_lifetime: SimDuration::from_secs(120),
         }
     }
 }
@@ -131,7 +123,9 @@ fn is_stale(e: &SuccessorEntry<NodeId, u32>, now: SimTime, lifetime: SimDuration
     now.saturating_since(confirmed_at(e)) >= lifetime
 }
 
-/// Engaged-calculation cache entry (Procedure 2): `{A, ID_A, O_#, lasthop}`.
+/// Engaged-calculation cache entry (Procedure 2): `{O_#, lasthop}` of
+/// `{A, ID_A, O_#, lasthop}`, logged per flood `(A, ID_A)` in the
+/// discovery's flood log.
 ///
 /// The cached solicitation ordering is an interned [`LabelHandle`] — the
 /// flood delivers the same few orderings to every node it reaches, and
@@ -141,8 +135,6 @@ struct RreqCache {
     cached: LabelHandle,
     last_hop: NodeId,
     replied: bool,
-    /// When the entry was created, for the amortized retention sweep.
-    seen_at: SimTime,
 }
 
 /// The Split-label Routing Protocol instance on one node.
@@ -159,9 +151,7 @@ pub struct Srp {
     own_seqno: u64,
     seqno_increments: u64,
     dests: VecMap<NodeId, DestState>,
-    rreq_seen: VecMap<(NodeId, u64), RreqCache>,
-    next_rreq_id: u64,
-    discovery: Discovery,
+    discovery: Discovery<RreqCache>,
     /// The highest destination sequence number ever *held* per
     /// destination. Unlike the label, this survives DELETE_PERIOD
     /// forgetting (the AODV §6.13 discipline): a destination's sequence
@@ -174,8 +164,6 @@ pub struct Srp {
     /// state machine owns no trial-wide shared state, and the parallel
     /// engine ships instances across threads).
     interner: LabelInterner<u32>,
-    /// Next time the amortized `rreq_seen`/RERR-stamp sweep runs.
-    next_prune_at: SimTime,
     max_denominator: u64,
     resets_requested: u64,
 }
@@ -191,51 +179,28 @@ impl Srp {
             own_seqno: 1,
             seqno_increments: 0,
             dests: VecMap::default(),
-            rreq_seen: VecMap::default(),
-            next_rreq_id: 0,
             discovery: Discovery::new(&cfg.discovery),
             cfg,
             seqno_floor: VecMap::default(),
             interner: LabelInterner::new(),
-            next_prune_at: SimTime::ZERO,
             max_denominator: 1,
             resets_requested: 0,
         }
     }
 
-    /// Amortized retention sweep: drop engaged-calculation entries whose
-    /// flood can no longer produce a reply, and rate-limit stamps old
-    /// enough to be no-ops. Runs at most once per
-    /// [`SrpConfig::rreq_cache_lifetime`], from the paths that insert
-    /// into the swept tables, so a node's tables are bounded by its
-    /// *recent* flood arrival rate instead of growing for the whole
-    /// trial. Purely age-based.
-    fn prune_caches(&mut self, now: SimTime) {
-        if now < self.next_prune_at {
-            return;
-        }
-        let lifetime = self.cfg.rreq_cache_lifetime;
-        self.next_prune_at = now + lifetime;
-        self.rreq_seen
-            .retain(|_, c| now.saturating_since(c.seen_at) < lifetime);
-        self.rreq_seen.shrink_to_fit();
-        self.discovery.prune_rerr(&self.cfg.discovery, now);
-    }
-
     /// Live heap bytes of this node's protocol state, per table: the
     /// per-destination records (`dests`), the successor sets they own,
-    /// the engaged-calculation cache (`rreq_seen`), route discovery
-    /// (attempts, route-pending buffer, RERR stamps), the sequence-number
-    /// floors and the label interner. Counts capacities (what the
-    /// allocator holds), not lengths.
-    pub fn mem_breakdown(&self) -> [(&'static str, usize); 6] {
+    /// route discovery (attempts, route-pending buffer, RERR stamps and
+    /// the flood log holding the engaged-calculation cache), the
+    /// sequence-number floors and the label interner. Counts capacities
+    /// (what the allocator holds), not lengths.
+    pub fn mem_breakdown(&self) -> [(&'static str, usize); 5] {
         [
             ("dests", self.dests.mem_bytes()),
             (
                 "successors",
                 self.dests.values().map(|ds| ds.succs.mem_bytes()).sum(),
             ),
-            ("rreq_seen", self.rreq_seen.mem_bytes()),
             ("discovery", self.discovery.mem_bytes()),
             ("seqno_floor", self.seqno_floor.mem_bytes()),
             ("interner", self.interner.mem_bytes()),
@@ -355,8 +320,7 @@ impl Srp {
     /// SRP resets are label-driven, not retry-driven.
     fn send_rreq(&mut self, ring: Attempt, now: SimTime, fx: &mut Vec<ProtoEffect>) {
         let dst = ring.dst;
-        self.next_rreq_id += 1;
-        let rreq_id = self.next_rreq_id;
+        let rreq_id = self.originate(now);
 
         let label = self.label_for(dst, now);
         let unknown = label.is_unassigned();
@@ -365,10 +329,7 @@ impl Srp {
         let fd = if unknown {
             Frac32::one()
         } else {
-            label
-                .fd()
-                .lie_down(self.cfg.lie_k)
-                .unwrap_or_else(Frac32::one)
+            label.fd().lie_down(LIE_K).unwrap_or_else(Frac32::one)
         };
         let rreq = SrpRreq {
             src: self.node,
@@ -386,34 +347,23 @@ impl Srp {
             src_lfd: Frac32::zero(),
             src_ld: 0,
         };
-        self.originate(rreq, None, now, fx);
+        fx.push(ProtoEffect::SendControl {
+            packet: ControlPacket::Srp(SrpMessage::Rreq(rreq)),
+            next_hop: None,
+        });
         self.cfg.discovery.arm(ring, fx);
     }
 
-    /// Sends our own solicitation `rreq` to `next_hop` (`None` floods it).
-    /// We are *active* for our own calculation: mark engaged so the flood
-    /// cannot re-enter.
-    fn originate(
-        &mut self,
-        rreq: SrpRreq,
-        next_hop: Option<NodeId>,
-        now: SimTime,
-        fx: &mut Vec<ProtoEffect>,
-    ) {
+    /// Takes the request id of a solicitation of our own. We are *active*
+    /// for our own calculation: mark engaged so the flood cannot re-enter.
+    fn originate(&mut self, now: SimTime) -> u64 {
         let cached = self.interner.intern(SplitLabel32::unassigned());
-        self.rreq_seen.insert(
-            (self.node, rreq.rreq_id),
-            RreqCache {
-                cached,
-                last_hop: self.node,
-                replied: false,
-                seen_at: now,
-            },
-        );
-        fx.push(ProtoEffect::SendControl {
-            packet: ControlPacket::Srp(SrpMessage::Rreq(rreq)),
-            next_hop,
-        });
+        let engaged = RreqCache {
+            cached,
+            last_hop: self.node,
+            replied: false,
+        };
+        self.discovery.originate(self.node, now, engaged)
     }
 
     /// Procedure 3 (*Set Route*): process a feasible advertisement from
@@ -466,7 +416,7 @@ impl Srp {
         // successor floor keeps every same-seqno successor that survives
         // line 13 strictly below the reduced label (Eq. 6).
         let mut adopted = g.label;
-        if adopted.fd().den() >= self.cfg.reduce_den_threshold {
+        if adopted.fd().den() >= REDUCE_DEN_THRESHOLD {
             let succ_floor = self.dests.get(&t).and_then(|ds| {
                 ds.succs
                     .iter()
@@ -570,12 +520,23 @@ impl Srp {
     ) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        self.prune_caches(now);
+        self.discovery.sweep(&self.cfg.discovery, now);
         if rreq.src == self.node {
             return fx; // our own flood echoed back
         }
+        // Become engaged: cache {A, ID_A, O_#, lasthop}.
         let key = (rreq.src, rreq.rreq_id);
-        if self.rreq_seen.contains_key(&key) {
+        let solicited = if rreq.unknown {
+            SplitLabel32::unassigned()
+        } else {
+            SplitLabel32::new(rreq.dst_seqno, rreq.fd)
+        };
+        let engaged = || RreqCache {
+            cached: self.interner.intern(solicited),
+            last_hop: prev,
+            replied: false,
+        };
+        if !self.discovery.first_sight(key, now, engaged) {
             return fx; // not passive for this calculation
         }
 
@@ -622,23 +583,6 @@ impl Srp {
             self.invalidate(rreq.dst, now);
         }
 
-        // Become engaged: cache {A, ID_A, O_#, lasthop}.
-        let solicited = if rreq.unknown {
-            SplitLabel32::unassigned()
-        } else {
-            SplitLabel32::new(rreq.dst_seqno, rreq.fd)
-        };
-        let cached = self.interner.intern(solicited);
-        self.rreq_seen.insert(
-            key,
-            RreqCache {
-                cached,
-                last_hop: prev,
-                replied: false,
-                seen_at: now,
-            },
-        );
-
         // Destination reply: T may respond to any solicitation for itself.
         if rreq.dst == self.node {
             if rreq.reset {
@@ -652,7 +596,7 @@ impl Srp {
                 self.own_seqno = rreq.dst_seqno + 1;
                 self.seqno_increments += 1;
             }
-            self.rreq_seen.get_mut(&key).expect("just inserted").replied = true;
+            self.discovery.flood_mut(key).expect("just logged").replied = true;
             fx.push(ProtoEffect::SendControl {
                 packet: ControlPacket::Srp(SrpMessage::Rrep(SrpRrep {
                     rreq_src: rreq.src,
@@ -676,7 +620,7 @@ impl Srp {
         if sdc && !rreq.dest_only && rreq.d >= self.cfg.min_reply_hops {
             let ds = self.dests.get(&rreq.dst).expect("active route");
             let (label, dist) = (ds.label, ds.dist);
-            self.rreq_seen.get_mut(&key).expect("just inserted").replied = true;
+            self.discovery.flood_mut(key).expect("just logged").replied = true;
             fx.push(ProtoEffect::SendControl {
                 packet: ControlPacket::Srp(SrpMessage::Rrep(SrpRrep {
                     rreq_src: rreq.src,
@@ -775,13 +719,13 @@ impl Srp {
         let terminus = rrep.rreq_src == self.node;
         let adv = SplitLabel32::new(rrep.dst_seqno, rrep.lfd);
 
-        let cache = self.rreq_seen.get(&(rrep.rreq_src, rrep.rreq_id)).cloned();
+        let flood = (rrep.rreq_src, rrep.rreq_id);
         // Procedure 3: the terminus (and nodes without a cached ordering)
         // use the unassigned cached ordering.
         let cached = if terminus {
             SplitLabel32::unassigned()
         } else {
-            match &cache {
+            match self.discovery.flood(flood) {
                 Some(c) => self.interner.get(c.cached),
                 None => return fx, // not engaged: cannot route the reply
             }
@@ -793,30 +737,12 @@ impl Srp {
                     let held = self.discovery.settle(t);
                     forward_all(held, &mut fx, |p| self.try_forward(p, now));
                     // MAX_DENOM reset probe (Procedure 3).
-                    if new_label.fd().den() as u64 > self.cfg.max_denom {
+                    if needs_denominator_reset(&new_label, MAX_DENOM) {
                         self.resets_requested += 1;
                         self.send_reset_probe(t, now, &mut fx);
                     }
-                } else if let Some(c) = cache {
-                    if !c.replied {
-                        self.rreq_seen
-                            .get_mut(&(rrep.rreq_src, rrep.rreq_id))
-                            .expect("present")
-                            .replied = true;
-                        let ds = self.dests.get(&t).expect("route just set");
-                        fx.push(ProtoEffect::SendControl {
-                            packet: ControlPacket::Srp(SrpMessage::Rrep(SrpRrep {
-                                rreq_src: rrep.rreq_src,
-                                rreq_id: rrep.rreq_id,
-                                dst: t,
-                                dst_seqno: ds.label.seqno(),
-                                lfd: ds.label.fd(),
-                                ld: ds.dist,
-                                no_reverse: rrep.no_reverse,
-                            })),
-                            next_hop: Some(c.last_hop),
-                        });
-                    }
+                } else {
+                    self.relay_reply(flood, t, rrep.no_reverse, &mut fx);
                 }
             }
             None => {
@@ -824,27 +750,7 @@ impl Srp {
                 // advertisement from its own label (Procedure 4); otherwise
                 // the advertisement dies here.
                 if !terminus && self.route_active(t, now) {
-                    if let Some(c) = cache {
-                        if !c.replied {
-                            self.rreq_seen
-                                .get_mut(&(rrep.rreq_src, rrep.rreq_id))
-                                .expect("present")
-                                .replied = true;
-                            let ds = self.dests.get(&t).expect("active route");
-                            fx.push(ProtoEffect::SendControl {
-                                packet: ControlPacket::Srp(SrpMessage::Rrep(SrpRrep {
-                                    rreq_src: rrep.rreq_src,
-                                    rreq_id: rrep.rreq_id,
-                                    dst: t,
-                                    dst_seqno: ds.label.seqno(),
-                                    lfd: ds.label.fd(),
-                                    ld: ds.dist,
-                                    no_reverse: rrep.no_reverse,
-                                })),
-                                next_hop: Some(c.last_hop),
-                            });
-                        }
-                    }
+                    self.relay_reply(flood, t, rrep.no_reverse, &mut fx);
                 } else if terminus && self.route_active(t, now) {
                     // An infeasible reply but some route exists: use it.
                     let held = self.discovery.settle(t);
@@ -853,6 +759,37 @@ impl Srp {
             }
         }
         fx
+    }
+
+    /// Answers `flood` once, along the reverse hop its engaged entry
+    /// cached, advertising our own label and distance for `t` (which must
+    /// have an active route).
+    fn relay_reply(
+        &mut self,
+        flood: FloodId,
+        t: NodeId,
+        no_reverse: bool,
+        fx: &mut Vec<ProtoEffect>,
+    ) {
+        let Some(c) = self.discovery.flood_mut(flood) else {
+            return;
+        };
+        if std::mem::replace(&mut c.replied, true) {
+            return;
+        }
+        let ds = self.dests.get(&t).expect("active route");
+        fx.push(ProtoEffect::SendControl {
+            packet: ControlPacket::Srp(SrpMessage::Rrep(SrpRrep {
+                rreq_src: flood.0,
+                rreq_id: flood.1,
+                dst: t,
+                dst_seqno: ds.label.seqno(),
+                lfd: ds.label.fd(),
+                ld: ds.dist,
+                no_reverse,
+            })),
+            next_hop: Some(c.last_hop),
+        });
     }
 
     /// Sends the unicast D-bit path-reset probe toward `t`.
@@ -866,11 +803,11 @@ impl Srp {
             .and_then(|ds| ds.succs.best_successor())
             .map(|e| e.neighbor)
             .expect("active route");
-        self.next_rreq_id += 1;
+        let rreq_id = self.originate(now);
         let label = self.label_for(t, now);
         let rreq = SrpRreq {
             src: self.node,
-            rreq_id: self.next_rreq_id,
+            rreq_id,
             dst: t,
             dst_seqno: label.seqno(),
             fd: label.fd(),
@@ -884,7 +821,10 @@ impl Srp {
             src_lfd: Frac32::zero(),
             src_ld: 0,
         };
-        self.originate(rreq, Some(next), now, fx);
+        fx.push(ProtoEffect::SendControl {
+            packet: ControlPacket::Srp(SrpMessage::Rreq(rreq)),
+            next_hop: Some(next),
+        });
     }
 
     fn handle_rerr(&mut self, now: SimTime, prev: NodeId, rerr: SrpRerr) -> Vec<ProtoEffect> {
@@ -1024,7 +964,6 @@ impl RoutingProtocol for Srp {
     fn on_timer(&mut self, ctx: &mut ProtoCtx<'_>, token: u64) -> Vec<ProtoEffect> {
         let mut fx = Vec::new();
         let now = ctx.now;
-        self.prune_caches(now);
         let Some(due) = self
             .discovery
             .on_timer(&self.cfg.discovery, token, now, &mut fx)
@@ -1167,7 +1106,7 @@ impl crate::model::ModelCheckable for Srp {
         put(out, 0xA0);
         put(out, self.node as u64);
         put(out, self.own_seqno);
-        put(out, self.next_rreq_id);
+        put(out, self.discovery.last_rreq_id());
 
         put(out, 0xA1);
         put(out, self.dests.len() as u64);
@@ -1196,19 +1135,12 @@ impl crate::model::ModelCheckable for Srp {
             put(out, ds.rr_counter as u64);
         }
 
-        put(out, 0xA2);
-        put(out, self.rreq_seen.len() as u64);
-        for (key, c) in self.rreq_seen.iter() {
-            put(out, key.0 as u64);
-            put(out, key.1);
-            put_label(out, &self.interner.get(c.cached));
-            put(out, c.last_hop as u64);
-            put(out, c.replied as u64);
-            age(out, now, c.seen_at, self.cfg.rreq_cache_lifetime);
-        }
-
         self.discovery
-            .model_canonical(&self.cfg.discovery, now, out);
+            .model_canonical(&self.cfg.discovery, now, out, |out, c| {
+                put_label(out, &self.interner.get(c.cached));
+                put(out, c.last_hop as u64);
+                put(out, c.replied as u64);
+            });
 
         put(out, 0xA6);
         put(out, self.seqno_floor.len() as u64);
@@ -1218,7 +1150,7 @@ impl crate::model::ModelCheckable for Srp {
         }
 
         put(out, 0xA7);
-        remaining(out, self.next_prune_at, now);
+        remaining(out, self.discovery.next_sweep_at(), now);
     }
 
     fn model_seqno_floor(&self, dst: NodeId) -> u64 {
@@ -1365,15 +1297,13 @@ mod tests {
         // Engaged relay whose cached minimum-predecessor ordering is
         // (3, 1/2) for the flood (src 0, id 7).
         let cached = b.interner.intern(SplitLabel32::new(3, half));
-        b.rreq_seen.insert(
-            (0, 7),
-            RreqCache {
+        assert!(b
+            .discovery
+            .first_sight((0, 7), SimTime::ZERO, || RreqCache {
                 cached,
                 last_hop: 0,
                 replied: false,
-                seen_at: SimTime::ZERO,
-            },
-        );
+            }));
         // A reply advertising *exactly* the cached ordering — honest
         // repliers always advertise a strictly lower one.
         let forged = SrpRrep {
@@ -1591,7 +1521,6 @@ mod tests {
             [
                 "dests",
                 "successors",
-                "rreq_seen",
                 "discovery",
                 "seqno_floor",
                 "interner"
@@ -1605,21 +1534,27 @@ mod tests {
         );
     }
 
+    /// The flood log is the highest-population table at scale: one entry
+    /// must not outgrow the 40 B of the cache entry it replaced.
+    #[test]
+    fn flood_log_entry_fits_in_40_bytes() {
+        use crate::discovery::{Flood, FloodId};
+        assert!(std::mem::size_of::<(FloodId, Flood<RreqCache>)>() <= 40);
+    }
+
     #[test]
     fn lying_heuristic_applied_to_rreq() {
         let mut rng = SmallRng::seed_from_u64(2);
         let mut a = Srp::new(0, SrpConfig::default());
         // Give node 0 a label for destination 9 by feeding it a reply.
         let cached = a.interner.intern(SplitLabel32::unassigned());
-        a.rreq_seen.insert(
-            (0, 999),
-            RreqCache {
+        assert!(a
+            .discovery
+            .first_sight((0, 999), SimTime::ZERO, || RreqCache {
                 cached,
                 last_hop: 0,
                 replied: false,
-                seen_at: SimTime::ZERO,
-            },
-        );
+            }));
         let rrep = SrpRrep {
             rreq_src: 0,
             rreq_id: 999,
@@ -1653,15 +1588,13 @@ mod tests {
         let mut b = Srp::new(1, SrpConfig::default());
         // Node 1 holds an active route to 9 with label (5, 1/2).
         let cached = b.interner.intern(SplitLabel32::unassigned());
-        b.rreq_seen.insert(
-            (1, 999),
-            RreqCache {
+        assert!(b
+            .discovery
+            .first_sight((1, 999), SimTime::ZERO, || RreqCache {
                 cached,
                 last_hop: 1,
                 replied: false,
-                seen_at: SimTime::ZERO,
-            },
-        );
+            }));
         let seed_rrep = SrpRrep {
             rreq_src: 1,
             rreq_id: 999,
@@ -1928,15 +1861,13 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut a = Srp::new(0, SrpConfig::default());
         let cached = a.interner.intern(SplitLabel32::unassigned());
-        a.rreq_seen.insert(
-            (0, 999),
-            RreqCache {
+        assert!(a
+            .discovery
+            .first_sight((0, 999), SimTime::ZERO, || RreqCache {
                 cached,
                 last_hop: 0,
                 replied: false,
-                seen_at: SimTime::ZERO,
-            },
-        );
+            }));
         let rrep = SrpRrep {
             rreq_src: 0,
             rreq_id: 999,

@@ -20,9 +20,9 @@ use std::sync::{Arc, OnceLock};
 use slr_mobility::{Position, Terrain, WaypointConfig};
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_protocols::aodv::Aodv;
-use slr_protocols::dsr::{Dsr, DsrConfig};
+use slr_protocols::dsr::Dsr;
 use slr_protocols::ldr::Ldr;
-use slr_protocols::olsr::{Olsr, OlsrConfig};
+use slr_protocols::olsr::Olsr;
 use slr_protocols::srp::{Srp, SrpConfig};
 use slr_protocols::RoutingProtocol;
 use slr_radio::MacConfig;
@@ -114,9 +114,9 @@ impl ProtocolKind {
                 Box::new(Srp::new(node, Arc::clone(cfg)))
             }
             ProtocolKind::Aodv => Box::new(Aodv::new(node)),
-            ProtocolKind::Dsr => Box::new(Dsr::new(node, DsrConfig::default())),
+            ProtocolKind::Dsr => Box::new(Dsr::new(node)),
             ProtocolKind::Ldr => Box::new(Ldr::new(node)),
-            ProtocolKind::Olsr => Box::new(Olsr::new(node, OlsrConfig::default())),
+            ProtocolKind::Olsr => Box::new(Olsr::new(node)),
         }
     }
 }
