@@ -199,12 +199,6 @@ impl<T: FracInt> Fraction<T> {
         self.num == self.den
     }
 
-    /// Whether the value lies strictly inside `(0, 1)` — a proper fraction
-    /// in the paper's sense of a label assigned to an intermediate node.
-    pub fn is_proper(&self) -> bool {
-        !self.is_zero() && !self.is_one()
-    }
-
     /// Numeric comparison by 128-bit cross-multiplication (Definition 4):
     /// `m/n < p/q` iff `m·q < n·p`.
     pub fn cmp_value(&self, other: &Self) -> Ordering {
@@ -250,6 +244,12 @@ impl<T: FracInt> Fraction<T> {
         self.num.as_u128() as f64 / self.den.as_u128() as f64
     }
 
+    /// Whether the fraction is in lowest terms (`gcd(m, n) == 1`). Every
+    /// fraction has `n >= 1`, so `0/1` and `1/1` are the reduced endpoints.
+    pub fn is_reduced(&self) -> bool {
+        gcd_u128(self.num.as_u128(), self.den.as_u128()) == 1
+    }
+
     /// The fraction reduced to lowest terms.
     ///
     /// SRP as specified never reduces (§VI); this is provided for hashing,
@@ -263,35 +263,6 @@ impl<T: FracInt> Fraction<T> {
         let num = T::try_from_u128(self.num.as_u128() / g).expect("reduced numerator fits");
         let den = T::try_from_u128(self.den.as_u128() / g).expect("reduced denominator fits");
         Fraction { num, den }
-    }
-
-    /// Depth of the reduced fraction in the Stern–Brocot tree rooted at the
-    /// unit interval (the number of mediant steps needed to reach it from
-    /// `0/1` and `1/1`). `0/1` and `1/1` have depth 0.
-    ///
-    /// This is the sum of the continued-fraction coefficients of `m/n`,
-    /// minus one — a useful measure of how much "split budget" a label has
-    /// consumed.
-    pub fn stern_brocot_depth(&self) -> u64 {
-        if self.is_zero() || self.is_one() {
-            return 0;
-        }
-        let r = self.reduced();
-        let a = r.num.as_u128();
-        let b = r.den.as_u128();
-        // Continued fraction expansion of den/num for a value in (0,1):
-        // depth = sum of coefficients - 1.
-        let mut depth: u64 = 0;
-        // Expand b/a = [c0; c1, ...].
-        let mut x = b;
-        let mut y = a;
-        while y != 0 {
-            depth += (x / y) as u64;
-            let r = x % y;
-            x = y;
-            y = r;
-        }
-        depth - 1
     }
 
     /// The "lying" RREQ ordering heuristic from §V: a node advertising a
@@ -434,9 +405,6 @@ mod tests {
     fn zero_and_one() {
         assert!(Frac32::zero().is_zero());
         assert!(Frac32::one().is_one());
-        assert!(!Frac32::zero().is_proper());
-        assert!(!Frac32::one().is_proper());
-        assert!(f(1, 2).is_proper());
     }
 
     #[test]
@@ -502,6 +470,10 @@ mod tests {
         assert_eq!(f(2, 4).reduced().den(), 2);
         assert_eq!(f(3, 5).reduced().num(), 3);
         assert_eq!(Frac32::zero().reduced(), Frac32::zero());
+        assert!(!f(2, 4).is_reduced() && f(2, 4).reduced().is_reduced());
+        assert!(f(3, 5).is_reduced());
+        assert!(Frac32::zero().is_reduced() && Frac32::one().is_reduced());
+        assert!(!f(0, 2).is_reduced() && !f(7, 7).is_reduced());
     }
 
     #[test]
@@ -526,18 +498,6 @@ mod tests {
             fib_splits += 1;
         }
         assert_eq!(fib_splits, worst_case_split_capacity::<u32>());
-    }
-
-    #[test]
-    fn stern_brocot_depths() {
-        assert_eq!(Frac32::zero().stern_brocot_depth(), 0);
-        assert_eq!(Frac32::one().stern_brocot_depth(), 0);
-        assert_eq!(f(1, 2).stern_brocot_depth(), 1);
-        assert_eq!(f(1, 3).stern_brocot_depth(), 2);
-        assert_eq!(f(2, 3).stern_brocot_depth(), 2);
-        assert_eq!(f(3, 5).stern_brocot_depth(), 3);
-        // Equal values have equal depth regardless of representation.
-        assert_eq!(f(2, 4).stern_brocot_depth(), 1);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! means the checker verifies the *actual* engine against the *actual*
 //! algebra, with no hand-translated spec that can drift.
 
-use crate::dag::find_cycle;
 use crate::fraction::FracInt;
 use crate::label::SplitLabel;
 use core::fmt;
@@ -142,6 +141,65 @@ pub fn check_acyclic<T: FracInt>(
         None => Ok(()),
         Some(nodes) => Err(InvariantViolation::Cycle { dest, nodes }),
     }
+}
+
+/// Searches a digraph of `n` nodes for a directed cycle, without looking at
+/// labels. Returns the cycle as a node sequence (first node repeated
+/// implicitly) or `None` if the graph is acyclic.
+///
+/// Iterative three-color DFS; no recursion, safe for large graphs.
+fn find_cycle(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a].push(b);
+    }
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let mut color = vec![Color::White; n];
+    let mut parent: Vec<Option<usize>> = vec![None; n];
+
+    for start in 0..n {
+        if color[start] != Color::White {
+            continue;
+        }
+        // Stack of (node, next-edge-index).
+        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        color[start] = Color::Gray;
+        while let Some(frame) = stack.last_mut() {
+            let u = frame.0;
+            if frame.1 < adj[u].len() {
+                let v = adj[u][frame.1];
+                frame.1 += 1;
+                match color[v] {
+                    Color::White => {
+                        color[v] = Color::Gray;
+                        parent[v] = Some(u);
+                        stack.push((v, 0));
+                    }
+                    Color::Gray => {
+                        // Found a cycle: unwind u → … → v.
+                        let mut cyc = vec![u];
+                        let mut cur = u;
+                        while cur != v {
+                            cur = parent[cur].expect("gray nodes have parents on the stack");
+                            cyc.push(cur);
+                        }
+                        cyc.reverse();
+                        return Some(cyc);
+                    }
+                    Color::Black => {}
+                }
+            } else {
+                color[u] = Color::Black;
+                stack.pop();
+            }
+        }
+    }
+    None
 }
 
 /// Both structural checks for one destination's successor graph: the
@@ -266,5 +324,37 @@ mod tests {
         assert!(check_distance_zero::<u32>(5, 5, 0).is_ok());
         assert!(check_distance_zero::<u32>(5, 4, 1).is_ok());
         assert!(check_distance_zero::<u32>(5, 4, 0).is_err());
+    }
+
+    #[test]
+    fn find_cycle_none_on_dag() {
+        let edges = [(3, 2), (2, 1), (1, 0), (3, 1)];
+        assert!(find_cycle(4, &edges).is_none());
+    }
+
+    #[test]
+    fn find_cycle_detects_simple_loop() {
+        let edges = [(0, 1), (1, 2), (2, 0)];
+        let cyc = find_cycle(3, &edges).unwrap();
+        assert_eq!(cyc.len(), 3);
+        // Every consecutive pair is an edge.
+        for w in cyc.windows(2) {
+            assert!(edges.contains(&(w[0], w[1])), "{:?} missing {:?}", edges, w);
+        }
+        assert!(edges.contains(&(cyc[cyc.len() - 1], cyc[0])));
+    }
+
+    #[test]
+    fn find_cycle_detects_self_loop() {
+        let edges = [(0, 0)];
+        let cyc = find_cycle(1, &edges).unwrap();
+        assert_eq!(cyc, vec![0]);
+    }
+
+    #[test]
+    fn find_cycle_two_node_loop_among_dag() {
+        let edges = [(0, 1), (2, 3), (3, 2)];
+        let cyc = find_cycle(4, &edges).unwrap();
+        assert_eq!(cyc.len(), 2);
     }
 }

@@ -7,7 +7,9 @@
 //! SLR keeps per-destination node labels in topological order over a
 //! **dense** ordinal set, so the successor graph is a DAG at every instant
 //! (Theorem 3) and a node can be inserted between two existing labels
-//! without relabeling its predecessors. This crate provides:
+//! without relabeling its predecessors. The paper instantiates that set as
+//! SRP's `(sn, F)` orderings; this crate holds exactly the algebra SRP
+//! runs:
 //!
 //! * [`Fraction`] — proper fractions with **mediant** splitting (Eq. 1) and
 //!   the next-element operator (Eq. 2), in the paper's 32-bit flavor
@@ -18,44 +20,45 @@
 //!   Ordering Criteria `≺` of Definition 5;
 //! * [`new_order`] — Algorithm 1 (`NEWORDER`), plus the Definition 1
 //!   *maintain order* predicate ([`maintains_order`]) it provably satisfies
-//!   (Theorem 6);
+//!   (Theorem 6), and the Farey-tree label reduction ([`reduce_label`],
+//!   built on [`sternbrocot::simplest_between`]);
 //! * [`SuccessorTable`] — the multi-path successor set `S_i` with `S_max`
 //!   and the Algorithm 1 line 13 pruning;
-//! * [`slr::DenseLabel`] — the abstract dense ordinal set of §II, with
-//!   three implementations: bounded fractions, Farey-reduced fractions
-//!   ([`slr::FareyFraction`], the conclusion's future-work extension), and
-//!   an unbounded Stern–Brocot path label ([`sternbrocot::SbPath`], the
-//!   "lexicographically sorted string" the paper mentions);
-//! * [`engine::SlrGraph`] — a pure graph-level model of §II route
-//!   computations used to machine-check Theorems 1–4;
-//! * [`dag`] — loop-freedom oracles (label-order check, cycle search).
+//! * [`LabelInterner`] — `u32` handles for the distinct labels held in hot
+//!   per-node state;
+//! * [`invariant`] — the Theorem 3 and Definition 1 checks that the
+//!   simulator's loop oracle and the `slr-check` model checker run over
+//!   SRP's live successor graphs.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use slr_core::engine::SlrGraph;
-//! use slr_core::Fraction;
+//! use slr_core::{new_order, Fraction, NewOrderCase, SplitLabel};
 //!
-//! // The paper's Fig. 1: a line E-D-C-B-A-T. E requests a route to T.
-//! let mut g: SlrGraph<Fraction<u32>> = SlrGraph::new(6, 0);
-//! g.run_request(&[5, 4, 3, 2, 1, 0])?;
+//! // The paper's Fig. 1: a line E-D-C-B-A-T, where E requests a route to
+//! // T. Every node on the path is unassigned, so the cached solicitation
+//! // ordering stays (0, 1/1), and the reply from T relabels A, B, C, D, E
+//! // in turn, each advertising its new label to the next.
+//! let unassigned = SplitLabel::<u32>::unassigned();
+//! let mut adv = SplitLabel::destination(1); // T
+//! for n in 1..=5 {
+//!     let g = new_order(unassigned, unassigned, adv);
+//!     assert_eq!(g.case, NewOrderCase::NextElement);
+//!     assert_eq!(g.label, SplitLabel::new(1, Fraction::new(n, n + 1)?));
+//!     adv = g.label;
+//! }
 //! // Final topological order 5/6 → 4/5 → 3/4 → 2/3 → 1/2 → 0/1.
-//! assert_eq!(*g.label(5), Fraction::new(5, 6)?);
-//! g.check_topological_order()?;
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! # Ok::<(), slr_core::FractionError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dag;
-pub mod engine;
 pub mod fraction;
 pub mod intern;
 pub mod invariant;
 pub mod label;
 pub mod neworder;
-pub mod slr;
 pub mod sternbrocot;
 pub mod successors;
 

@@ -484,4 +484,68 @@ mod tests {
         let big = SplitLabel::new(1, Fraction::<u32>::new(1, 2_000_000_000).unwrap());
         assert!(needs_denominator_reset(&big, 1_000_000_000));
     }
+
+    /// Replays a route reply through Algorithm 1 along `path` (requester
+    /// first, replier last). Each node on the way back takes `own` = its
+    /// current label, `adv` = the label its downstream neighbour just
+    /// advertised, and `cached` = the minimum (Definition 5) over the
+    /// labels of the path nodes upstream of it, which is what the request
+    /// recorded on its way out. Returns each node's result, replier's
+    /// neighbour first.
+    fn reply_walk(labels: &mut [L], path: &[usize]) -> Vec<(usize, NewOrder<u32>)> {
+        let (&replier, relays) = path.split_last().expect("non-empty path");
+        let mut adv = labels[replier];
+        let mut out = Vec::new();
+        for (i, &node) in relays.iter().enumerate().rev() {
+            let cached = path[..i]
+                .iter()
+                .fold(una(), |m, &u| SplitLabel::min_label(m, labels[u]));
+            let own = labels[node];
+            let g = new_order(own, cached, adv);
+            assert!(maintains_order(&g.label, &own, &cached, &adv, None));
+            labels[node] = g.label;
+            adv = g.label;
+            out.push((node, g));
+        }
+        out
+    }
+
+    #[test]
+    fn paper_figures_replay_through_new_order() {
+        use NewOrderCase::{KeepOwn, NextElement, Split};
+        // Fig. 1: line E-D-C-B-A-T (nodes 5..0), E requests, T replies.
+        let mut labels = [una(); 6];
+        labels[0] = SplitLabel::destination(1);
+        let walk = reply_walk(&mut labels, &[5, 4, 3, 2, 1, 0]);
+        let got: Vec<_> = walk.iter().map(|(n, g)| (*n, g.label, g.case)).collect();
+        let want: Vec<_> = (1..=5u32)
+            .map(|n| (n as usize, l(1, n, n + 1), NextElement))
+            .collect();
+        assert_eq!(got, want);
+
+        // Fig. 2: T, A = 1/2, B = 2/3 hold a route; F, G, H (nodes 3, 4,
+        // 5) keep stale labels 2/3, 2/3, 3/4. H requests, and the request
+        // reaches A, which replies: B and F split, G and H keep their
+        // labels, and A is not relabeled.
+        let mut labels = [
+            SplitLabel::destination(1),
+            l(1, 1, 2),
+            l(1, 2, 3),
+            l(1, 2, 3),
+            l(1, 2, 3),
+            l(1, 3, 4),
+        ];
+        let walk = reply_walk(&mut labels, &[5, 4, 3, 2, 1]);
+        let got: Vec<_> = walk.iter().map(|(n, g)| (*n, g.label, g.case)).collect();
+        assert_eq!(
+            got,
+            [
+                (2, l(1, 3, 5), Split),
+                (3, l(1, 5, 8), Split),
+                (4, l(1, 2, 3), KeepOwn),
+                (5, l(1, 3, 4), KeepOwn),
+            ]
+        );
+        assert_eq!(labels[1], l(1, 1, 2));
+    }
 }

@@ -1,23 +1,15 @@
-//! Stern–Brocot / Farey-tree machinery.
+//! Stern–Brocot / Farey-tree interpolation.
 //!
-//! The paper's conclusion names two open extensions this module implements:
-//!
-//! 1. **Fraction reduction via the Farey tree** — "We would like to find a
-//!    method to interpolate relatively prime proper fractions that yields a
-//!    relatively prime proper fraction. Our current research is developing
-//!    methods based on walking a Farey tree." [`simplest_between`] returns
-//!    the unique fraction of *smallest denominator* strictly inside an open
-//!    interval: every Stern–Brocot tree node is in lowest terms, so
-//!    interpolating this way always yields relatively prime fractions and
-//!    consumes the split budget far more slowly than the raw mediant.
-//! 2. **An unbounded dense label set** — §II allows "a lexicographically
-//!    sorted string" as the ordinal set. [`SbPath`] is exactly that: a
-//!    label is a path in the Stern–Brocot tree (a string over `{L, R}`),
-//!    ordered lexicographically with the convention `L < ε < R`, plus
-//!    adjoined least/greatest elements. Splitting never overflows.
-
-use core::cmp::Ordering;
-use core::fmt;
+//! The paper's conclusion names an open extension this module implements:
+//! **fraction reduction via the Farey tree** — "We would like to find a
+//! method to interpolate relatively prime proper fractions that yields a
+//! relatively prime proper fraction. Our current research is developing
+//! methods based on walking a Farey tree." [`simplest_between`] returns the
+//! unique fraction of *smallest denominator* strictly inside an open
+//! interval: every Stern–Brocot tree node is in lowest terms, so
+//! interpolating this way always yields relatively prime fractions and
+//! consumes the split budget far more slowly than the raw mediant.
+//! [`crate::neworder::reduce_label`] uses it to simplify SRP labels.
 
 use crate::fraction::{FracInt, Fraction};
 
@@ -104,194 +96,6 @@ fn simplest_between_raw(a: u128, b: u128, c: u128, d: u128) -> (u128, u128) {
         }
         // Otherwise loop: at least one accelerated step strictly shrank the
         // continued-fraction expansion, so this terminates.
-    }
-}
-
-/// One step direction in the Stern–Brocot tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Step {
-    /// Move toward smaller values.
-    L,
-    /// Move toward larger values.
-    R,
-}
-
-/// An element of the unbounded dense ordinal set: a Stern–Brocot tree path,
-/// plus adjoined `Least` and `Greatest` elements.
-///
-/// Order is lexicographic with `L < (end of string) < R` at the first
-/// divergence — the standard Stern–Brocot order, under which the tree node
-/// reached by a path compares exactly like its rational value. Between any
-/// two paths there is always another (append one step), so the set is dense
-/// and splitting never fails: this realizes the paper's unbounded label set
-/// from §II, where "there is no need for path resets, however the size of
-/// the labels becomes large".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum SbPath {
-    /// The least element (the destination's label).
-    Least,
-    /// An interior tree node identified by its root path.
-    Path(Vec<Step>),
-    /// The greatest element (an unassigned node).
-    Greatest,
-}
-
-impl SbPath {
-    /// The root of the tree (the fraction `1/2` of the unit interval).
-    pub fn root() -> Self {
-        SbPath::Path(Vec::new())
-    }
-
-    /// Path length (label size in steps); 0 for `Least`/`Greatest`/root.
-    pub fn depth(&self) -> usize {
-        match self {
-            SbPath::Path(p) => p.len(),
-            _ => 0,
-        }
-    }
-
-    /// Compares two paths in Stern–Brocot (value) order.
-    pub fn cmp_value(&self, other: &Self) -> Ordering {
-        use SbPath::*;
-        match (self, other) {
-            (Least, Least) | (Greatest, Greatest) => Ordering::Equal,
-            (Least, _) => Ordering::Less,
-            (_, Least) => Ordering::Greater,
-            (Greatest, _) => Ordering::Greater,
-            (_, Greatest) => Ordering::Less,
-            (Path(a), Path(b)) => cmp_paths(a, b),
-        }
-    }
-
-    /// The label exactly between `lo` and `hi` that has the shortest path:
-    /// the Stern–Brocot analogue of the mediant. Requires `lo < hi`;
-    /// returns `None` otherwise. Never overflows.
-    pub fn between(lo: &Self, hi: &Self) -> Option<Self> {
-        if lo.cmp_value(hi) != Ordering::Less {
-            return None;
-        }
-        // Walk from the root, staying outside (lo, hi) until we fall in.
-        let mut cur: Vec<Step> = Vec::new();
-        loop {
-            let node = SbPath::Path(cur.clone());
-            match (node.cmp_value(lo), node.cmp_value(hi)) {
-                (Ordering::Greater, Ordering::Less) => return Some(node),
-                (Ordering::Less, _) | (Ordering::Equal, _) => cur.push(Step::R),
-                (_, Ordering::Greater) | (_, Ordering::Equal) => cur.push(Step::L),
-            }
-        }
-    }
-
-    /// A label strictly greater than `self` (the next-element analogue).
-    /// `Greatest` has none.
-    pub fn next_up(&self) -> Option<Self> {
-        match self {
-            SbPath::Least => Some(SbPath::root()),
-            SbPath::Path(p) => {
-                let mut q = p.clone();
-                q.push(Step::R);
-                Some(SbPath::Path(q))
-            }
-            SbPath::Greatest => None,
-        }
-    }
-
-    /// The rational value of this path in the unit interval (`Least` = 0,
-    /// `Greatest` = 1, root = 1/2), as a `(num, den)` pair in lowest terms.
-    pub fn to_fraction(&self) -> (u128, u128) {
-        match self {
-            SbPath::Least => (0, 1),
-            SbPath::Greatest => (1, 1),
-            SbPath::Path(p) => {
-                let (mut ln, mut ld): (u128, u128) = (0, 1);
-                let (mut rn, mut rd): (u128, u128) = (1, 1);
-                for s in p {
-                    let mn = ln + rn;
-                    let md = ld + rd;
-                    match s {
-                        Step::L => {
-                            rn = mn;
-                            rd = md;
-                        }
-                        Step::R => {
-                            ln = mn;
-                            ld = md;
-                        }
-                    }
-                }
-                (ln + rn, ld + rd)
-            }
-        }
-    }
-
-    /// Builds the path for the reduced fraction `num/den` strictly inside
-    /// `(0, 1)`. Returns `None` for endpoint values.
-    pub fn from_fraction(num: u128, den: u128) -> Option<Self> {
-        if num == 0 || num >= den {
-            return None;
-        }
-        let (mut ln, mut ld): (u128, u128) = (0, 1);
-        let (mut rn, mut rd): (u128, u128) = (1, 1);
-        let mut path = Vec::new();
-        loop {
-            let mn = ln + rn;
-            let md = ld + rd;
-            match (num * md).cmp(&(mn * den)) {
-                Ordering::Equal => return Some(SbPath::Path(path)),
-                Ordering::Less => {
-                    path.push(Step::L);
-                    rn = mn;
-                    rd = md;
-                }
-                Ordering::Greater => {
-                    path.push(Step::R);
-                    ln = mn;
-                    ld = md;
-                }
-            }
-        }
-    }
-}
-
-/// Lexicographic comparison with `L < ε < R`.
-fn cmp_paths(a: &[Step], b: &[Step]) -> Ordering {
-    let n = a.len().min(b.len());
-    for i in 0..n {
-        match (a[i], b[i]) {
-            (Step::L, Step::R) => return Ordering::Less,
-            (Step::R, Step::L) => return Ordering::Greater,
-            _ => {}
-        }
-    }
-    match a.len().cmp(&b.len()) {
-        Ordering::Equal => Ordering::Equal,
-        Ordering::Less => {
-            // b continues: b < a if next step L, b > a if next step R.
-            match b[n] {
-                Step::L => Ordering::Greater,
-                Step::R => Ordering::Less,
-            }
-        }
-        Ordering::Greater => match a[n] {
-            Step::L => Ordering::Less,
-            Step::R => Ordering::Greater,
-        },
-    }
-}
-
-impl fmt::Display for SbPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SbPath::Least => write!(f, "0"),
-            SbPath::Greatest => write!(f, "1"),
-            SbPath::Path(p) if p.is_empty() => write!(f, "ε"),
-            SbPath::Path(p) => {
-                for s in p {
-                    write!(f, "{}", if *s == Step::L { 'L' } else { 'R' })?;
-                }
-                Ok(())
-            }
-        }
     }
 }
 
@@ -400,92 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn sb_path_order() {
-        use SbPath::*;
-        let root = SbPath::root();
-        let l = Path(vec![Step::L]);
-        let r = Path(vec![Step::R]);
-        assert_eq!(Least.cmp_value(&root), Ordering::Less);
-        assert_eq!(root.cmp_value(&Greatest), Ordering::Less);
-        assert_eq!(l.cmp_value(&root), Ordering::Less);
-        assert_eq!(root.cmp_value(&r), Ordering::Less);
-        assert_eq!(l.cmp_value(&r), Ordering::Less);
-        // LR > L, LR < root.
-        let lr = Path(vec![Step::L, Step::R]);
-        assert_eq!(l.cmp_value(&lr), Ordering::Less);
-        assert_eq!(lr.cmp_value(&root), Ordering::Less);
-    }
-
-    #[test]
-    fn sb_path_matches_fraction_values() {
-        // Path order must agree with rational value order.
-        let paths = [
-            SbPath::Least,
-            SbPath::Path(vec![Step::L, Step::L]),
-            SbPath::Path(vec![Step::L]),
-            SbPath::Path(vec![Step::L, Step::R]),
-            SbPath::root(),
-            SbPath::Path(vec![Step::R, Step::L]),
-            SbPath::Path(vec![Step::R]),
-            SbPath::Path(vec![Step::R, Step::R]),
-            SbPath::Greatest,
-        ];
-        for w in paths.windows(2) {
-            assert_eq!(
-                w[0].cmp_value(&w[1]),
-                Ordering::Less,
-                "{} !< {}",
-                w[0],
-                w[1]
-            );
-            let (an, ad) = w[0].to_fraction();
-            let (bn, bd) = w[1].to_fraction();
-            assert!(
-                an * bd < bn * ad,
-                "{}={}/{} vs {}={}/{}",
-                w[0],
-                an,
-                ad,
-                w[1],
-                bn,
-                bd
-            );
-        }
-    }
-
-    #[test]
-    fn sb_between_always_succeeds_inside() {
-        let a = SbPath::Path(vec![Step::L, Step::L, Step::R]);
-        let b = SbPath::Path(vec![Step::L, Step::R]);
-        let m = SbPath::between(&a, &b).unwrap();
-        assert_eq!(a.cmp_value(&m), Ordering::Less);
-        assert_eq!(m.cmp_value(&b), Ordering::Less);
-        // Endpoints.
-        let m2 = SbPath::between(&SbPath::Least, &SbPath::Greatest).unwrap();
-        assert_eq!(m2, SbPath::root());
-        assert!(SbPath::between(&b, &a).is_none());
-    }
-
-    #[test]
-    fn sb_next_up() {
-        let r = SbPath::root().next_up().unwrap();
-        assert_eq!(SbPath::root().cmp_value(&r), Ordering::Less);
-        assert!(SbPath::Greatest.next_up().is_none());
-        let l0 = SbPath::Least.next_up().unwrap();
-        assert_eq!(SbPath::Least.cmp_value(&l0), Ordering::Less);
-    }
-
-    #[test]
-    fn sb_fraction_roundtrip() {
-        for (n, d) in [(1u128, 2u128), (1, 3), (2, 3), (3, 10), (17, 19)] {
-            let p = SbPath::from_fraction(n, d).unwrap();
-            assert_eq!(p.to_fraction(), (n, d), "roundtrip {n}/{d}");
-        }
-        assert!(SbPath::from_fraction(0, 1).is_none());
-        assert!(SbPath::from_fraction(1, 1).is_none());
-    }
-
-    #[test]
     fn farey_interpolation_stays_reduced() {
         // The conclusion's desired property: interpolating with the Farey
         // tree always yields relatively prime fractions. Use 64-bit
@@ -495,9 +213,7 @@ mod tests {
         let mut hi = Fraction::<u64>::one();
         for i in 0..80 {
             let m = simplest_between(&lo, &hi).unwrap();
-            let r = m.reduced();
-            assert_eq!(m.num(), r.num(), "step {i}: {m} not reduced");
-            assert_eq!(m.den(), r.den());
+            assert!(m.is_reduced(), "step {i}: {m} not reduced");
             if i % 2 == 0 {
                 lo = m;
             } else {

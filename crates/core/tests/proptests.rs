@@ -1,10 +1,10 @@
 //! Property-based tests for the SLR label algebra: machine checks of the
-//! paper's Theorems 1–6 over randomized inputs.
+//! paper's Theorems 5 and 6 (density of the orderings and NEWORDER's
+//! order maintenance) over randomized inputs.
 
 use proptest::prelude::*;
 
-use slr_core::engine::SlrGraph;
-use slr_core::sternbrocot::{simplest_between, SbPath, Step};
+use slr_core::sternbrocot::simplest_between;
 use slr_core::{maintains_order, new_order, Fraction, SplitLabel};
 
 /// A strategy producing arbitrary valid `u32` fractions (including 0/1 and
@@ -140,152 +140,6 @@ proptest! {
             prop_assert!(s.den() <= m.den(), "simplest {s} vs mediant {m}");
         }
         // Result is in lowest terms.
-        let r = s.reduced();
-        prop_assert_eq!(s.num(), r.num());
-    }
-
-    /// Stern–Brocot path order agrees with rational value order.
-    #[test]
-    fn sbpath_order_matches_values(steps_a in prop::collection::vec(prop::bool::ANY, 0..12),
-                                   steps_b in prop::collection::vec(prop::bool::ANY, 0..12)) {
-        let to_path = |v: &[bool]| SbPath::Path(
-            v.iter().map(|&b| if b { Step::R } else { Step::L }).collect());
-        let a = to_path(&steps_a);
-        let b = to_path(&steps_b);
-        let (an, ad) = a.to_fraction();
-        let (bn, bd) = b.to_fraction();
-        let val_cmp = (an * bd).cmp(&(bn * ad));
-        prop_assert_eq!(a.cmp_value(&b), val_cmp);
-    }
-
-    /// SbPath::between always succeeds on a non-empty interval and lands
-    /// strictly inside.
-    #[test]
-    fn sbpath_between_inside(steps_a in prop::collection::vec(prop::bool::ANY, 0..10),
-                             steps_b in prop::collection::vec(prop::bool::ANY, 0..10)) {
-        let to_path = |v: &[bool]| SbPath::Path(
-            v.iter().map(|&b| if b { Step::R } else { Step::L }).collect());
-        let a = to_path(&steps_a);
-        let b = to_path(&steps_b);
-        use core::cmp::Ordering;
-        let (lo, hi) = match a.cmp_value(&b) {
-            Ordering::Less => (a, b),
-            Ordering::Greater => (b, a),
-            Ordering::Equal => return Ok(()),
-        };
-        let m = SbPath::between(&lo, &hi).unwrap();
-        prop_assert_eq!(lo.cmp_value(&m), Ordering::Less);
-        prop_assert_eq!(m.cmp_value(&hi), Ordering::Less);
-    }
-}
-
-/// Generates a random connected graph as an adjacency list.
-fn random_adjacency(n: usize, extra_edges: usize, seed: u64) -> Vec<Vec<usize>> {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut adj = vec![Vec::new(); n];
-    // Random spanning tree keeps it connected.
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        adj[i].push(j);
-        adj[j].push(i);
-    }
-    for _ in 0..extra_edges {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && !adj[a].contains(&b) {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-    }
-    adj
-}
-
-/// BFS shortest path from `from` to `to` over `adj`.
-fn bfs_path(adj: &[Vec<usize>], from: usize, to: usize) -> Option<Vec<usize>> {
-    use std::collections::VecDeque;
-    let mut prev = vec![usize::MAX; adj.len()];
-    let mut q = VecDeque::new();
-    prev[from] = from;
-    q.push_back(from);
-    while let Some(u) = q.pop_front() {
-        if u == to {
-            let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = prev[cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &v in &adj[u] {
-            if prev[v] == usize::MAX {
-                prev[v] = u;
-                q.push_back(v);
-            }
-        }
-    }
-    None
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Theorems 1–4 end-to-end: random request/reply sequences over random
-    /// connected graphs keep the successor graph in topological order (and
-    /// hence loop-free) at every step, including across link failures.
-    #[test]
-    fn slr_graph_random_walkthrough(
-        seed in 0u64..1_000,
-        n in 4usize..20,
-        ops in prop::collection::vec((0usize..20, 0usize..20, prop::bool::ANY), 1..40),
-    ) {
-        let adj = random_adjacency(n, n / 2, seed);
-        let dest = 0usize;
-        let mut g: SlrGraph<Fraction<u64>> = SlrGraph::new(n, dest);
-        for (a, b, drop) in ops {
-            let a = a % n;
-            let b = b % n;
-            if drop {
-                g.drop_link(a, b);
-            } else if a != dest {
-                // Route request from a toward the destination via BFS.
-                if let Some(path) = bfs_path(&adj, a, dest) {
-                    // Any prefix of the path ending at a labeled node with a
-                    // route may serve as the replier; use the full path to
-                    // the destination for guaranteed satisfiability.
-                    let _ = g.run_request(&path);
-                }
-            }
-            g.check_topological_order().unwrap();
-        }
-    }
-
-    /// The same walkthrough with the unbounded Stern–Brocot label set:
-    /// requests can never exhaust labels (§II's unbounded case).
-    #[test]
-    fn slr_graph_unbounded_never_exhausts(
-        seed in 0u64..500,
-        n in 4usize..12,
-        reqs in prop::collection::vec(1usize..12, 1..25),
-    ) {
-        let adj = random_adjacency(n, n / 2, seed);
-        let mut g: SlrGraph<SbPath> = SlrGraph::new(n, 0);
-        for a in reqs {
-            let a = a % n;
-            if a == 0 { continue; }
-            if let Some(path) = bfs_path(&adj, a, 0) {
-                let r = g.run_request(&path);
-                if let Err(e) = &r {
-                    prop_assert!(
-                        !matches!(e, slr_core::engine::SlrError::LabelExhausted(_)),
-                        "unbounded set exhausted: {e}"
-                    );
-                }
-            }
-            g.check_topological_order().unwrap();
-        }
+        prop_assert!(s.is_reduced(), "{s} not reduced");
     }
 }

@@ -34,8 +34,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use slr_core::Frac32;
-
 use crate::api::{
     ControlPacket, DataPacket, NodeId, ProtoCtx, ProtoEffect, ProtoStats, RoutingProtocol,
     SuccessorView,
@@ -44,30 +42,6 @@ use crate::srp::SrpMessage;
 
 /// Strikes after which a neighbor's control traffic is ignored outright.
 pub const STRIKE_LIMIT: u32 = 3;
-
-/// Greatest common divisor (Stern–Brocot membership check helper).
-fn gcd(mut a: u32, mut b: u32) -> u32 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-/// Whether `f` is a node of the Stern–Brocot dense-label order: a proper
-/// fraction in lowest terms. (`0/1` and `1/1` are the tree's virtual
-/// endpoints and are valid labels — destination and unassigned.)
-fn stern_brocot_member(f: &Frac32) -> bool {
-    let (num, den) = (f.num(), f.den());
-    if den == 0 || num > den {
-        return false;
-    }
-    if num == 0 {
-        return den == 1;
-    }
-    gcd(num, den) == 1
-}
 
 /// The audit wrapper around one honest node's protocol instance.
 ///
@@ -125,7 +99,7 @@ impl Audit {
     fn validate(&mut self, from: NodeId, msg: &SrpMessage) -> bool {
         match msg {
             SrpMessage::Rreq(q) => {
-                if !stern_brocot_member(&q.fd) || !stern_brocot_member(&q.src_lfd) {
+                if !q.fd.is_reduced() || !q.src_lfd.is_reduced() {
                     return false;
                 }
                 // d = 0 means "I am the solicitation source": the
@@ -140,7 +114,7 @@ impl Audit {
                 true
             }
             SrpMessage::Rrep(r) => {
-                if !stern_brocot_member(&r.lfd) {
+                if !r.lfd.is_reduced() {
                     return false;
                 }
                 if !self.check_seqno(from, r.dst, r.dst_seqno) {
@@ -244,7 +218,7 @@ mod tests {
     use crate::srp::{Srp, SrpConfig, SrpRrep, SrpRreq};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use slr_core::{Fraction, SplitLabel32};
+    use slr_core::{Frac32, Fraction, SplitLabel32};
     use slr_netsim::time::SimTime;
 
     fn ctx_at(rng: &mut SmallRng, secs: u64) -> ProtoCtx<'_> {
@@ -272,10 +246,13 @@ mod tests {
 
     #[test]
     fn stern_brocot_membership() {
-        assert!(stern_brocot_member(&Fraction::new(1, 2).unwrap()));
-        assert!(stern_brocot_member(&Fraction::new(0, 1).unwrap()));
-        assert!(stern_brocot_member(&Fraction::new(1, 1).unwrap()));
-        assert!(stern_brocot_member(&Fraction::new(2, 3).unwrap()));
+        // A Stern–Brocot node is a proper fraction in lowest terms; `0/1`
+        // and `1/1` are the tree's virtual endpoints (destination and
+        // unassigned) and are valid labels.
+        assert!(Fraction::<u32>::new(1, 2).unwrap().is_reduced());
+        assert!(Fraction::<u32>::new(0, 1).unwrap().is_reduced());
+        assert!(Fraction::<u32>::new(1, 1).unwrap().is_reduced());
+        assert!(Fraction::<u32>::new(2, 3).unwrap().is_reduced());
     }
 
     #[test]

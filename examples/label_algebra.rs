@@ -1,13 +1,13 @@
 //! Tour of the dense label set: mediant splitting, the Fibonacci overflow
 //! bound, the Farey-tree reduction the paper's conclusion sketches, and
-//! the unbounded Stern–Brocot string labels of §II.
+//! SRP's composite ordering.
 //!
 //! ```sh
-//! cargo run --release -p slr-runner --example label_algebra
+//! cargo run --release -p slr --example label_algebra
 //! ```
 
 use slr_core::fraction::worst_case_split_capacity;
-use slr_core::sternbrocot::{simplest_between, SbPath};
+use slr_core::sternbrocot::simplest_between;
 use slr_core::{Frac32, Fraction, SplitLabel};
 
 fn main() {
@@ -16,13 +16,15 @@ fn main() {
     let b = Fraction::new(2, 3).unwrap();
     let m = a.checked_mediant(&b).unwrap();
     println!("mediant({a}, {b}) = {m}");
+    assert!(a < m && m < b);
 
     // Worst-case split budget (§III): Fibonacci growth.
-    println!(
-        "worst-case consecutive splits: u32 = {}, u64 = {}",
+    let (cap32, cap64) = (
         worst_case_split_capacity::<u32>(),
-        worst_case_split_capacity::<u64>()
+        worst_case_split_capacity::<u64>(),
     );
+    println!("worst-case consecutive splits: u32 = {cap32}, u64 = {cap64}");
+    assert_eq!((cap32, cap64), (45, 91));
 
     // Denominator growth: raw mediants vs Farey (simplest-in-interval),
     // under a relabel storm — 8 chained nodes repeatedly re-inserting
@@ -50,19 +52,14 @@ fn main() {
         max_den
     };
     println!("relabel storm, max denominator after 14 rounds:");
-    println!("  mediant : {}", storm(false, 14));
-    println!("  farey   : {}", storm(true, 14));
+    let (mediant, farey) = (storm(false, 14), storm(true, 14));
+    println!("  mediant : {mediant}");
+    println!("  farey   : {farey}");
+    assert!(farey <= 9 && farey < mediant);
 
     // The composite SRP ordering: fresher sequence numbers dominate.
     let old = SplitLabel::<u32>::new(1, Fraction::new(1, 9).unwrap());
     let fresh = SplitLabel::<u32>::new(2, Fraction::new(8, 9).unwrap());
     println!("{old} ≺ {fresh}: {}", old.precedes(&fresh));
-
-    // Unbounded labels: Stern–Brocot paths never overflow.
-    let mut x = SbPath::root();
-    for _ in 0..5 {
-        let y = SbPath::between(&x, &SbPath::Greatest).unwrap();
-        println!("between({x}, 1) = {y}");
-        x = y;
-    }
+    assert!(old.precedes(&fresh));
 }

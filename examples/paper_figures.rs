@@ -1,4 +1,5 @@
-//! Reproduces the paper's worked examples exactly.
+//! Reproduces the paper's worked examples exactly, by replaying each route
+//! reply through Algorithm 1 (`NEWORDER`), the label rule SRP runs.
 //!
 //! * **Fig. 1** — initial labeling of a line `E-D-C-B-A-T`: the request
 //!   travels to `T` (label 0/1); the reply relabels the path to
@@ -10,62 +11,119 @@
 //!   (`0.75, .66, .625, .6, .5, 0` in truncated decimal, as the paper
 //!   prints it).
 //!
+//! Every label here has sequence number 1, the destination's; the table
+//! prints the fraction part.
+//!
 //! ```sh
-//! cargo run --release -p slr-runner --example paper_figures
+//! cargo run --release -p slr --example paper_figures
 //! ```
 
-use slr_core::engine::SlrGraph;
-use slr_core::Fraction;
+use slr_core::invariant::check_destination;
+use slr_core::NewOrderCase::{self, KeepOwn, NextElement, Split};
+use slr_core::{maintains_order, new_order, Fraction, SplitLabel32, SuccessorEdge};
 
-type F = Fraction<u32>;
+fn l(n: u32, d: u32) -> SplitLabel32 {
+    SplitLabel32::new(1, Fraction::new(n, d).expect("valid fraction"))
+}
 
-fn f(n: u32, d: u32) -> F {
-    Fraction::new(n, d).expect("valid fraction")
+/// Replays a route reply along `path` (requester first, replier last).
+/// Each node on the way back runs `new_order` with `own` = its current
+/// label, `adv` = the label its downstream neighbour just advertised, and
+/// `cached` = the minimum (Definition 5) over the labels of the path nodes
+/// upstream of it, which is what the request recorded on its way out.
+/// Returns the successor edge each node installs and the case that fired.
+fn reply_walk(
+    labels: &mut [SplitLabel32],
+    path: &[usize],
+) -> Vec<(SuccessorEdge<u32>, NewOrderCase)> {
+    let (&replier, relays) = path.split_last().expect("non-empty path");
+    let mut adv = labels[replier];
+    let mut to = replier;
+    let mut out = Vec::new();
+    for (i, &node) in relays.iter().enumerate().rev() {
+        let cached = path[..i].iter().fold(SplitLabel32::unassigned(), |m, &u| {
+            SplitLabel32::min_label(m, labels[u])
+        });
+        let own = labels[node];
+        let g = new_order(own, cached, adv);
+        assert!(maintains_order(&g.label, &own, &cached, &adv, None));
+        labels[node] = g.label;
+        out.push((
+            SuccessorEdge {
+                from: node,
+                to,
+                own: g.label,
+                recorded: adv,
+            },
+            g.case,
+        ));
+        adv = g.label;
+        to = node;
+    }
+    out
+}
+
+/// Prints one figure's table (with the case that relabeled each node the
+/// reply reached) and checks that the installed successor edges keep
+/// Definition 1 and Theorem 3.
+fn show(
+    title: &str,
+    names: &[&str],
+    labels: &[SplitLabel32],
+    walk: &[(SuccessorEdge<u32>, NewOrderCase)],
+) {
+    println!("{title}");
+    for (node, name) in names.iter().enumerate() {
+        let fd = labels[node].fd();
+        let case = walk
+            .iter()
+            .find(|(e, _)| e.from == node)
+            .map_or(String::new(), |(_, c)| format!(", {c:?}"));
+        println!("  {name}: {fd}  (≈ {:.3}{case})", fd.value());
+    }
+    let edges: Vec<_> = walk.iter().map(|(e, _)| *e).collect();
+    check_destination(0, labels.len(), &edges).expect("Theorem 3 holds");
 }
 
 fn main() {
     // ---- Fig. 1 ----
-    // Nodes: T=0, A=1, B=2, C=3, D=4, E=5.
-    let mut g: SlrGraph<F> = SlrGraph::new(6, 0);
-    g.run_request(&[5, 4, 3, 2, 1, 0])
-        .expect("discovery succeeds");
-    println!("Fig. 1 — initial graph labeling");
-    for (name, node) in [("T", 0), ("A", 1), ("B", 2), ("C", 3), ("D", 4), ("E", 5)] {
-        println!("  {name}: {}", g.label(node));
-    }
-    assert_eq!(*g.label(1), f(1, 2));
-    assert_eq!(*g.label(2), f(2, 3));
-    assert_eq!(*g.label(3), f(3, 4));
-    assert_eq!(*g.label(4), f(4, 5));
-    assert_eq!(*g.label(5), f(5, 6));
-    g.check_topological_order().expect("Theorem 3 holds");
+    // Nodes: T=0, A=1, B=2, C=3, D=4, E=5; E requests, T replies.
+    let names = ["T", "A", "B", "C", "D", "E"];
+    let mut labels = [SplitLabel32::unassigned(); 6];
+    labels[0] = SplitLabel32::destination(1);
+    let walk = reply_walk(&mut labels, &[5, 4, 3, 2, 1, 0]);
+    show("Fig. 1 — initial graph labeling", &names, &labels, &walk);
+    assert_eq!(labels[1..], [l(1, 2), l(2, 3), l(3, 4), l(4, 5), l(5, 6)]);
+    assert!(walk.iter().all(|(_, c)| *c == NextElement));
 
     // ---- Fig. 2 ----
-    // Fresh graph with only A and B routed (A=1/2, B=2/3), then F=3, G=4,
-    // H=5 appear holding stale labels from routes they once had.
-    let mut g: SlrGraph<F> = SlrGraph::new(6, 0);
-    g.run_request(&[2, 1, 0]).expect("seed A,B");
-    g.set_label_for_test(3, f(2, 3)); // F
-    g.set_label_for_test(4, f(2, 3)); // G
-    g.set_label_for_test(5, f(3, 4)); // H
-
-    // H issues a request; B cannot reply (its label is not below the
-    // request minimum), so the request reaches A.
-    g.run_request(&[5, 4, 3, 2, 1]).expect("insertion succeeds");
-    println!("Fig. 2 — re-labeling (inserting F, G, H without touching A)");
-    for (name, node) in [("A", 1), ("B", 2), ("F", 3), ("G", 4), ("H", 5)] {
-        println!(
-            "  {name}: {}  (≈ {:.3})",
-            g.label(node),
-            g.label(node).value()
-        );
-    }
-    assert_eq!(*g.label(1), f(1, 2), "A keeps 1/2: no predecessor relabel");
-    assert_eq!(*g.label(2), f(3, 5), "B splits to 3/5");
-    assert_eq!(*g.label(3), f(5, 8), "F splits to 5/8");
-    assert_eq!(*g.label(4), f(2, 3), "G keeps 2/3");
-    assert_eq!(*g.label(5), f(3, 4), "H keeps 3/4");
-    g.check_topological_order().expect("Theorem 3 holds");
+    // Nodes: T=0, A=1, B=2, F=3, G=4, H=5. A and B hold a route; F, G and
+    // H hold stale labels from routes they once had. H's request passes B,
+    // which cannot reply (its label is not below the request minimum), so
+    // it reaches A.
+    let names = ["T", "A", "B", "F", "G", "H"];
+    let mut labels = [
+        SplitLabel32::destination(1),
+        l(1, 2),
+        l(2, 3),
+        l(2, 3),
+        l(2, 3),
+        l(3, 4),
+    ];
+    let walk = reply_walk(&mut labels, &[5, 4, 3, 2, 1]);
+    show(
+        "Fig. 2 — re-labeling (inserting F, G, H without touching A)",
+        &names,
+        &labels,
+        &walk,
+    );
+    assert_eq!(labels[1], l(1, 2), "A keeps 1/2: no predecessor relabel");
+    assert_eq!(labels[2], l(3, 5), "B splits to 3/5");
+    assert_eq!(labels[3], l(5, 8), "F splits to 5/8");
+    assert_eq!(labels[4], l(2, 3), "G keeps 2/3");
+    assert_eq!(labels[5], l(3, 4), "H keeps 3/4");
+    let cases: Vec<_> = walk.iter().map(|(_, c)| *c).collect();
+    assert_eq!(cases, [Split, Split, KeepOwn, KeepOwn]);
 
     println!("Both worked examples match the paper exactly.");
 }
