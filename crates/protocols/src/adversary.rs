@@ -367,8 +367,13 @@ impl RoutingProtocol for Adversary {
         self.inner.successor_view()
     }
 
+    /// The inner protocol plus the replay-cache and held-packet slots (the
+    /// list payloads some packets carry on the heap are not counted).
     fn mem_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.inner.mem_bytes()
+            + self.cache.capacity() * size_of::<ControlPacket>()
+            + self.held.capacity() * size_of::<(u64, ControlPacket, Option<NodeId>)>()
     }
 }
 
@@ -475,6 +480,8 @@ mod tests {
             cold_reboot: false,
         }));
         let _ = a.on_control_received(&mut ctx_at(&mut rng, 1), 5, rerr.clone());
+        // The cached packet is wrapper state that `mem_bytes` reports.
+        assert!(a.mem_bytes() >= a.inner.mem_bytes() + std::mem::size_of::<ControlPacket>());
         let mut replayed = false;
         for s in 2..40 {
             for e in a.on_timer(&mut ctx_at(&mut rng, s), ADV_TICK) {

@@ -86,9 +86,9 @@ pub struct Metrics {
     /// Adversarial actions performed (forgeries, replays, drops, delays,
     /// sybil floods) summed over adversarial nodes; 0 in honest trials.
     pub adversary_actions: u64,
-    /// Control packets the audit layer rejected at honest nodes
-    /// (label-order violations, seqno regressions, replays, first-hop
-    /// impersonation, blacklisted neighbors); 0 in honest trials.
+    /// Control packets the audit layer rejected at honest nodes (SRP
+    /// RREQs impersonating their source at distance 0, and everything a
+    /// blacklisted neighbor sends); 0 in honest trials.
     pub audit_rejections: u64,
     /// Sum over first-time deliveries of geodesic stretch: hops taken
     /// divided by the minimum hop count at radio range over the

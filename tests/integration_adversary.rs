@@ -1,15 +1,20 @@
 //! Cross-crate checks of the adversarial participant tier: adversary
 //! trials stay bit-identical across transmission-end engines and worker
 //! counts (the oracle's sampling schedule included), the containment
-//! counters actually move when adversaries act, and a node that crashes
-//! and rejoins — the chaos adversary's signature move — never acts on a
-//! carrier view that disagrees with the channel's ground truth.
+//! counters actually move when adversaries act, the audit never strikes
+//! an honest sender, and a node that crashes and rejoins — the chaos
+//! adversary's signature move — never acts on a carrier view that
+//! disagrees with the channel's ground truth.
 
+use slr_mobility::Position;
 use slr_netsim::admittance::DynAction;
+use slr_netsim::rng::stream;
 use slr_netsim::time::{SimDuration, SimTime};
+use slr_protocols::{Audit, RoutingProtocol};
 use slr_runner::registry::{Family, SweepParam};
-use slr_runner::scenario::ProtocolKind;
+use slr_runner::scenario::{ProtocolKind, Scenario};
 use slr_runner::sim::{EngineKind, Sim};
+use slr_traffic::TrafficScript;
 
 /// A CI-sized adversarial scenario with enough victims to matter
 /// (25% of a 16-node grid → 4 adversaries).
@@ -58,12 +63,14 @@ fn adversary_trials_bit_identical_across_engines_and_workers() {
 #[test]
 fn containment_counters_move_when_adversaries_act() {
     for (family, expect_rejections) in [
-        (Family::Byzantine, true),
+        // Byzantine liars forge content, which the audit does not judge;
+        // only a replayed `d = 0` flood strikes them, and this trial
+        // need not produce one.
+        (Family::Byzantine, false),
         (Family::Sybil, true),
-        // Chaos drops/delays/replays and flaps; the honest audit layer
-        // only counts *rejected* forgeries, which chaos need not produce
-        // in a short trial.
-        (Family::Chaos, false),
+        // Chaos replays overheard RREQs: a replayed `d = 0` flood names
+        // its true source but arrives from the replayer.
+        (Family::Chaos, true),
     ] {
         let summary = Sim::new(adversarial(family, 25, 9)).run();
         assert!(
@@ -79,6 +86,48 @@ fn containment_counters_move_when_adversaries_act() {
             );
         }
     }
+}
+
+#[test]
+fn audit_never_strikes_an_honest_sender() {
+    // Every node honest, every node audited: a static 5×5 grid at 200 m
+    // spacing under CBR traffic, plain and with two crash–rejoins (a
+    // neighbor that reboots cold restarts its sequence numbers). Honest
+    // SRP advertises unreduced labels and regressed seqnos, so only a
+    // check no honest message can fail keeps the count at zero.
+    let mut counts = Vec::new();
+    for seed in [1, 2] {
+        for crashes in [false, true] {
+            let mut scenario = Scenario::quick(ProtocolKind::Srp, 0, seed, 0);
+            scenario.nodes = 25;
+            scenario.end = SimTime::from_secs(60);
+            let positions = (0..25)
+                .map(|i| Position::new(200.0 * (i % 5) as f64, 200.0 * (i / 5) as f64))
+                .collect();
+            let traffic = TrafficScript::generate(
+                25,
+                &scenario.traffic_config(),
+                &mut stream(seed, "traffic", 0),
+            );
+            let protos = (0..25)
+                .map(|i| {
+                    Box::new(Audit::new(ProtocolKind::Srp.build(i))) as Box<dyn RoutingProtocol>
+                })
+                .collect();
+            let mut sim = Sim::with_protocols(scenario, positions, traffic, protos);
+            if crashes {
+                for (node, down, up) in [(12, 20, 25), (6, 35, 38)] {
+                    sim.inject_dynamics(SimTime::from_secs(down), DynAction::NodeCrash(node));
+                    sim.inject_dynamics(SimTime::from_secs(up), DynAction::NodeRejoin(node));
+                }
+            }
+            counts.push((seed, crashes, sim.run().audit_rejections));
+        }
+    }
+    assert!(
+        counts.iter().all(|&(_, _, rejections)| rejections == 0),
+        "the audit struck honest senders (seed, crashes, rejections): {counts:?}"
+    );
 }
 
 #[test]
