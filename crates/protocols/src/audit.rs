@@ -193,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn honest_content_never_strikes() {
+    fn honest_traffic_passes_clean() {
         let mut a = audited();
         let mut rng = SmallRng::seed_from_u64(1);
         // Honest labels need not be in lowest terms: the next element of
@@ -220,6 +220,28 @@ mod tests {
         let _ = a.on_control_received(&mut ctx_at(&mut rng, 3), 5, twice.clone());
         let _ = a.on_control_received(&mut ctx_at(&mut rng, 3), 5, twice);
         assert_eq!(a.rejections(), 0, "honest content must not strike");
+    }
+
+    #[test]
+    fn seqno_regression_is_rejected() {
+        let mut a = audited();
+        let mut rng = SmallRng::seed_from_u64(2);
+        let fresh = Fraction::new(1, 2).unwrap();
+        let _ = a.on_control_received(&mut ctx_at(&mut rng, 1), 4, rrep(9, 5, fresh));
+        // An older seqno from the same neighbor is no lie (it may have
+        // rebooted cold), so the audit does not strike it ...
+        let _ = a.on_control_received(
+            &mut ctx_at(&mut rng, 2),
+            4,
+            rrep(9, 2, Fraction::new(1, 3).unwrap()),
+        );
+        assert_eq!(a.rejections(), 0);
+        // ... but SRP's label order rejects it: the route stays at seqno 5.
+        let view = a.successor_view().expect("the wrapper forwards the view");
+        let mut edges = Vec::new();
+        view.successors(9, SimTime::from_secs(2), &mut edges);
+        let hops: Vec<_> = edges.iter().map(|e| (e.from, e.to, e.recorded)).collect();
+        assert_eq!(hops, vec![(0, 4, SplitLabel32::new(5, fresh))]);
     }
 
     #[test]
