@@ -1,4 +1,4 @@
-//! # slr-check — bounded exhaustive model checking for SRP + determinism lint
+//! # slr-check — bounded exhaustive model checking for SRP
 //!
 //! Both real SRP loops found in this repo's history (the PR 2
 //! crash–rejoin stale-successor cycle and the PR 7 DELETE_PERIOD
@@ -22,10 +22,6 @@
 //! counterexample found is a *shortest* one, and the explored-state count
 //! is deterministic. Counterexamples serialize to JSON traces that replay
 //! through the same deterministic driver (`slr-check --replay`).
-//!
-//! The crate also hosts the workspace determinism lint
-//! (`lint-determinism`): a plain-text source scan denying wall-clock and
-//! randomized-hash constructs in simulation crates (see [`lint`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +29,5 @@
 pub mod bfs;
 pub mod configs;
 pub mod json;
-pub mod lint;
 pub mod model;
 pub mod trace;

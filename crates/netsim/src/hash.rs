@@ -12,8 +12,11 @@
 //! the workspace may depend on iteration order regardless — the
 //! reproducibility tests ran under per-process-random SipHash for three
 //! PRs, which would have caught any such leak.
+//!
+//! Outside the integration tests and the benchmark, these two aliases
+//! are the only way workspace code reaches std's hashed containers: the
+//! workspace `clippy.toml` denies `HashMap` and `HashSet` elsewhere.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor hasher for small trusted keys (see module docs).
@@ -69,10 +72,18 @@ impl Hasher for FastHasher {
 }
 
 /// `HashMap` keyed by trusted simulation ids.
-pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed hasher replaces RandomState's per-process order"
+)]
+pub type FastHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// `HashSet` keyed by trusted simulation ids.
-pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed hasher replaces RandomState's per-process order"
+)]
+pub type FastHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -112,5 +123,27 @@ mod tests {
         };
         assert_eq!(h(42), h(42));
         assert_ne!(h(42), h(43));
+    }
+
+    /// The `#[expect]`s on the aliases above and on the runner's phase
+    /// timing fail clippy if the `HashMap`, `HashSet` or `Instant` entry
+    /// leaves the workspace `clippy.toml`. No code is exempt from the
+    /// other two, so this test holds them in place.
+    #[test]
+    fn clippy_toml_denies_every_nondeterministic_name() {
+        let config = include_str!("../../../clippy.toml");
+        for path in [
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::time::Instant",
+            "std::time::SystemTime",
+            "rand::thread_rng",
+        ] {
+            let entry = format!("path = \"{path}\"");
+            let listed = config
+                .lines()
+                .any(|line| !line.trim_start().starts_with('#') && line.contains(&entry));
+            assert!(listed, "clippy.toml must deny {path}");
+        }
     }
 }

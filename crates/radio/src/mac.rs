@@ -356,22 +356,10 @@ impl<P: Clone> Mac<P> {
     /// Hands a payload to the MAC. `dst = None` broadcasts. `priority`
     /// selects the control queue (drained before data, as routing packets
     /// are prioritized in ns-2/GloMoSim interface queues).
-    pub fn enqueue(
-        &mut self,
-        payload: P,
-        dst: Option<usize>,
-        payload_bytes: u32,
-        priority: bool,
-        now: SimTime,
-    ) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.enqueue_into(payload, dst, payload_bytes, priority, now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::enqueue`] appending into a caller-supplied buffer (the
-    /// harness's hot path reuses one scratch vector across every MAC
-    /// call; the allocating wrappers remain for tests and examples).
+    ///
+    /// Like every MAC input, it appends its effects to a caller-supplied
+    /// buffer: the harness's hot path reuses one scratch vector across
+    /// every MAC call.
     pub fn enqueue_into(
         &mut self,
         payload: P,
@@ -406,39 +394,18 @@ impl<P: Clone> Mac<P> {
     }
 
     /// Physical carrier went busy at this node.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.on_channel_busy_into(now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::on_channel_busy`], appending into a caller buffer.
     pub fn on_channel_busy_into(&mut self, now: SimTime, fx: &mut Vec<MacEffect<P>>) {
         self.phys_busy = true;
         self.freeze(now, fx);
     }
 
     /// Physical carrier went idle at this node.
-    pub fn on_channel_idle(&mut self, now: SimTime) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.on_channel_idle_into(now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::on_channel_idle`], appending into a caller buffer.
     pub fn on_channel_idle_into(&mut self, now: SimTime, fx: &mut Vec<MacEffect<P>>) {
         self.phys_busy = false;
         self.reevaluate(now, fx);
     }
 
     /// A frame was received intact.
-    pub fn on_rx_frame(&mut self, frame: Frame<P>, now: SimTime) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.on_rx_frame_into(frame, now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::on_rx_frame`], appending into a caller buffer.
     pub fn on_rx_frame_into(&mut self, frame: Frame<P>, now: SimTime, fx: &mut Vec<MacEffect<P>>) {
         if !frame.addressed_to(self.node) {
             // Virtual carrier sense: honour the frame's NAV.
@@ -521,13 +488,6 @@ impl<P: Clone> Mac<P> {
 
     /// Our transmission finished (scheduled by the harness at tx start +
     /// airtime).
-    pub fn on_tx_end(&mut self, now: SimTime) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.on_tx_end_into(now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::on_tx_end`], appending into a caller buffer.
     pub fn on_tx_end_into(&mut self, now: SimTime, fx: &mut Vec<MacEffect<P>>) {
         self.transmitting = false;
         if matches!(self.response, Some(RespState::Tx)) {
@@ -569,13 +529,6 @@ impl<P: Clone> Mac<P> {
     }
 
     /// A MAC timer fired.
-    pub fn on_timer(&mut self, timer: MacTimer, now: SimTime) -> Vec<MacEffect<P>> {
-        let mut fx = Vec::new();
-        self.on_timer_into(timer, now, &mut fx);
-        fx
-    }
-
-    /// [`Mac::on_timer`], appending into a caller buffer.
     pub fn on_timer_into(&mut self, timer: MacTimer, now: SimTime, fx: &mut Vec<MacEffect<P>>) {
         match timer {
             MacTimer::Difs => {
@@ -864,6 +817,13 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// Runs one MAC input and returns the effects it appended.
+    fn effects(input: impl FnOnce(&mut Vec<MacEffect<u32>>)) -> Vec<MacEffect<u32>> {
+        let mut fx = Vec::new();
+        input(&mut fx);
+        fx
+    }
+
     fn has_start_tx(fx: &[MacEffect<u32>], kind: FrameKind) -> bool {
         fx.iter()
             .any(|e| matches!(e, MacEffect::StartTx(f) if f.kind == kind))
@@ -888,10 +848,10 @@ mod tests {
             }
             if let Some(d) = timer_set(&fx, MacTimer::Difs) {
                 now += d;
-                fx = m.on_timer(MacTimer::Difs, now);
+                fx = effects(|fx| m.on_timer_into(MacTimer::Difs, now, fx));
             } else if let Some(d) = timer_set(&fx, MacTimer::Backoff) {
                 now += d;
-                fx = m.on_timer(MacTimer::Backoff, now);
+                fx = effects(|fx| m.on_timer_into(MacTimer::Backoff, now, fx));
             } else {
                 break;
             }
@@ -902,12 +862,12 @@ mod tests {
     #[test]
     fn broadcast_goes_out_after_difs_and_backoff() {
         let mut m = mac();
-        let fx = m.enqueue(1, None, 48, true, t(0));
+        let fx = effects(|fx| m.enqueue_into(1, None, 48, true, t(0), fx));
         assert!(timer_set(&fx, MacTimer::Difs).is_some(), "{fx:?}");
         let (now, fx) = drive_to_tx(&mut m, t(0), fx);
         assert!(has_start_tx(&fx, FrameKind::Data));
         // Broadcast: no ACK timer; TxDone on tx end.
-        let fx = m.on_tx_end(now + SimDuration::from_micros(500));
+        let fx = effects(|fx| m.on_tx_end_into(now + SimDuration::from_micros(500), fx));
         assert!(fx
             .iter()
             .any(|e| matches!(e, MacEffect::TxDone { dst: None })));
@@ -917,7 +877,7 @@ mod tests {
     #[test]
     fn small_unicast_skips_rts() {
         let mut m = mac();
-        let fx = m.enqueue(1, Some(2), 100, true, t(0));
+        let fx = effects(|fx| m.enqueue_into(1, Some(2), 100, true, t(0), fx));
         let (_, fx) = drive_to_tx(&mut m, t(0), fx);
         assert!(has_start_tx(&fx, FrameKind::Data), "{fx:?}");
         assert!(!has_start_tx(&fx, FrameKind::Rts));
@@ -926,11 +886,11 @@ mod tests {
     #[test]
     fn large_unicast_uses_rts_cts() {
         let mut m = mac();
-        let fx = m.enqueue(1, Some(2), 512, false, t(0));
+        let fx = effects(|fx| m.enqueue_into(1, Some(2), 512, false, t(0), fx));
         let (now, fx) = drive_to_tx(&mut m, t(0), fx);
         assert!(has_start_tx(&fx, FrameKind::Rts), "{fx:?}");
         // RTS done → CTS timer armed.
-        let fx = m.on_tx_end(now);
+        let fx = effects(|fx| m.on_tx_end_into(now, fx));
         assert!(timer_set(&fx, MacTimer::Cts).is_some());
         // CTS arrives → SIFS then data.
         let cts = Frame {
@@ -942,12 +902,13 @@ mod tests {
             payload: None,
             seq: 0,
         };
-        let fx = m.on_rx_frame(cts, now);
+        let fx = effects(|fx| m.on_rx_frame_into(cts, now, fx));
         assert!(timer_set(&fx, MacTimer::TxSifs).is_some());
-        let fx = m.on_timer(MacTimer::TxSifs, now + SimDuration::from_micros(10));
+        let fx =
+            effects(|fx| m.on_timer_into(MacTimer::TxSifs, now + SimDuration::from_micros(10), fx));
         assert!(has_start_tx(&fx, FrameKind::Data));
         // Data done → ACK timer; ACK arrives → TxDone.
-        let fx = m.on_tx_end(now + SimDuration::from_micros(3000));
+        let fx = effects(|fx| m.on_tx_end_into(now + SimDuration::from_micros(3000), fx));
         assert!(timer_set(&fx, MacTimer::Ack).is_some());
         let ack = Frame {
             kind: FrameKind::Ack,
@@ -958,7 +919,7 @@ mod tests {
             payload: None,
             seq: 0,
         };
-        let fx = m.on_rx_frame(ack, now + SimDuration::from_micros(3300));
+        let fx = effects(|fx| m.on_rx_frame_into(ack, now + SimDuration::from_micros(3300), fx));
         assert!(fx
             .iter()
             .any(|e| matches!(e, MacEffect::TxDone { dst: Some(2) })));
@@ -967,18 +928,18 @@ mod tests {
     #[test]
     fn retry_limit_reports_link_failure() {
         let mut m = mac();
-        let fx = m.enqueue(42, Some(3), 100, true, t(0));
+        let fx = effects(|fx| m.enqueue_into(42, Some(3), 100, true, t(0), fx));
         let (mut now, mut fx) = drive_to_tx(&mut m, t(0), fx);
         let mut failures = 0;
         for _ in 0..40 {
             assert!(has_start_tx(&fx, FrameKind::Data));
             now += SimDuration::from_micros(800);
-            fx = m.on_tx_end(now);
+            fx = effects(|fx| m.on_tx_end_into(now, fx));
             let Some(d) = timer_set(&fx, MacTimer::Ack) else {
                 panic!("no ack timer")
             };
             now += d;
-            fx = m.on_timer(MacTimer::Ack, now);
+            fx = effects(|fx| m.on_timer_into(MacTimer::Ack, now, fx));
             if let Some(MacEffect::TxFailed { dst, payload }) =
                 fx.iter().find(|e| matches!(e, MacEffect::TxFailed { .. }))
             {
@@ -1000,21 +961,21 @@ mod tests {
     #[test]
     fn retry_failure_purges_queue_to_dead_neighbor() {
         let mut m = mac();
-        let fx0 = m.enqueue(1, Some(3), 100, true, t(0));
+        let fx0 = effects(|fx| m.enqueue_into(1, Some(3), 100, true, t(0), fx));
         // Two more frames to the same neighbor and one to another.
-        let _ = m.enqueue(2, Some(3), 100, true, t(0));
-        let _ = m.enqueue(3, Some(4), 100, true, t(0));
-        let _ = m.enqueue(4, Some(3), 100, true, t(0));
+        let _ = effects(|fx| m.enqueue_into(2, Some(3), 100, true, t(0), fx));
+        let _ = effects(|fx| m.enqueue_into(3, Some(4), 100, true, t(0), fx));
+        let _ = effects(|fx| m.enqueue_into(4, Some(3), 100, true, t(0), fx));
         let (mut now, mut fx) = drive_to_tx(&mut m, t(0), fx0);
         let mut failed_payloads = Vec::new();
         for _ in 0..40 {
             now += SimDuration::from_micros(800);
             if has_start_tx(&fx, FrameKind::Data) {
-                fx = m.on_tx_end(now);
+                fx = effects(|fx| m.on_tx_end_into(now, fx));
             }
             if let Some(d) = timer_set(&fx, MacTimer::Ack) {
                 now += d;
-                fx = m.on_timer(MacTimer::Ack, now);
+                fx = effects(|fx| m.on_timer_into(MacTimer::Ack, now, fx));
             }
             for e in &fx {
                 if let MacEffect::TxFailed { dst, payload } = e {
@@ -1041,7 +1002,7 @@ mod tests {
         let mut m = mac();
         let mut dropped = 0;
         for i in 0..60 {
-            let fx = m.enqueue(i, Some(1), 512, false, t(0));
+            let fx = effects(|fx| m.enqueue_into(i, Some(1), 512, false, t(0), fx));
             dropped += fx
                 .iter()
                 .filter(|e| {
@@ -1062,9 +1023,9 @@ mod tests {
     #[test]
     fn backoff_freezes_and_resumes() {
         let mut m = mac();
-        let fx = m.enqueue(1, None, 48, true, t(0));
+        let fx = effects(|fx| m.enqueue_into(1, None, 48, true, t(0), fx));
         let d = timer_set(&fx, MacTimer::Difs).unwrap();
-        let fx = m.on_timer(MacTimer::Difs, t(0) + d);
+        let fx = effects(|fx| m.on_timer_into(MacTimer::Difs, t(0) + d, fx));
         // If backoff drew zero slots the frame is already out; re-seed until
         // we get a backoff (seed 7 draws > 0 for the first frame; assert so).
         let Some(bd) = timer_set(&fx, MacTimer::Backoff) else {
@@ -1074,17 +1035,21 @@ mod tests {
         assert!(slots >= 1);
         // Busy arrives mid-backoff: freeze after 2 slots.
         let freeze_at = t(0) + d + MacConfig::default().slot.saturating_mul(2);
-        let fx = m.on_channel_busy(freeze_at);
+        let fx = effects(|fx| m.on_channel_busy_into(freeze_at, fx));
         assert!(fx
             .iter()
             .any(|e| matches!(e, MacEffect::CancelTimer(MacTimer::Backoff))));
         // Idle again: DIFS restarts, then the *remaining* slots count down.
-        let fx = m.on_channel_idle(freeze_at + SimDuration::from_micros(300));
+        let fx =
+            effects(|fx| m.on_channel_idle_into(freeze_at + SimDuration::from_micros(300), fx));
         let d2 = timer_set(&fx, MacTimer::Difs).unwrap();
-        let fx = m.on_timer(
-            MacTimer::Difs,
-            freeze_at + SimDuration::from_micros(300) + d2,
-        );
+        let fx = effects(|fx| {
+            m.on_timer_into(
+                MacTimer::Difs,
+                freeze_at + SimDuration::from_micros(300) + d2,
+                fx,
+            )
+        });
         if let Some(bd2) = timer_set(&fx, MacTimer::Backoff) {
             let slots2 = bd2.as_nanos() / MacConfig::default().slot.as_nanos();
             assert!(
@@ -1110,13 +1075,15 @@ mod tests {
             payload: None,
             seq: 0,
         };
-        let _ = m.on_rx_frame(overheard, t(100));
-        let fx = m.enqueue(1, None, 48, true, t(101));
+        let _ = effects(|fx| m.on_rx_frame_into(overheard, t(100), fx));
+        let fx = effects(|fx| m.enqueue_into(1, None, 48, true, t(101), fx));
         // Medium virtually busy: no DIFS; NAV wake-up armed instead.
         assert!(timer_set(&fx, MacTimer::Difs).is_none(), "{fx:?}");
         assert!(timer_set(&fx, MacTimer::NavEnd).is_some());
         // After NAV expiry the access resumes.
-        let fx = m.on_timer(MacTimer::NavEnd, t(100) + SimDuration::from_millis(5));
+        let fx = effects(|fx| {
+            m.on_timer_into(MacTimer::NavEnd, t(100) + SimDuration::from_millis(5), fx)
+        });
         assert!(timer_set(&fx, MacTimer::Difs).is_some());
     }
 
@@ -1132,7 +1099,7 @@ mod tests {
             payload: Some(99),
             seq: 11,
         };
-        let fx = m.on_rx_frame(data.clone(), t(10));
+        let fx = effects(|fx| m.on_rx_frame_into(data.clone(), t(10), fx));
         assert!(fx.iter().any(|e| matches!(
             e,
             MacEffect::Deliver {
@@ -1141,11 +1108,11 @@ mod tests {
             }
         )));
         assert!(timer_set(&fx, MacTimer::RespSifs).is_some());
-        let fx = m.on_timer(MacTimer::RespSifs, t(20));
+        let fx = effects(|fx| m.on_timer_into(MacTimer::RespSifs, t(20), fx));
         assert!(has_start_tx(&fx, FrameKind::Ack));
-        let _ = m.on_tx_end(t(300));
+        let _ = effects(|fx| m.on_tx_end_into(t(300), fx));
         // The retransmission (same seq) is acked but not re-delivered.
-        let fx = m.on_rx_frame(data, t(1000));
+        let fx = effects(|fx| m.on_rx_frame_into(data, t(1000), fx));
         assert!(!fx.iter().any(|e| matches!(e, MacEffect::Deliver { .. })));
         assert_eq!(m.counters.rx_duplicates, 1);
         assert_eq!(m.counters.rx_delivered, 1);
@@ -1163,9 +1130,9 @@ mod tests {
             payload: None,
             seq: 0,
         };
-        let fx = m.on_rx_frame(rts, t(50));
+        let fx = effects(|fx| m.on_rx_frame_into(rts, t(50), fx));
         assert!(timer_set(&fx, MacTimer::RespSifs).is_some());
-        let fx = m.on_timer(MacTimer::RespSifs, t(60));
+        let fx = effects(|fx| m.on_timer_into(MacTimer::RespSifs, t(60), fx));
         assert!(has_start_tx(&fx, FrameKind::Cts));
         assert_eq!(m.counters.tx_cts, 1);
     }
@@ -1174,8 +1141,8 @@ mod tests {
     fn control_priority_preempts_data_queue() {
         let mut m = mac();
         // Fill with a low-priority frame first, then a control frame.
-        let _ = m.enqueue(1, Some(9), 512, false, t(0));
-        let _ = m.enqueue(2, Some(9), 48, true, t(0));
+        let _ = effects(|fx| m.enqueue_into(1, Some(9), 512, false, t(0), fx));
+        let _ = effects(|fx| m.enqueue_into(2, Some(9), 48, true, t(0), fx));
         // First staged frame is the data frame (already current)...
         // Complete it via retry-failure to see what comes next.
         let (mut now, mut fx) = drive_to_tx(&mut m, t(0), vec![]);
@@ -1187,14 +1154,14 @@ mod tests {
             }
             if has_start_tx(&fx, FrameKind::Rts) || has_start_tx(&fx, FrameKind::Data) {
                 now += SimDuration::from_micros(800);
-                fx = m.on_tx_end(now);
+                fx = effects(|fx| m.on_tx_end_into(now, fx));
             }
             if let Some(d) = timer_set(&fx, MacTimer::Cts) {
                 now += d;
-                fx = m.on_timer(MacTimer::Cts, now);
+                fx = effects(|fx| m.on_timer_into(MacTimer::Cts, now, fx));
             } else if let Some(d) = timer_set(&fx, MacTimer::Ack) {
                 now += d;
-                fx = m.on_timer(MacTimer::Ack, now);
+                fx = effects(|fx| m.on_timer_into(MacTimer::Ack, now, fx));
             } else {
                 let r = drive_to_tx(&mut m, now, fx);
                 now = r.0;

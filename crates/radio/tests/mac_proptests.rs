@@ -3,7 +3,7 @@
 //!
 //! The harness mirrors the real simulator's contract: it owns the timers
 //! the MAC arms (`SetTimer` replaces, `CancelTimer` removes), acknowledges
-//! every transmission with `on_tx_end`, and never delivers events the MAC
+//! every transmission with `on_tx_end_into`, and never delivers events the MAC
 //! did not cause. Within that contract, any interleaving must satisfy:
 //!
 //! 1. **Single transmitter** — the MAC never starts a transmission while
@@ -13,17 +13,23 @@
 //!    every broadcast completes with `TxDone`; queue overflow is reported
 //!    as `Dropped`. Nothing is lost, nothing is duplicated.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
+use slr_netsim::hash::FastHashMap;
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_radio::{Mac, MacConfig, MacEffect, MacTimer};
+
+/// Runs one MAC input and returns the effects it appended.
+fn effects(input: impl FnOnce(&mut Vec<MacEffect<u64>>)) -> Vec<MacEffect<u64>> {
+    let mut fx = Vec::new();
+    input(&mut fx);
+    fx
+}
 
 struct Harness {
     mac: Mac<u64>,
     now: SimTime,
-    timers: HashMap<MacTimer, SimTime>,
+    timers: FastHashMap<MacTimer, SimTime>,
     transmitting: Option<SimTime>, // end time of the in-flight frame
     failed: Vec<u64>,
     done_broadcasts: u64,
@@ -35,7 +41,7 @@ impl Harness {
         Harness {
             mac: Mac::new(0, MacConfig::default(), seed),
             now: SimTime::ZERO,
-            timers: HashMap::new(),
+            timers: FastHashMap::default(),
             transmitting: None,
             failed: Vec::new(),
             done_broadcasts: 0,
@@ -100,14 +106,14 @@ impl Harness {
     fn finish_tx(&mut self, at: SimTime) {
         self.now = at;
         self.transmitting = None;
-        let fx = self.mac.on_tx_end(self.now);
+        let fx = effects(|fx| self.mac.on_tx_end_into(self.now, fx));
         self.apply(fx);
     }
 
     fn fire_timer(&mut self, kind: MacTimer, at: SimTime) {
         self.now = at;
         self.timers.remove(&kind);
-        let fx = self.mac.on_timer(kind, self.now);
+        let fx = effects(|fx| self.mac.on_timer_into(kind, self.now, fx));
         self.apply(fx);
     }
 }
@@ -131,7 +137,7 @@ proptest! {
             let uid = i as u64;
             offered += 1;
             let dst = if *unicast { Some(3) } else { None };
-            let fx = h.mac.enqueue(uid, dst, *bytes, *priority, h.now);
+            let fx = effects(|fx| h.mac.enqueue_into(uid, dst, *bytes, *priority, h.now, fx));
             let overflowed = fx
                 .iter()
                 .any(|e| matches!(e, MacEffect::Dropped { .. }));
@@ -181,7 +187,7 @@ proptest! {
         flaps in prop::collection::vec(1u64..2_000, 1..40),
     ) {
         let mut h = Harness::new(seed);
-        let fx = h.mac.enqueue(1, None, 100, true, h.now);
+        let fx = effects(|fx| h.mac.enqueue_into(1, None, 100, true, h.now, fx));
         h.apply(fx);
         let mut busy = false;
         for us in flaps {
@@ -193,16 +199,16 @@ proptest! {
                 h.finish_tx(te);
             }
             let fx = if busy {
-                h.mac.on_channel_idle(h.now)
+                effects(|fx| h.mac.on_channel_idle_into(h.now, fx))
             } else {
-                h.mac.on_channel_busy(h.now)
+                effects(|fx| h.mac.on_channel_busy_into(h.now, fx))
             };
             busy = !busy;
             h.apply(fx);
         }
         if busy {
             let now = h.now;
-            let fx = h.mac.on_channel_idle(now);
+            let fx = effects(|fx| h.mac.on_channel_idle_into(now, fx));
             h.apply(fx);
         }
         let mut steps = 0u32;

@@ -1,6 +1,6 @@
 //! Per-trial metric collection: exactly the quantities the paper reports.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use slr_netsim::admittance::DynAction;
 use slr_netsim::time::SimTime;
@@ -21,11 +21,11 @@ pub struct Metrics {
     /// the "network load" numerator).
     pub control_sent: u64,
     /// Control packets by type name.
-    pub control_by_kind: HashMap<&'static str, u64>,
+    pub control_by_kind: BTreeMap<&'static str, u64>,
     /// Data-plane forwarding transmissions (per hop).
     pub data_tx: u64,
     /// Routing-layer data drops by reason.
-    pub drops: HashMap<&'static str, u64>,
+    pub drops: BTreeMap<&'static str, u64>,
     /// MAC-level drops summed over nodes (retry limit + IFQ overflow).
     pub mac_drops: u64,
     /// MAC drops from exhausted unicast retries.

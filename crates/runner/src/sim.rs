@@ -9,7 +9,12 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+#[expect(
+    clippy::disallowed_types,
+    reason = "host-clock phase and window timing; never feeds simulation state"
+)]
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -687,6 +692,10 @@ impl Sim {
 
     /// Phase-timing probe: the start instant, taken only when enabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-clock profiling; never feeds simulation state"
+    )]
     fn ph_t0(&self) -> Option<Instant> {
         if self.phase.is_some() {
             Some(Instant::now())
@@ -697,6 +706,10 @@ impl Sim {
 
     /// Phase-timing probe: accumulates the elapsed time since `t0`.
     #[inline]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-clock profiling; never feeds simulation state"
+    )]
     fn ph_add(&mut self, t0: Option<Instant>, sel: PhaseSel) {
         if let (Some(p), Some(t0)) = (self.phase.as_deref_mut(), t0) {
             let d = t0.elapsed();
@@ -1263,6 +1276,10 @@ impl Sim {
 
     /// Window-stats timing probe: the start instant, only when enabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-clock profiling; never feeds simulation state"
+    )]
     fn ws_t0(&self) -> Option<Instant> {
         if self.wstats_timing {
             Some(Instant::now())
@@ -1273,6 +1290,10 @@ impl Sim {
 
     /// Accumulates elapsed serial-section wall clock since `t0`.
     #[inline]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-clock profiling; never feeds simulation state"
+    )]
     fn ws_serial(&mut self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
             self.wstats.serial_ns += t0.elapsed().as_nanos() as u64;
@@ -1281,6 +1302,10 @@ impl Sim {
 
     /// Accumulates elapsed parallel-section wall clock since `t0`.
     #[inline]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-clock profiling; never feeds simulation state"
+    )]
     fn ws_parallel(&mut self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
             self.wstats.parallel_ns += t0.elapsed().as_nanos() as u64;

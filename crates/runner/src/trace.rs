@@ -5,7 +5,7 @@
 //! makes routing pathologies (loops, detours, salvage chains) directly
 //! inspectable in tests and during protocol debugging.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use slr_netsim::time::SimTime;
 use slr_protocols::{DataDropReason, NodeId};
@@ -87,7 +87,7 @@ pub enum PacketFate {
 /// accumulating), so long runs cannot exhaust memory.
 #[derive(Debug, Clone)]
 pub struct TraceLog {
-    by_uid: HashMap<u64, Vec<TraceEvent>>,
+    by_uid: BTreeMap<u64, Vec<TraceEvent>>,
     capacity: usize,
 }
 
@@ -95,7 +95,7 @@ impl TraceLog {
     /// Creates a trace store tracking at most `capacity` packets.
     pub fn new(capacity: usize) -> Self {
         TraceLog {
-            by_uid: HashMap::new(),
+            by_uid: BTreeMap::new(),
             capacity,
         }
     }
@@ -193,7 +193,7 @@ impl TraceLog {
         PacketFate::InFlight
     }
 
-    /// Iterates over `(uid, events)` pairs in unspecified order.
+    /// Iterates over `(uid, events)` pairs in uid order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[TraceEvent])> {
         self.by_uid.iter().map(|(k, v)| (*k, v.as_slice()))
     }
