@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use slr_check::bfs;
 use slr_check::configs;
-use slr_check::model::Action;
+use slr_check::model::parse_script;
 use slr_check::trace::{active_regress_feature, Trace};
 
 struct Opts {
@@ -117,7 +117,7 @@ fn run() -> Result<ExitCode, String> {
             let trace_path = o
                 .trace_out
                 .as_deref()
-                .map(|dir| format!("{dir}/{name}.json"));
+                .map(|dir| format!("{dir}/{name}.trace"));
             if explore_one(&cfg, trace_path.as_deref())? {
                 dirty = true;
             }
@@ -195,7 +195,7 @@ fn explore_one(
             }
             if let Some(path) = trace_out {
                 let t = Trace::from_violation(cfg.name, v);
-                std::fs::write(path, t.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+                std::fs::write(path, t.to_text()).map_err(|e| format!("writing {path}: {e}"))?;
                 println!("trace written to {path}");
             }
             Ok(true)
@@ -209,7 +209,7 @@ fn explore_one(
 
 fn replay(path: &str, expect_violation: bool) -> Result<ExitCode, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let t = Trace::from_json(&src)?;
+    let t = Trace::parse(&src)?;
     let feature = active_regress_feature();
     if t.feature != feature {
         return Err(format!(
@@ -250,12 +250,7 @@ fn replay(path: &str, expect_violation: bool) -> Result<ExitCode, String> {
 }
 
 fn probe(cfg: &slr_check::model::ModelConfig, script: &str) -> Result<ExitCode, String> {
-    let actions: Vec<Action> = script
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(Action::parse)
-        .collect::<Result<_, _>>()?;
+    let actions = parse_script(script)?;
     let model = configs::srp_model(cfg);
     let (hit, steps) = bfs::run_script(&model, &actions, true)?;
     if let Some(desc) = hit {

@@ -15,7 +15,7 @@ use slr_protocols::api::NodeId;
 use slr_protocols::discovery::DiscoveryConfig;
 use slr_protocols::srp::{MultipathPolicy, Srp, SrpConfig};
 
-use crate::model::{Action, Flow, Model, ModelConfig};
+use crate::model::{parse_script, Action, Flow, Model, ModelConfig};
 
 /// SRP tuning used by every model config.
 ///
@@ -63,11 +63,8 @@ pub fn srp_model(cfg: &ModelConfig) -> Model<'_, Srp> {
     }
 }
 
-fn parse_script(steps: &[&str]) -> Vec<Action> {
-    steps
-        .iter()
-        .map(|s| Action::parse(s).expect("builtin prefix action"))
-        .collect()
+fn script(steps: &[&str]) -> Vec<Action> {
+    parse_script(&steps.join(";")).expect("builtin prefix script")
 }
 
 /// Every registered configuration, CI set first.
@@ -181,7 +178,7 @@ pub fn line3_pr2() -> ModelConfig {
         max_states: 400_000,
         // Build 0's route to 2 through 1 (flood out and back), then
         // crash-rejoin the relay. Constructed with `--probe`.
-        prefix: parse_script(&[
+        prefix: script(&[
             "appsend 0", // 0 floods RREQ for 2
             "deliver 0", // RREQ reaches 1; 1 relays (echo + onward copy)
             "deliver 1", // onward copy reaches 2; 2 replies
@@ -243,7 +240,7 @@ pub fn bowtie5_pr7() -> ModelConfig {
         // first flood (t=2) is dropped everywhere except as the lazy
         // touch that starts 2's forget countdown; its ring-retry timer
         // is left pending for exploration to fire.
-        prefix: parse_script(&[
+        prefix: script(&[
             "appsend 0",                   // 3 floods RREQ for 0
             "drop 1",                      // lose the 3->2 copy: only the 3->1 arm proceeds
             "deliver 0",                   // RREQ reaches 1; 1 relays

@@ -20,14 +20,13 @@
 //! ([`slr_netsim::hash::FastHasher`] over a canonical, clock-relative
 //! serialization of all node + network state), so the first
 //! counterexample found is a *shortest* one, and the explored-state count
-//! is deterministic. Counterexamples serialize to JSON traces that replay
-//! through the same deterministic driver (`slr-check --replay`).
+//! is deterministic. Counterexamples are trace files of `--probe` scripts
+//! that replay through the same deterministic driver (`slr-check --replay`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;
 pub mod configs;
-pub mod json;
 pub mod model;
 pub mod trace;

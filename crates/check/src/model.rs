@@ -194,7 +194,7 @@ impl fmt::Display for Action {
 }
 
 impl Action {
-    /// Parses the [`fmt::Display`] form back (trace files store these).
+    /// Parses the [`fmt::Display`] form back (one step of a script).
     pub fn parse(s: &str) -> Result<Action, String> {
         let mut it = s.split_whitespace();
         let head = it.next().ok_or("empty action")?;
@@ -239,8 +239,19 @@ impl Action {
             },
             _ => return Err(format!("unknown action '{s}'")),
         };
-        Ok(a)
+        it.next()
+            .map_or(Ok(a), |x| Err(format!("action '{s}': unexpected '{x}'")))
     }
+}
+
+/// Parses a `;`-separated action script: the `--probe` argument, and the
+/// `prefix` and `actions` lines of a trace file. Empty steps are skipped.
+pub fn parse_script(s: &str) -> Result<Vec<Action>, String> {
+    s.split(';')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .map(Action::parse)
+        .collect()
 }
 
 /// An in-flight transmission (one receiver — broadcast is expanded at

@@ -43,9 +43,12 @@ const LIE_K: u64 = 10_000;
 /// Feasible-distance denominator at which Set Route attempts the Farey
 /// reduction of §VI (replace the raw mediant with
 /// [`slr_core::reduce_label`]'s simplest order-preserving fraction).
-/// `2^27` sits above the largest denominator any registry family reaches
-/// (~8.0×10⁷), so every run adopts exactly the paper's unreduced mediants
-/// bit for bit.
+/// `2^27` (1.34×10⁸) sits only 1.31× above the largest denominator
+/// measured: 102 420 742 on one paper-scale SRP trial (`slrsim --scenario
+/// paper-sweep --paper --protocol srp --values 900 --trials 1 --json`,
+/// seed 42, `max_fd_denominator`). Runs at that scale and below adopt the
+/// paper's unreduced mediants bit for bit; a longer or denser run may
+/// cross the threshold and reduce.
 const REDUCE_DEN_THRESHOLD: u32 = 1 << 27;
 
 /// SRP tunables (paper defaults). Constant for a trial: the harness

@@ -54,7 +54,7 @@ fn builtin_prefixes_apply_cleanly() {
     }
 }
 
-/// Trace JSON round-trips through serialize → parse → replay: the
+/// A trace file round-trips through write → parse → replay: the
 /// replayed script visits the same states and ends clean on fixed code.
 #[test]
 fn trace_round_trip_replays() {
@@ -72,10 +72,36 @@ fn trace_round_trip_replays() {
         actions: vec![],
         violation: "none (round-trip fixture)".into(),
     };
-    let back = Trace::from_json(&t.to_json()).expect("trace parses");
+    let back = Trace::parse(&t.to_text()).expect("trace parses");
     assert_eq!(back.script(), script);
     let (hit2, steps2) = bfs::run_script(&model, &back.script(), false).expect("replay applies");
     assert_eq!((hit2, steps2), (None, steps));
+}
+
+/// Every committed counterexample under `crates/check/traces/` parses,
+/// names a registered config, stores exactly that config's prefix, and
+/// writes back byte-identical. (Replaying them needs their regress
+/// feature; the CI `checker` job does that.)
+#[test]
+fn committed_traces_match_their_configs() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../check/traces");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("traces directory") {
+        let path = entry.expect("directory entry").path();
+        let src = std::fs::read_to_string(&path).expect("trace reads");
+        let t = Trace::parse(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let cfg = configs::model_for(&t.config)
+            .unwrap_or_else(|| panic!("{}: unknown config '{}'", path.display(), t.config));
+        assert_eq!(t.prefix, cfg.prefix, "{}: stale prefix", path.display());
+        assert_eq!(
+            t.to_text(),
+            src,
+            "{}: not in canonical form",
+            path.display()
+        );
+        seen += 1;
+    }
+    assert!(seen >= 2, "expected the committed traces, found {seen}");
 }
 
 /// Rediscovery of the PR 2 crash–rejoin stale-successor loop: with the
@@ -99,7 +125,7 @@ fn rediscovers_pr2_crash_rejoin_loop() {
 
     let t = Trace::from_violation(cfg.name, &v);
     assert_eq!(t.feature, "regress-pr2-cold-reboot");
-    let parsed = Trace::from_json(&t.to_json()).expect("trace parses");
+    let parsed = Trace::parse(&t.to_text()).expect("trace parses");
     let (hit, _) = bfs::run_script(&model, &parsed.script(), false).expect("replay applies");
     assert!(hit.is_some(), "replayed counterexample must reproduce");
 }
@@ -123,7 +149,7 @@ fn rediscovers_pr7_entry_expiry_loop() {
     );
 
     let t = Trace::from_violation(cfg.name, &v);
-    let parsed = Trace::from_json(&t.to_json()).expect("trace parses");
+    let parsed = Trace::parse(&t.to_text()).expect("trace parses");
     let (hit, _) = bfs::run_script(&model, &parsed.script(), false).expect("replay applies");
     assert!(hit.is_some(), "replayed counterexample must reproduce");
 }
