@@ -91,6 +91,27 @@ impl<E> Simulator<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
+    /// Schedules a stream of events whose times do not decrease, exactly
+    /// as if each were passed to [`Simulator::schedule_at`] in turn, but
+    /// kept beside the heap and not cancellable (see
+    /// [`EventQueue::schedule_sorted`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a time decreases along the stream, or if the stream
+    /// starts before the current virtual time.
+    pub fn schedule_sorted(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        self.queue.schedule_sorted(events);
+        // Every heap event is at or after `now`, so an earlier head can
+        // only be the stream's first event.
+        let head = self.queue.peek_time();
+        assert!(
+            head.map_or(true, |t| t >= self.now),
+            "scheduling into the past: {head:?} < {}",
+            self.now
+        );
+    }
+
     /// Cancels a pending event. Returns `true` if it was still pending.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         self.queue.cancel(token)
@@ -181,6 +202,31 @@ mod tests {
         sim.schedule_in(SimDuration::from_secs(2), 2);
         assert!(sim.cancel(t));
         assert_eq!(sim.next().unwrap().event, 2);
+    }
+
+    #[test]
+    fn scripted_events_count_as_processed_and_respect_the_horizon() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule_at(SimTime::from_secs(1), 0);
+        sim.schedule_sorted([(SimTime::from_secs(1), 1), (SimTime::from_secs(2), 2)]);
+        assert_eq!(sim.pending(), 3);
+        let horizon = SimTime::from_secs(2);
+        assert_eq!(sim.next_before(horizon).map(|e| e.event), Some(0));
+        assert_eq!(sim.next_before(horizon).map(|e| e.event), Some(1));
+        assert!(sim.next_before(horizon).is_none(), "horizon is exclusive");
+        assert_eq!((sim.pending(), sim.processed()), (1, 2));
+        let last = sim.next().unwrap();
+        assert_eq!((last.event, sim.now(), sim.processed()), (2, horizon, 3));
+        assert!(!sim.cancel(last.token), "a scripted token cancels nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn cannot_script_into_past() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule_at(SimTime::from_secs(2), 1);
+        sim.next();
+        sim.schedule_sorted([(SimTime::from_secs(1), 2)]);
     }
 
     #[test]

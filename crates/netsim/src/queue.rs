@@ -20,6 +20,28 @@
 //! Compaction never reorders live events (ordering lives in the entries
 //! themselves), so pop order — and with it simulation determinism — is
 //! unaffected by when or whether it runs.
+//!
+//! ## Scripted events
+//!
+//! A stream already sorted by time — a trial's whole traffic script — can
+//! be handed over in one [`EventQueue::schedule_sorted`] call instead of
+//! one `schedule` per event. It is kept beside the heap as a plain `Vec`
+//! rather than in it, so the heap holds only the events scheduled at run
+//! time, and a scripted event takes no slab slot.
+//!
+//! The merge is exact. The call reserves the sequence numbers `schedule`
+//! would have given the events at that point: consecutive, in stream
+//! order, so the script's head is always its lowest `(time, seq)` key.
+//! Every read of the queue's head compares that key with the heap top's
+//! by the same `(time, seq)` order the heap uses, and sequence numbers
+//! are unique, so the two never tie. A tombstone on top is harmless: a
+//! script head before it is before every live entry too, and one after
+//! it is compared again once the tombstone is gone. Pops therefore come out exactly as
+//! if each scripted event had been scheduled one by one at the call.
+//!
+//! The one difference is cancellation: no token is handed out at the
+//! call, and the token a popped scripted event carries cancels nothing.
+//! Compaction counts heap tombstones only; the script has none.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,15 +62,25 @@ use crate::time::SimTime;
 /// ones and its complement never zero; building a token panics rather
 /// than wrap if it ever were. The niche makes `Option<EventToken>` 8
 /// bytes, which halves the harness's per-node table of armed MAC timers.
+///
+/// A popped scripted event (see [`EventQueue::schedule_sorted`]) carries
+/// slot `u32::MAX`, generation 0: no slab slot answers to it, so
+/// cancelling it returns `false`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventToken(NonZeroU64);
 
 const _: () = assert!(std::mem::size_of::<Option<EventToken>>() == 8);
 
 impl EventToken {
-    fn new(slot: u32, gen: u32) -> Self {
+    /// The token of every popped scripted event.
+    const SCRIPTED: EventToken = EventToken::new(u32::MAX, 0);
+
+    const fn new(slot: u32, gen: u32) -> Self {
         let packed = ((slot as u64) << 32) | gen as u64;
-        EventToken(NonZeroU64::new(!packed).expect("slot u32::MAX is never allocated"))
+        match NonZeroU64::new(!packed) {
+            Some(bits) => EventToken(bits),
+            None => panic!("the free-list end marker is never a live slot"),
+        }
     }
 
     fn packed(self) -> u64 {
@@ -149,6 +181,13 @@ pub const DEFAULT_COMPACT_FLOOR: usize = 64;
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The unpopped rest of the [`EventQueue::schedule_sorted`] stream,
+    /// latest first: its length is the cursor, and the head pops off the
+    /// end.
+    script: Vec<(SimTime, E)>,
+    /// Sequence number one past the script's last event; the script head
+    /// holds `script_end - script.len()`.
+    script_end: u64,
     slots: Vec<Slot>,
     free_head: u32,
     /// Tombstoned (cancelled, not yet physically removed) heap entries.
@@ -173,6 +212,8 @@ impl<E> EventQueue<E> {
     pub fn with_compact_floor(floor: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            script: Vec::new(),
+            script_end: 0,
             slots: Vec::new(),
             free_head: u32::MAX,
             cancelled: 0,
@@ -186,9 +227,10 @@ impl<E> EventQueue<E> {
         self.compact_floor
     }
 
-    /// Live heap bytes of the heap storage and the slot table.
+    /// Live heap bytes of the heap storage, the script and the slot table.
     pub fn mem_bytes(&self) -> usize {
         self.heap.capacity() * std::mem::size_of::<Entry<E>>()
+            + self.script.capacity() * std::mem::size_of::<(SimTime, E)>()
             + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
@@ -235,6 +277,48 @@ impl<E> EventQueue<E> {
         EventToken::new(slot, self.slots[slot as usize].gen)
     }
 
+    /// Schedules a stream of events whose times do not decrease, popping
+    /// exactly as if each had been passed to [`EventQueue::schedule`] in
+    /// turn at this call: the call reserves the sequence numbers those
+    /// calls would have taken. The events are kept in one exactly sized
+    /// `Vec` beside the heap (for a stream of known length) and take no
+    /// slab slot. They cannot be cancelled: no token is returned, and
+    /// the token a popped scripted event carries cancels nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a time is earlier than the one before it (checked once
+    /// per call, over the whole stream), or if an earlier stream still
+    /// has events pending.
+    pub fn schedule_sorted(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        assert!(
+            self.script.is_empty(),
+            "schedule_sorted: the previous stream is still pending"
+        );
+        let mut script: Vec<(SimTime, E)> = events.into_iter().collect();
+        assert!(
+            script.windows(2).all(|w| w[0].0 <= w[1].0),
+            "schedule_sorted: event times decrease"
+        );
+        script.reverse();
+        self.next_seq += script.len() as u64;
+        self.script_end = self.next_seq;
+        self.script = script;
+    }
+
+    /// Whether the script's head comes before the heap's top entry, live
+    /// or tombstoned. Sequence numbers are unique, so the `(time, seq)`
+    /// keys never tie.
+    fn script_leads(&self) -> bool {
+        let Some(&(time, _)) = self.script.last() else {
+            return false;
+        };
+        let seq = self.script_end - self.script.len() as u64;
+        self.heap
+            .peek()
+            .map_or(true, |head| (time, seq) < (head.time, head.seq))
+    }
+
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending (not yet popped or cancelled). O(1); may trigger
     /// an amortized-O(1) tombstone compaction.
@@ -274,16 +358,24 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        while let Some(entry) = self.heap.pop() {
+        loop {
+            // Checked again after each tombstone: the script head may lead
+            // the next heap entry where it trailed the tombstone.
+            if self.script_leads() {
+                let (time, event) = self.script.pop().expect("the script leads");
+                return Some(Scheduled {
+                    time,
+                    token: EventToken::SCRIPTED,
+                    event,
+                });
+            }
+            let entry = self.heap.pop()?;
             let slot = entry.slot;
             let state = self.slots[slot as usize].state;
             let generation = self.slots[slot as usize].gen;
             self.free_slot(slot);
             match state {
-                SlotState::Cancelled => {
-                    self.cancelled -= 1;
-                    continue;
-                }
+                SlotState::Cancelled => self.cancelled -= 1,
                 SlotState::Pending => {
                     return Some(Scheduled {
                         time: entry.time,
@@ -294,13 +386,11 @@ impl<E> EventQueue<E> {
                 SlotState::Free(_) => unreachable!("heap entry with freed slot"),
             }
         }
-        None
     }
 
     /// The firing time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim_head()?;
-        self.heap.peek().map(|e| e.time)
+        self.peek_event().map(|(time, _)| time)
     }
 
     /// The earliest pending event, without popping it: `(time, &event)`.
@@ -308,17 +398,19 @@ impl<E> EventQueue<E> {
     /// sharing the head timestamp, but only after inspecting each head to
     /// decide it is safe to take into the window).
     pub fn peek_event(&mut self) -> Option<(SimTime, &E)> {
-        self.skim_head()?;
+        self.skim_head();
+        if self.script_leads() {
+            return self.script.last().map(|(time, event)| (*time, event));
+        }
         self.heap.peek().map(|e| (e.time, &e.event))
     }
 
     /// Physically removes tombstones sitting at the heap head; afterwards
-    /// the head (if any) is a live entry. Returns `None` when empty.
-    fn skim_head(&mut self) -> Option<()> {
-        loop {
-            let head = self.heap.peek()?;
+    /// the head (if any) is a live entry.
+    fn skim_head(&mut self) {
+        while let Some(head) = self.heap.peek() {
             match self.slots[head.slot as usize].state {
-                SlotState::Pending => return Some(()),
+                SlotState::Pending => return,
                 SlotState::Cancelled => {
                     let e = self.heap.pop().expect("peeked above");
                     self.cancelled -= 1;
@@ -329,9 +421,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events, scripted ones included.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled
+        self.heap.len() - self.cancelled + self.script.len()
     }
 
     /// Whether no events are pending.
@@ -339,7 +431,8 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Physical heap entries, live *and* tombstoned. The compaction
+    /// Physical heap entries, live *and* tombstoned; pending scripted
+    /// events are not in the heap and not counted. The compaction
     /// contract keeps this within a constant factor of [`EventQueue::len`]
     /// (plus the compaction floor) no matter how many cancellations have
     /// occurred — the bound the timer-churn regression test asserts.
@@ -596,6 +689,96 @@ mod tests {
         assert_eq!(q.peek_event(), Some((SimTime::from_secs(1), &"b")));
         assert_eq!(q.pop().unwrap().event, "b");
         assert_eq!(q.peek_event(), None);
+    }
+
+    /// Differential twin: a queue handed one `schedule_sorted` stream at
+    /// a random point must pop, peek and count exactly like a twin that
+    /// schedules the same events one by one at that point, under seeded
+    /// random schedule/cancel/pop/peek sequences with many equal times
+    /// and compactions. A token popped off the stream cancels nothing.
+    #[test]
+    fn scripted_stream_matches_one_by_one_twin() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const OPS: usize = 300;
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let floor = rng.gen_range(0..4usize);
+            let mut q = EventQueue::with_compact_floor(floor);
+            let mut twin = EventQueue::with_compact_floor(floor);
+            // (token in `q`, token in `twin`) of every run-time schedule.
+            let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
+            let mut scripted: Option<EventToken> = None;
+            let mut now = 0u64;
+            let mut id = 0u32;
+            let script_at = rng.gen_range(0..OPS);
+            for op in 0..OPS {
+                if op == script_at {
+                    let mut t = now + rng.gen_range(0..3u64);
+                    let stream: Vec<(SimTime, u32)> = (0..rng.gen_range(0..40u32))
+                        .map(|_| {
+                            t += rng.gen_range(0..2u64);
+                            id += 1;
+                            (SimTime::from_millis(t), id)
+                        })
+                        .collect();
+                    q.schedule_sorted(stream.iter().copied());
+                    for &(t, e) in &stream {
+                        twin.schedule(t, e);
+                    }
+                }
+                match rng.gen_range(0..6u32) {
+                    0 | 1 => {
+                        id += 1;
+                        let t = SimTime::from_millis(now + rng.gen_range(0..4u64));
+                        tokens.push((q.schedule(t, id), twin.schedule(t, id)));
+                    }
+                    2 if !tokens.is_empty() => {
+                        let (a, b) = tokens[rng.gen_range(0..tokens.len())];
+                        assert_eq!(q.cancel(a), twin.cancel(b), "seed {seed} op {op}");
+                    }
+                    2 => {}
+                    3 => {
+                        let (got, want) = (q.pop(), twin.pop());
+                        assert_eq!(
+                            got.as_ref().map(|e| (e.time, e.event)),
+                            want.as_ref().map(|e| (e.time, e.event)),
+                            "seed {seed} op {op}"
+                        );
+                        if let Some(e) = got {
+                            now = e.time.as_nanos() / 1_000_000;
+                            if e.token == EventToken::SCRIPTED {
+                                scripted = Some(e.token);
+                            }
+                        }
+                    }
+                    4 => assert_eq!(q.peek_time(), twin.peek_time(), "seed {seed} op {op}"),
+                    _ => assert_eq!(q.peek_event(), twin.peek_event(), "seed {seed} op {op}"),
+                }
+                if let Some(tok) = scripted {
+                    assert!(!q.cancel(tok), "a scripted token cancelled something");
+                }
+                assert_eq!(q.len(), twin.len(), "seed {seed} op {op}");
+            }
+            loop {
+                let (got, want) = (q.pop(), twin.pop());
+                assert_eq!(
+                    got.as_ref().map(|e| (e.time, e.event)),
+                    want.map(|e| (e.time, e.event)),
+                    "seed {seed} drain"
+                );
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event times decrease")]
+    fn schedule_sorted_rejects_unsorted_input() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted([(SimTime::from_secs(2), 0), (SimTime::from_secs(1), 1)]);
     }
 
     #[test]

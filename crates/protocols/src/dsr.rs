@@ -132,11 +132,8 @@ impl Dsr {
         if path.len() < 2 {
             return;
         }
-        // Reject paths with duplicate nodes.
-        for (i, n) in path.iter().enumerate() {
-            if path[i + 1..].contains(n) {
-                return;
-            }
+        if repeats_a_node(path) {
+            return;
         }
         let expires = now + CACHE_LIFETIME;
         if let Some(e) = self.cache.iter_mut().find(|c| c.path == path) {
@@ -155,26 +152,35 @@ impl Dsr {
         });
     }
 
-    /// Finds the shortest cached sub-path from this node to `dst`.
+    /// Finds the shortest cached sub-path from this node to `dst`, read
+    /// in either direction (links are symmetric); the first in cache order
+    /// wins a tie. Each path is scanned in place and only the winner is
+    /// copied out. Cached paths hold no node twice (`cache_path` rejects
+    /// duplicates, `scrub_link` only truncates), so a path holds at most
+    /// one sub-path between the two nodes, running forward when `dst`
+    /// comes after this node and backward when it comes before.
     fn find_route(&mut self, dst: NodeId, now: SimTime) -> Option<Vec<NodeId>> {
         self.cache.retain(|c| c.expires > now);
-        let mut best: Option<Vec<NodeId>> = None;
+        let mut best: Option<(&[NodeId], usize, usize)> = None;
         for c in &self.cache {
-            // Forward direction.
-            if let Some(sub) = subpath(&c.path, self.node, dst) {
-                if best.as_ref().map(|b| sub.len() < b.len()).unwrap_or(true) {
-                    best = Some(sub);
-                }
-            }
-            // Reverse direction (symmetric links).
-            let rev: Vec<NodeId> = c.path.iter().rev().copied().collect();
-            if let Some(sub) = subpath(&rev, self.node, dst) {
-                if best.as_ref().map(|b| sub.len() < b.len()).unwrap_or(true) {
-                    best = Some(sub);
-                }
+            debug_assert!(!repeats_a_node(&c.path), "cached path {:?}", c.path);
+            let Some(i) = c.path.iter().position(|&n| n == self.node) else {
+                continue;
+            };
+            let Some(j) = c.path.iter().position(|&n| n == dst) else {
+                continue;
+            };
+            if i != j && best.map_or(true, |(_, bi, bj)| i.abs_diff(j) < bi.abs_diff(bj)) {
+                best = Some((&c.path, i, j));
             }
         }
-        best
+        best.map(|(path, i, j)| {
+            if i < j {
+                path[i..=j].to_vec()
+            } else {
+                path[j..=i].iter().rev().copied().collect()
+            }
+        })
     }
 
     /// Removes every cached path that uses the directed link `a → b` (in
@@ -374,15 +380,11 @@ impl Dsr {
     }
 }
 
-/// The sub-slice of `path` from `from` to `to`, if both appear in order.
-fn subpath(path: &[NodeId], from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-    let i = path.iter().position(|&n| n == from)?;
-    let j = path[i..].iter().position(|&n| n == to)? + i;
-    if j > i {
-        Some(path[i..=j].to_vec())
-    } else {
-        None
-    }
+/// Whether some node appears twice in `path`.
+fn repeats_a_node(path: &[NodeId]) -> bool {
+    path.iter()
+        .enumerate()
+        .any(|(i, n)| path[i + 1..].contains(n))
 }
 
 impl RoutingProtocol for Dsr {
@@ -423,8 +425,7 @@ impl RoutingProtocol for Dsr {
         // Follow the source route.
         if let Some(sr) = &mut packet.source_route {
             // Cache what the header teaches us.
-            let path = sr.hops.clone();
-            self.cache_path(&path, now);
+            self.cache_path(&sr.hops, now);
             sr.next += 1;
             if let Some(next) = sr.next_hop() {
                 if packet.ttl == 0 {
@@ -568,6 +569,63 @@ mod tests {
             bytes: 512,
             ttl: 64,
             source_route: None,
+        }
+    }
+
+    /// The sub-slice of `path` from `from` to `to`, if both appear in order.
+    fn subpath(path: &[NodeId], from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        let i = path.iter().position(|&n| n == from)?;
+        let j = path[i..].iter().position(|&n| n == to)? + i;
+        if j > i {
+            Some(path[i..=j].to_vec())
+        } else {
+            None
+        }
+    }
+
+    /// The copying lookup `find_route` replaced: every path tried forward
+    /// and reversed through `subpath`, the strictly shorter kept.
+    fn find_route_oracle(cache: &[CachedPath], from: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        let mut best: Option<Vec<NodeId>> = None;
+        for c in cache {
+            let rev: Vec<NodeId> = c.path.iter().rev().copied().collect();
+            for sub in [subpath(&c.path, from, dst), subpath(&rev, from, dst)]
+                .into_iter()
+                .flatten()
+            {
+                if best.as_ref().map_or(true, |b| sub.len() < b.len()) {
+                    best = Some(sub);
+                }
+            }
+        }
+        best
+    }
+
+    /// `find_route` answers exactly as the copying oracle on random
+    /// duplicate-free caches, scrubbed ones, ties and self-lookups
+    /// included.
+    #[test]
+    fn find_route_matches_subpath_oracle() {
+        use rand::Rng;
+        let now = SimTime::from_secs(1);
+        for seed in 0..300u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = Dsr::new(0);
+            for _ in 0..rng.gen_range(0..12usize) {
+                let mut nodes: Vec<NodeId> = (0..10).collect();
+                for k in (1..nodes.len()).rev() {
+                    nodes.swap(k, rng.gen_range(0..=k));
+                }
+                nodes.truncate(rng.gen_range(2..8usize));
+                b.cache_path(&nodes, now);
+            }
+            for _ in 0..rng.gen_range(0..3u32) {
+                b.scrub_link(rng.gen_range(0..10), rng.gen_range(0..10));
+            }
+            for dst in 0..10 {
+                let want = find_route_oracle(&b.cache, 0, dst);
+                assert_eq!(b.find_route(dst, now), want, "seed {seed} dst {dst}");
+            }
         }
     }
 

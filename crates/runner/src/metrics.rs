@@ -304,7 +304,8 @@ pub struct MemReport {
     pub channel_bytes: usize,
     /// Spatial index + position tracker.
     pub spatial_bytes: usize,
-    /// Pending-event queue.
+    /// Pending-event queue: heap, slot table and the scripted traffic
+    /// stream kept beside the heap.
     pub queue_bytes: usize,
     /// Metrics bookkeeping (delivery dedup windows).
     pub metrics_bytes: usize,

@@ -723,11 +723,16 @@ impl Sim {
     }
 
     /// Schedules the scripted inputs (application packets, dynamics
-    /// events) and starts every protocol.
+    /// events) and starts every protocol. The time-sorted packet script
+    /// goes beside the heap in one stream; dynamics events stay on it.
     fn startup(&mut self) {
-        for (i, p) in self.traffic.packets().iter().enumerate() {
-            self.sim.schedule_at(p.time, Event::App(i));
-        }
+        self.sim.schedule_sorted(
+            self.traffic
+                .packets()
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.time, Event::App(i))),
+        );
         for (i, (time, _)) in self.dynamics.iter().enumerate() {
             self.sim.schedule_at(*time, Event::Dynamics(i));
         }
@@ -909,6 +914,8 @@ impl Sim {
     /// Live heap bytes per subsystem at this instant (capacity-based; see
     /// [`MemReport`]). Cheap enough to sample mid-trial: every term is a
     /// capacity read or a short iteration over per-node structures.
+    /// `queue_bytes` counts the traffic script's capacity beside the heap
+    /// until the trial ends, popped packets included.
     pub fn mem_report(&self) -> MemReport {
         MemReport {
             nodes: self.scenario.nodes,
