@@ -41,16 +41,6 @@ impl<E> Simulator<E> {
         }
     }
 
-    /// Like [`Simulator::new`], with the queue's tombstone-compaction
-    /// floor set to `floor` (see [`EventQueue::with_compact_floor`]).
-    pub fn with_compact_floor(floor: usize) -> Self {
-        Simulator {
-            queue: EventQueue::with_compact_floor(floor),
-            now: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

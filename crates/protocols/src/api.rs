@@ -118,7 +118,10 @@ impl ControlPacket {
     }
 }
 
-/// Why a data packet was abandoned by the routing layer.
+/// Why a data packet was lost: abandoned by the routing layer, offered
+/// at a crashed source, or dropped by the MAC's interface queue
+/// ([`DataDropReason::IfqOverflow`] — the one reason the harness, not a
+/// protocol, reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataDropReason {
     /// No route and discovery failed (or is not attempted).
@@ -134,6 +137,9 @@ pub enum DataDropReason {
     /// The node was administratively down (crashed) when the application
     /// offered the packet.
     NodeDown,
+    /// The MAC's interface queue was full when the packet was handed down
+    /// for transmission.
+    IfqOverflow,
 }
 
 /// Requests a routing protocol makes of the harness.

@@ -24,7 +24,8 @@ pub struct Metrics {
     pub control_by_kind: BTreeMap<&'static str, u64>,
     /// Data-plane forwarding transmissions (per hop).
     pub data_tx: u64,
-    /// Routing-layer data drops by reason.
+    /// Data drops by reason: routing-layer drops, crashed sources and
+    /// interface-queue overflows (key `ifq-overflow`).
     pub drops: BTreeMap<&'static str, u64>,
     /// MAC-level drops summed over nodes (retry limit + IFQ overflow).
     pub mac_drops: u64,
@@ -208,7 +209,7 @@ impl Metrics {
         (self.stretch_count > 0).then(|| self.stretch_sum / self.stretch_count as f64)
     }
 
-    /// Records a routing-layer data drop.
+    /// Records one data drop under its reason's key.
     pub fn record_drop(&mut self, reason: DataDropReason) {
         let key = match reason {
             DataDropReason::NoRoute => "no-route",
@@ -217,6 +218,7 @@ impl Metrics {
             DataDropReason::BufferTimeout => "buffer-timeout",
             DataDropReason::SalvageFailed => "salvage-failed",
             DataDropReason::NodeDown => "node-down",
+            DataDropReason::IfqOverflow => "ifq-overflow",
         };
         *self.drops.entry(key).or_insert(0) += 1;
     }

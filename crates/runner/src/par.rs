@@ -119,25 +119,29 @@ pub(crate) enum Op {
     DataTx,
     /// `metrics.data_originated += 1`.
     Originated,
-    /// `metrics.record_drop(reason)`.
+    /// A data packet was lost, replayed through `Sim::drop_data` (which
+    /// traces and counts it).
     Drop {
+        node: u32,
+        uid: u64,
         reason: DataDropReason,
     },
-    /// An interface-queue overflow dropped a data packet.
-    IfqDrop,
     /// Link-failure classification counters.
     LinkFailGated,
     LinkFailInRange,
     LinkFailOutOfRange,
-    /// A local delivery, replayed through `Sim::record_delivery` with the
-    /// path's geodesic stretch ([`stretch_hops`]).
+    /// A local delivery at `node`, replayed through `Sim::record_delivery`
+    /// (which traces and counts it) with the path's geodesic stretch
+    /// ([`stretch_hops`]).
     Delivery {
+        node: u32,
         uid: u64,
         origin: SimTime,
         hops: u32,
         min_hops: u32,
     },
-    /// A packet-trace record (emitted only when tracing is enabled).
+    /// A packet-trace record (emitted only when tracing is enabled; drops
+    /// and deliveries trace through their own ops).
     Trace {
         uid: u64,
         ev: TraceEvent,
@@ -194,6 +198,22 @@ impl Shard<'_> {
     pub fn owns(&self, node: u32) -> bool {
         let n = node as usize;
         n >= self.base && n < self.base + self.macs.len()
+    }
+
+    /// Runs one handler of `node`'s routing protocol at `now` with the
+    /// node's RNG stream: the shard-local twin of `Sim::proto_call`.
+    fn proto_call(
+        &mut self,
+        node: usize,
+        now: SimTime,
+        f: impl FnOnce(&mut dyn RoutingProtocol, &mut ProtoCtx<'_>) -> Vec<ProtoEffect>,
+    ) -> Vec<ProtoEffect> {
+        let i = node - self.base;
+        let mut ctx = ProtoCtx {
+            now,
+            rng: &mut self.rngs[i],
+        };
+        f(&mut *self.protos[i], &mut ctx)
     }
 }
 
@@ -261,44 +281,17 @@ pub(crate) fn run_task(
             // A crashed source cannot inject traffic; the offered packet
             // still counts against delivery.
             if !ctx.admittance.node_is_up(spec.src) {
-                if ctx.trace_on {
-                    scratch.ops.push((
-                        idx,
-                        Op::Trace {
-                            uid: packet.uid,
-                            ev: TraceEvent::Dropped {
-                                node: spec.src,
-                                reason: DataDropReason::NodeDown,
-                                time: ctx.now,
-                            },
-                        },
-                    ));
-                }
-                scratch.ops.push((
-                    idx,
-                    Op::Drop {
-                        reason: DataDropReason::NodeDown,
-                    },
-                ));
+                let (node, uid) = (task.owner, packet.uid);
+                let reason = DataDropReason::NodeDown;
+                scratch.ops.push((idx, Op::Drop { node, uid, reason }));
             } else {
-                let fx = {
-                    let mut pctx = ProtoCtx {
-                        now: ctx.now,
-                        rng: &mut shard.rngs[node - shard.base],
-                    };
-                    shard.protos[node - shard.base].on_data_from_app(&mut pctx, packet)
-                };
+                let fx =
+                    shard.proto_call(node, ctx.now, |p, pctx| p.on_data_from_app(pctx, packet));
                 work.extend(fx.into_iter().map(LocalWork::Proto));
             }
         }
         TaskKind::ProtoTimer(token) => {
-            let fx = {
-                let mut pctx = ProtoCtx {
-                    now: ctx.now,
-                    rng: &mut shard.rngs[node - shard.base],
-                };
-                shard.protos[node - shard.base].on_timer(&mut pctx, token)
-            };
+            let fx = shard.proto_call(node, ctx.now, |p, pctx| p.on_timer(pctx, token));
             work.extend(fx.into_iter().map(LocalWork::Proto));
         }
         TaskKind::RxComplete(tx) => {
@@ -422,34 +415,21 @@ fn apply_mac_local(
                 },
             ));
         }
-        MacEffect::Deliver { from, payload } => match payload {
-            Payload::Control(cp) => {
-                let cp = Arc::try_unwrap(cp).unwrap_or_else(|arc| (*arc).clone());
-                let fx = {
-                    let mut pctx = ProtoCtx {
-                        now: ctx.now,
-                        rng: &mut shard.rngs[node - shard.base],
-                    };
-                    shard.protos[node - shard.base].on_control_received(&mut pctx, from, cp)
-                };
-                for e in fx {
-                    work.push_back(LocalWork::Proto(e));
+        MacEffect::Deliver { from, payload } => {
+            let fx = match payload {
+                Payload::Control(cp) => {
+                    let cp = Arc::unwrap_or_clone(cp);
+                    shard.proto_call(node, ctx.now, |p, pctx| {
+                        p.on_control_received(pctx, from, cp)
+                    })
                 }
-            }
-            Payload::Data(dp) => {
-                let dp = Arc::try_unwrap(dp).unwrap_or_else(|arc| (*arc).clone());
-                let fx = {
-                    let mut pctx = ProtoCtx {
-                        now: ctx.now,
-                        rng: &mut shard.rngs[node - shard.base],
-                    };
-                    shard.protos[node - shard.base].on_data_received(&mut pctx, from, dp)
-                };
-                for e in fx {
-                    work.push_back(LocalWork::Proto(e));
+                Payload::Data(dp) => {
+                    let dp = Arc::unwrap_or_clone(dp);
+                    shard.proto_call(node, ctx.now, |p, pctx| p.on_data_received(pctx, from, dp))
                 }
-            }
-        },
+            };
+            work.extend(fx.into_iter().map(LocalWork::Proto));
+        }
         MacEffect::TxDone { .. } => {}
         MacEffect::TxFailed { dst, payload } => {
             let d = ctx
@@ -465,7 +445,7 @@ fn apply_mac_local(
             };
             scratch.ops.push((idx, op));
             let pkt = match payload {
-                Payload::Data(dp) => Some(Arc::try_unwrap(dp).unwrap_or_else(|arc| (*arc).clone())),
+                Payload::Data(dp) => Some(Arc::unwrap_or_clone(dp)),
                 Payload::Control(_) => None,
             };
             if let (Some(dp), true) = (&pkt, ctx.trace_on) {
@@ -481,21 +461,15 @@ fn apply_mac_local(
                     },
                 ));
             }
-            let fx = {
-                let mut pctx = ProtoCtx {
-                    now: ctx.now,
-                    rng: &mut shard.rngs[node - shard.base],
-                };
-                shard.protos[node - shard.base].on_link_failure(&mut pctx, dst, pkt)
-            };
-            for e in fx {
-                work.push_back(LocalWork::Proto(e));
-            }
+            let fx = shard.proto_call(node, ctx.now, |p, pctx| p.on_link_failure(pctx, dst, pkt));
+            work.extend(fx.into_iter().map(LocalWork::Proto));
         }
         MacEffect::Dropped { payload, .. } => {
-            // IFQ overflow; data packets are lost here.
-            if let Payload::Data(_) = payload {
-                scratch.ops.push((idx, Op::IfqDrop));
+            // Interface-queue overflow; data packets are lost here.
+            if let Payload::Data(dp) = payload {
+                let (node, uid) = (node as u32, dp.uid);
+                let reason = DataDropReason::IfqOverflow;
+                scratch.ops.push((idx, Op::Drop { node, uid, reason }));
             }
         }
     }
@@ -563,22 +537,11 @@ fn apply_proto_local(
             });
         }
         ProtoEffect::DeliverLocal(dp) => {
-            if ctx.trace_on {
-                scratch.ops.push((
-                    idx,
-                    Op::Trace {
-                        uid: dp.uid,
-                        ev: TraceEvent::Delivered {
-                            node,
-                            time: ctx.now,
-                        },
-                    },
-                ));
-            }
             let (hops, min_hops) = stretch_hops(&dp, node, ctx.now, ctx.mobility, ctx.rx_range_m);
             scratch.ops.push((
                 idx,
                 Op::Delivery {
+                    node: node as u32,
                     uid: dp.uid,
                     origin: dp.origin_time,
                     hops,
@@ -587,20 +550,8 @@ fn apply_proto_local(
             ));
         }
         ProtoEffect::DropData { packet, reason } => {
-            if ctx.trace_on {
-                scratch.ops.push((
-                    idx,
-                    Op::Trace {
-                        uid: packet.uid,
-                        ev: TraceEvent::Dropped {
-                            node,
-                            reason,
-                            time: ctx.now,
-                        },
-                    },
-                ));
-            }
-            scratch.ops.push((idx, Op::Drop { reason }));
+            let (node, uid) = (node as u32, packet.uid);
+            scratch.ops.push((idx, Op::Drop { node, uid, reason }));
         }
         ProtoEffect::SetTimer { token, delay } => {
             scratch.ops.push((

@@ -6,6 +6,16 @@
 //! owns the only event loop and interprets every effect, so cross-layer
 //! interactions (carrier-sense callbacks, link-failure notifications,
 //! timer bookkeeping) live in exactly one place.
+//!
+//! Five hook points carry every cross-cutting concern, one call site
+//! each: `proto_call` (the only place a protocol handler runs, timed
+//! under the protocol phase), `trace` (the only packet-trace guard),
+//! `drop_data` (every data-packet loss — routing drops, crashed sources
+//! and interface-queue overflows — traced and counted together),
+//! `record_delivery` (every delivery, traced and counted) and `finish`
+//! (the trial's end, shared by every `run_*` entry point). The parallel
+//! engine's window merge replays through the same hooks, and its workers
+//! reach protocols through the shard-local twin of `proto_call`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -47,8 +57,9 @@ use crate::trace::{TraceEvent, TraceLog};
 /// Reference-counted: a frame's payload is cloned once per perceiving
 /// receiver and again per MAC retry attempt, and control packets are
 /// ~100-byte enums — at dense scale the deep copies were measurable.
-/// The receiving protocol takes ownership at delivery (`try_unwrap`
-/// avoids the copy whenever the reference is unique by then).
+/// The receiving protocol takes ownership at delivery
+/// (`Arc::unwrap_or_clone` avoids the copy whenever the reference is
+/// unique by then).
 ///
 /// *Atomically* reference-counted since the parallel engine: the workers
 /// of one dispatch window clone a transmission's payload concurrently
@@ -601,32 +612,16 @@ impl Sim {
         self
     }
 
-    /// Turns on wall-clock attribution of the parallel engine's serial
-    /// vs. parallel sections. Off by default — the counters are always
-    /// maintained, only the `Instant` probes are gated (they are
-    /// per-event, so never free).
-    fn enable_window_stats(&mut self) {
-        self.wstats_timing = true;
-    }
-
     /// Runs the trial with serial/parallel wall-clock attribution enabled
     /// and returns the summary plus the window-occupancy statistics —
-    /// the probe behind the benchmark's `runner.par.*` metrics.
+    /// the probe behind the benchmark's `runner.par.*` metrics. (The
+    /// counters are always maintained; only the `Instant` probes are
+    /// gated, since they are per-event and never free.)
     pub fn run_with_window_stats(mut self) -> (TrialSummary, WindowStats) {
-        self.enable_window_stats();
+        self.wstats_timing = true;
         self.run_loop();
         let stats = self.wstats;
-        let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), stats)
-    }
-
-    /// Accumulates per-phase wall-clock attribution (medium / signal /
-    /// MAC / protocol) during the trial, reported by [`Sim::run_phased`].
-    /// Batched engine only — the parallel engine's workers overlap phases
-    /// by design, so per-phase wall clock is not well-defined there.
-    fn enable_phase_timing(&mut self) {
-        self.phase = Some(Box::default());
+        (self.finish().0, stats)
     }
 
     /// Cross-checks the spatial index's answer to every neighbor query
@@ -645,20 +640,15 @@ impl Sim {
             self.enable_trace(usize::MAX);
         }
         self.run_loop();
-        let nodes = self.scenario.nodes;
         let trace = self.trace.take().expect("enabled above");
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), trace)
+        (self.finish().0, trace)
     }
 
     /// Runs the trial and returns both the summary and the full metrics
     /// (drop breakdowns, per-kind control counts, …).
-    pub fn run_detailed(self) -> (TrialSummary, Metrics) {
-        let mut sim = self;
-        sim.run_loop();
-        let nodes = sim.scenario.nodes;
-        let metrics = sim.finalize_metrics();
-        (metrics.summarize(nodes), metrics)
+    pub fn run_detailed(mut self) -> (TrialSummary, Metrics) {
+        self.run_loop();
+        self.finish()
     }
 
     /// Runs the trial to completion and returns its summary.
@@ -669,25 +659,25 @@ impl Sim {
     /// Like [`Sim::run_detailed`], additionally reporting the end-of-run
     /// per-subsystem memory footprint ([`Sim::mem_report`]) — the probe
     /// behind the benchmark's `runner.mem.*` metrics.
-    pub fn run_with_mem_report(self) -> (TrialSummary, Metrics, MemReport) {
-        let mut sim = self;
-        sim.run_loop();
-        let report = sim.mem_report();
-        let nodes = sim.scenario.nodes;
-        let metrics = sim.finalize_metrics();
-        (metrics.summarize(nodes), metrics, report)
+    pub fn run_with_mem_report(mut self) -> (TrialSummary, Metrics, MemReport) {
+        self.run_loop();
+        let report = self.mem_report();
+        let (summary, metrics) = self.finish();
+        (summary, metrics, report)
     }
 
     /// Like [`Sim::run_detailed`], additionally reporting where the wall
-    /// clock went by harness phase. The attribution behind the benchmark's
-    /// `runner.sim.phase_*_s` metrics; meaningful under the batched engine.
+    /// clock went by harness phase (medium / signal / MAC / protocol).
+    /// The attribution behind the benchmark's `runner.sim.phase_*_s`
+    /// metrics; meaningful under the batched engine only — the parallel
+    /// engine's workers overlap phases by design, so per-phase wall clock
+    /// is not well-defined there.
     pub fn run_phased(mut self) -> (TrialSummary, Metrics, PhaseTimes) {
-        self.enable_phase_timing();
+        self.phase = Some(Box::default());
         self.run_loop();
         let phases = *self.phase.take().expect("enabled above");
-        let nodes = self.scenario.nodes;
-        let metrics = self.finalize_metrics();
-        (metrics.summarize(nodes), metrics, phases)
+        let (summary, metrics) = self.finish();
+        (summary, metrics, phases)
     }
 
     /// Phase-timing probe: the start instant, taken only when enabled.
@@ -722,6 +712,40 @@ impl Sim {
         }
     }
 
+    /// Runs one handler of `node`'s routing protocol at the current time
+    /// with the node's RNG stream, timed under the protocol phase: the
+    /// only place the serial harness calls into a protocol.
+    fn proto_call(
+        &mut self,
+        node: usize,
+        f: impl FnOnce(&mut dyn RoutingProtocol, &mut ProtoCtx<'_>) -> Vec<ProtoEffect>,
+    ) -> Vec<ProtoEffect> {
+        let t0 = self.ph_t0();
+        let mut ctx = ProtoCtx {
+            now: self.sim.now(),
+            rng: &mut self.proto_rngs[node],
+        };
+        let fx = f(&mut *self.protos[node], &mut ctx);
+        self.ph_add(t0, PhaseSel::Proto);
+        fx
+    }
+
+    /// Records `ev` in packet `uid`'s trace when tracing is enabled.
+    #[inline]
+    fn trace(&mut self, uid: u64, ev: TraceEvent) {
+        if let Some(tr) = &mut self.trace {
+            tr.record(uid, ev);
+        }
+    }
+
+    /// A data packet is lost at `node`: traces the drop and counts it
+    /// under `reason`. Every data loss the metrics count passes here.
+    fn drop_data(&mut self, node: usize, uid: u64, reason: DataDropReason) {
+        let time = self.sim.now();
+        self.trace(uid, TraceEvent::Dropped { node, reason, time });
+        self.metrics.record_drop(reason);
+    }
+
     /// Schedules the scripted inputs (application packets, dynamics
     /// events) and starts every protocol. The time-sorted packet script
     /// goes beside the heap in one stream; dynamics events stay on it.
@@ -737,13 +761,7 @@ impl Sim {
             self.sim.schedule_at(*time, Event::Dynamics(i));
         }
         for node in 0..self.protos.len() {
-            let fx = {
-                let mut ctx = ProtoCtx {
-                    now: SimTime::ZERO,
-                    rng: &mut self.proto_rngs[node],
-                };
-                self.protos[node].on_start(&mut ctx)
-            };
+            let fx = self.proto_call(node, |p, ctx| p.on_start(ctx));
             self.drain_proto(node, fx);
         }
     }
@@ -949,58 +967,24 @@ impl Sim {
                     source_route: None,
                 };
                 self.metrics.data_originated += 1;
-                let now = self.sim.now();
-                if let Some(tr) = &mut self.trace {
-                    tr.record(
-                        packet.uid,
-                        TraceEvent::Originated {
-                            node: spec.src,
-                            time: now,
-                        },
-                    );
-                }
+                let time = self.sim.now();
+                let node = spec.src;
+                self.trace(packet.uid, TraceEvent::Originated { node, time });
                 // A crashed source cannot inject traffic; the offered
                 // packet still counts against delivery (losses must not
                 // vanish from the denominator).
-                if !self.admittance.node_is_up(spec.src) {
-                    if let Some(tr) = &mut self.trace {
-                        tr.record(
-                            packet.uid,
-                            TraceEvent::Dropped {
-                                node: spec.src,
-                                reason: DataDropReason::NodeDown,
-                                time: now,
-                            },
-                        );
-                    }
-                    self.metrics.record_drop(DataDropReason::NodeDown);
+                if !self.admittance.node_is_up(node) {
+                    self.drop_data(node, packet.uid, DataDropReason::NodeDown);
                     return;
                 }
-                let t0 = self.ph_t0();
-                let fx = {
-                    let mut ctx = ProtoCtx {
-                        now,
-                        rng: &mut self.proto_rngs[spec.src],
-                    };
-                    self.protos[spec.src].on_data_from_app(&mut ctx, packet)
-                };
-                self.ph_add(t0, PhaseSel::Proto);
-                self.drain_proto(spec.src, fx);
+                let fx = self.proto_call(node, |p, ctx| p.on_data_from_app(ctx, packet));
+                self.drain_proto(node, fx);
             }
             Event::ProtoTimer(node, epoch, token) => {
                 if epoch != self.epochs[node] {
                     return; // Timer owned by a pre-crash incarnation.
                 }
-                let now = self.sim.now();
-                let t0 = self.ph_t0();
-                let fx = {
-                    let mut ctx = ProtoCtx {
-                        now,
-                        rng: &mut self.proto_rngs[node],
-                    };
-                    self.protos[node].on_timer(&mut ctx, token)
-                };
-                self.ph_add(t0, PhaseSel::Proto);
+                let fx = self.proto_call(node, |p, ctx| p.on_timer(ctx, token));
                 self.drain_proto(node, fx);
             }
             Event::MacTimer(node, kind) => {
@@ -1254,7 +1238,7 @@ impl Sim {
                 .is_some_and(|(ti, _)| *ti == t as u32)
             {
                 let (_, op) = ops_by_worker[w].pop().expect("checked");
-                self.apply_op(op, now);
+                self.apply_op(op);
             }
         }
         debug_assert!(ops_by_worker.iter().all(|v| v.is_empty()));
@@ -1342,7 +1326,7 @@ impl Sim {
 
     /// Applies one buffered global side effect — each arm is the exact
     /// statement the serial dispatch path would have executed in place.
-    fn apply_op(&mut self, op: Op, now: SimTime) {
+    fn apply_op(&mut self, op: Op) {
         match op {
             Op::MacSet { node, kind, delay } => self.mac_set(node as usize, kind, delay),
             Op::MacCancel { node, kind } => self.mac_cancel(node as usize, kind),
@@ -1350,37 +1334,35 @@ impl Sim {
             Op::Control { kind } => self.metrics.record_control(kind),
             Op::DataTx => self.metrics.data_tx += 1,
             Op::Originated => self.metrics.data_originated += 1,
-            Op::Drop { reason } => self.metrics.record_drop(reason),
-            Op::IfqDrop => *self.metrics.drops.entry("ifq-overflow").or_insert(0) += 1,
+            Op::Drop { node, uid, reason } => self.drop_data(node as usize, uid, reason),
             Op::LinkFailGated => self.metrics.link_failures_gated += 1,
             Op::LinkFailInRange => self.metrics.link_failures_in_range += 1,
             Op::LinkFailOutOfRange => self.metrics.link_failures_out_of_range += 1,
             Op::Delivery {
+                node,
                 uid,
                 origin,
                 hops,
                 min_hops,
-            } => self.record_delivery(uid, origin, now, hops, min_hops),
-            Op::Trace { uid, ev } => {
-                if let Some(tr) = &mut self.trace {
-                    tr.record(uid, ev);
-                }
-            }
+            } => self.record_delivery(node as usize, uid, origin, hops, min_hops),
+            Op::Trace { uid, ev } => self.trace(uid, ev),
         }
     }
 
     /// Delivery bookkeeping, shared by the serial dispatch and the window
-    /// merge: counts the delivery and, the first time `uid` arrives,
-    /// closes the route-repair latency clock left open by a disruption and
-    /// records the path's geodesic stretch.
+    /// merge: traces the arrival at `node`, counts the delivery and, the
+    /// first time `uid` arrives, closes the route-repair latency clock
+    /// left open by a disruption and records the path's geodesic stretch.
     fn record_delivery(
         &mut self,
+        node: usize,
         uid: u64,
         origin: SimTime,
-        now: SimTime,
         hops: u32,
         min_hops: u32,
     ) {
+        let now = self.sim.now();
+        self.trace(uid, TraceEvent::Delivered { node, time: now });
         if self.metrics.record_delivery(uid, origin, now) {
             if let Some(t0) = self.pending_repair.take() {
                 self.metrics.route_repair_latency_sum += now.saturating_since(t0).as_secs_f64();
@@ -1494,13 +1476,7 @@ impl Sim {
                 // reboot announcement it chooses to make (SRP broadcasts
                 // a cold-reboot RERR so neighbors purge stale routes
                 // through it).
-                let fx = {
-                    let mut ctx = ProtoCtx {
-                        now,
-                        rng: &mut self.proto_rngs[i],
-                    };
-                    self.protos[i].on_rejoin(&mut ctx)
-                };
+                let fx = self.proto_call(i, |p, ctx| p.on_rejoin(ctx));
                 work.extend(fx.into_iter().map(|e| Work::Proto(i, e)));
                 self.drain(work);
             }
@@ -1656,38 +1632,19 @@ impl Sim {
             }
             MacEffect::SetTimer(kind, delay) => self.mac_set(node, kind, delay),
             MacEffect::CancelTimer(kind) => self.mac_cancel(node, kind),
-            MacEffect::Deliver { from, payload } => match payload {
-                Payload::Control(cp) => {
-                    let cp = Arc::try_unwrap(cp).unwrap_or_else(|arc| (*arc).clone());
-                    let t0 = self.ph_t0();
-                    let fx = {
-                        let mut ctx = ProtoCtx {
-                            now,
-                            rng: &mut self.proto_rngs[node],
-                        };
-                        self.protos[node].on_control_received(&mut ctx, from, cp)
-                    };
-                    self.ph_add(t0, PhaseSel::Proto);
-                    for e in fx {
-                        work.push_back(Work::Proto(node, e));
+            MacEffect::Deliver { from, payload } => {
+                let fx = match payload {
+                    Payload::Control(cp) => {
+                        let cp = Arc::unwrap_or_clone(cp);
+                        self.proto_call(node, |p, ctx| p.on_control_received(ctx, from, cp))
                     }
-                }
-                Payload::Data(dp) => {
-                    let dp = Arc::try_unwrap(dp).unwrap_or_else(|arc| (*arc).clone());
-                    let t0 = self.ph_t0();
-                    let fx = {
-                        let mut ctx = ProtoCtx {
-                            now,
-                            rng: &mut self.proto_rngs[node],
-                        };
-                        self.protos[node].on_data_received(&mut ctx, from, dp)
-                    };
-                    self.ph_add(t0, PhaseSel::Proto);
-                    for e in fx {
-                        work.push_back(Work::Proto(node, e));
+                    Payload::Data(dp) => {
+                        let dp = Arc::unwrap_or_clone(dp);
+                        self.proto_call(node, |p, ctx| p.on_data_received(ctx, from, dp))
                     }
-                }
-            },
+                };
+                work.extend(fx.into_iter().map(|e| Work::Proto(node, e)));
+            }
             MacEffect::TxDone { .. } => {}
             MacEffect::TxFailed { dst, payload } => {
                 let d = self
@@ -1702,38 +1659,20 @@ impl Sim {
                     self.metrics.link_failures_out_of_range += 1;
                 }
                 let pkt = match payload {
-                    Payload::Data(dp) => {
-                        Some(Arc::try_unwrap(dp).unwrap_or_else(|arc| (*arc).clone()))
-                    }
+                    Payload::Data(dp) => Some(Arc::unwrap_or_clone(dp)),
                     Payload::Control(_) => None,
                 };
-                if let (Some(dp), Some(tr)) = (&pkt, &mut self.trace) {
-                    tr.record(
-                        dp.uid,
-                        TraceEvent::ForwardFailed {
-                            from: node,
-                            to: dst,
-                            time: now,
-                        },
-                    );
+                if let Some(dp) = &pkt {
+                    let (from, to, time) = (node, dst, now);
+                    self.trace(dp.uid, TraceEvent::ForwardFailed { from, to, time });
                 }
-                let t0 = self.ph_t0();
-                let fx = {
-                    let mut ctx = ProtoCtx {
-                        now,
-                        rng: &mut self.proto_rngs[node],
-                    };
-                    self.protos[node].on_link_failure(&mut ctx, dst, pkt)
-                };
-                self.ph_add(t0, PhaseSel::Proto);
-                for e in fx {
-                    work.push_back(Work::Proto(node, e));
-                }
+                let fx = self.proto_call(node, |p, ctx| p.on_link_failure(ctx, dst, pkt));
+                work.extend(fx.into_iter().map(|e| Work::Proto(node, e)));
             }
             MacEffect::Dropped { payload, .. } => {
-                // IFQ overflow; data packets are lost here.
-                if let Payload::Data(_) = payload {
-                    *self.metrics.drops.entry("ifq-overflow").or_insert(0) += 1;
+                // Interface-queue overflow; data packets are lost here.
+                if let Payload::Data(dp) = payload {
+                    self.drop_data(node, dp.uid, DataDropReason::IfqOverflow);
                 }
             }
         }
@@ -1758,16 +1697,8 @@ impl Sim {
             }
             ProtoEffect::SendData { packet, next_hop } => {
                 self.metrics.data_tx += 1;
-                if let Some(tr) = &mut self.trace {
-                    tr.record(
-                        packet.uid,
-                        TraceEvent::Forwarded {
-                            from: node,
-                            to: next_hop,
-                            time: now,
-                        },
-                    );
-                }
+                let (from, to, time) = (node, next_hop, now);
+                self.trace(packet.uid, TraceEvent::Forwarded { from, to, time });
                 let bytes = packet.bytes
                     + packet
                         .source_route
@@ -1786,9 +1717,6 @@ impl Sim {
                 });
             }
             ProtoEffect::DeliverLocal(dp) => {
-                if let Some(tr) = &mut self.trace {
-                    tr.record(dp.uid, TraceEvent::Delivered { node, time: now });
-                }
                 let (hops, min_hops) = par::stretch_hops(
                     &dp,
                     node,
@@ -1796,26 +1724,17 @@ impl Sim {
                     &self.mobility,
                     self.scenario.mac.phy.rx_range_m,
                 );
-                self.record_delivery(dp.uid, dp.origin_time, now, hops, min_hops);
+                self.record_delivery(node, dp.uid, dp.origin_time, hops, min_hops);
             }
-            ProtoEffect::DropData { packet, reason } => {
-                if let Some(tr) = &mut self.trace {
-                    tr.record(
-                        packet.uid,
-                        TraceEvent::Dropped {
-                            node,
-                            reason,
-                            time: now,
-                        },
-                    );
-                }
-                self.metrics.record_drop(reason);
-            }
+            ProtoEffect::DropData { packet, reason } => self.drop_data(node, packet.uid, reason),
             ProtoEffect::SetTimer { token, delay } => self.proto_set(node, token, delay),
         }
     }
 
-    fn finalize_metrics(mut self) -> Metrics {
+    /// Ends the trial: folds the per-node MAC, channel and protocol
+    /// counters into the metrics and summarizes them. The common tail of
+    /// every `run_*` entry point.
+    fn finish(mut self) -> (TrialSummary, Metrics) {
         self.metrics.sim_events = self.sim.processed();
         for mac in &self.macs {
             self.metrics.mac_drops += mac.counters.total_drops();
@@ -1834,7 +1753,7 @@ impl Sim {
             self.metrics.adversary_actions += st.adversarial_actions;
             self.metrics.audit_rejections += st.audit_rejections;
         }
-        self.metrics
+        (self.metrics.summarize(self.scenario.nodes), self.metrics)
     }
 
     /// Machine-checks the live successor graph of every destination:
@@ -1983,8 +1902,7 @@ impl Sim {
         checks += 1;
         self.metrics.oracle_checks = checks;
         self.metrics.oracle_soft_violations = soft;
-        let nodes = self.scenario.nodes;
-        self.finalize_metrics().summarize(nodes)
+        self.finish().0
     }
 }
 

@@ -47,7 +47,9 @@ pub enum TraceEvent {
         /// When.
         time: SimTime,
     },
-    /// The routing layer abandoned the packet.
+    /// The packet was lost: abandoned by the routing layer, offered at a
+    /// crashed source, or dropped by a full MAC interface queue
+    /// ([`DataDropReason::IfqOverflow`]).
     Dropped {
         /// Node where the drop happened.
         node: NodeId,
@@ -76,7 +78,8 @@ impl TraceEvent {
 pub enum PacketFate {
     /// Delivered to its destination.
     Delivered,
-    /// Dropped by the routing layer.
+    /// Lost, for the given reason — interface-queue overflows included,
+    /// so every drop the metrics count has a fate here.
     Dropped(DataDropReason),
     /// Still somewhere in the network when the simulation ended.
     InFlight,

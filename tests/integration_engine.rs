@@ -23,7 +23,7 @@ use slr_netsim::admittance::DynAction;
 use slr_netsim::time::{SimDuration, SimTime};
 use slr_runner::registry::{Family, SweepParam};
 use slr_runner::report::render_json;
-use slr_runner::scenario::{ProtocolKind, Scenario};
+use slr_runner::scenario::{MobilitySpec, ProtocolKind, Scenario};
 use slr_runner::sim::{EngineKind, Sim};
 use slr_runner::{run_sweep, DynamicsSpec, SweepConfig};
 use slr_traffic::{PacketSpec, TrafficScript};
@@ -94,6 +94,32 @@ fn parallel_engine_records_the_batched_stretch() {
             par.stretch_sum,
             batched.stretch_count,
             batched.stretch_sum
+        );
+    }
+}
+
+/// The parallel engine's merge emits the batched engine's packet trace:
+/// the same events, per packet, in the same order, at every worker count.
+/// A static 100-node dense disc: transmissions that end together complete
+/// dozens of receivers in one window, so pooled windows (at least three
+/// tasks per worker) really execute — about 70 of them at two workers.
+#[test]
+fn parallel_engine_emits_the_batched_trace() {
+    let mut scenario =
+        Family::Dense.scenario_at(ProtocolKind::Srp, 42, 0, false, SweepParam::Nodes, 100);
+    scenario.mobility = MobilitySpec::Static;
+    scenario.end = SimTime::from_secs(20);
+    let (_, batched) = Sim::new(scenario).run_traced();
+    let batched: Vec<_> = batched.iter().collect();
+    assert!(!batched.is_empty(), "no traffic");
+    for workers in [1usize, 2] {
+        let (_, par) = Sim::new(scenario)
+            .with_engine(EngineKind::Parallel)
+            .with_workers(workers)
+            .run_traced();
+        assert!(
+            par.iter().eq(batched.iter().copied()),
+            "parallel@{workers} traced differently from batched"
         );
     }
 }

@@ -3,16 +3,19 @@
 //! vanish from the delivery denominator).
 
 use slr_mobility::Position;
+use slr_netsim::admittance::DynAction;
 use slr_netsim::time::SimTime;
 use slr_protocols::{
     DataDropReason, DataPacket, ProtoCtx, ProtoEffect, ProtoStats, RoutingProtocol,
 };
 use slr_runner::experiment::{run_sweep, Metric, SweepConfig};
+use slr_runner::registry::{Family, SweepParam};
 use slr_runner::report::{render_figure, render_json, render_table1, render_trend};
 use slr_runner::scenario::{ProtocolKind, Scenario};
 use slr_runner::sim::Sim;
 use slr_runner::stats::MeanCi;
-use slr_runner::trace::PacketFate;
+use slr_runner::trace::{PacketFate, TraceEvent};
+use slr_runner::Metrics;
 use slr_traffic::{PacketSpec, TrafficScript};
 
 #[test]
@@ -213,4 +216,107 @@ fn confidence_intervals_behave() {
     let loose = MeanCi::from_samples(&[0.0, 2.0]);
     assert!(loose.ci95 > 1.0);
     assert!(tight.overlaps(&MeanCi::from_samples(&[1.0, 1.0])));
+}
+
+/// A traced crash-rejoin trial on a static 4×4 grid (180 m spacing)
+/// whose interface queues hold two frames, so they overflow, with one
+/// flow source (node 0) crashed from 12 s to 16 s, so that its offered
+/// packets are lost as `node-down`. Three CBR flows at 20 packets/s.
+fn lossy_crash_rejoin_trial(kind: ProtocolKind) -> Sim {
+    let mut scenario = Family::CrashRejoin.scenario_at(kind, 3, 0, false, SweepParam::Nodes, 16);
+    scenario.mac.queue_capacity = 2;
+    scenario.end = SimTime::from_secs(25);
+    let positions = (0..16)
+        .map(|i| Position::new(180.0 * (i % 4) as f64, 180.0 * (i / 4) as f64))
+        .collect();
+    let packets = [(0, 15), (3, 12), (5, 10)]
+        .iter()
+        .enumerate()
+        .flat_map(|(flow, &(src, dst))| {
+            (0..300).map(move |k| PacketSpec {
+                time: SimTime::from_millis(5_000 + 50 * k + 7 * flow as u64),
+                src,
+                dst,
+                bytes: 512,
+                flow,
+            })
+        })
+        .collect();
+    let mut sim =
+        Sim::with_static_topology(scenario, positions, TrafficScript::from_packets(packets));
+    sim.inject_dynamics(SimTime::from_secs(12), DynAction::NodeCrash(0));
+    sim.inject_dynamics(SimTime::from_secs(16), DynAction::NodeRejoin(0));
+    sim
+}
+
+/// The packet trace and the metrics count the same packets: every
+/// origination, forwarding transmission, drop (by reason, interface-queue
+/// overflows and crashed sources included) and delivery the metrics count
+/// is in the trace, and every traced packet ends delivered, dropped or
+/// — only when lost inside a crashed node or still queued at the end —
+/// in flight.
+#[test]
+fn trace_agrees_with_metrics() {
+    for kind in ProtocolKind::all() {
+        let (summary, trace) = lossy_crash_rejoin_trial(kind).run_traced();
+        let (_, metrics) = lossy_crash_rejoin_trial(kind).run_detailed();
+        let name = kind.name();
+        let events = || trace.iter().flat_map(|(_, evs)| evs.iter());
+        let originated = events()
+            .filter(|e| matches!(e, TraceEvent::Originated { .. }))
+            .count() as u64;
+        let forwarded = events()
+            .filter(|e| matches!(e, TraceEvent::Forwarded { .. }))
+            .count() as u64;
+        let mut traced_drops = Metrics::new();
+        for e in events() {
+            if let TraceEvent::Dropped { reason, .. } = e {
+                traced_drops.record_drop(*reason);
+            }
+        }
+        let delivered = trace
+            .iter()
+            .filter(|(_, evs)| {
+                evs.iter()
+                    .any(|e| matches!(e, TraceEvent::Delivered { .. }))
+            })
+            .count() as u64;
+        let (mut fate_delivered, mut fate_dropped, mut in_flight) = (0u64, 0u64, 0u64);
+        for (uid, _) in trace.iter() {
+            match trace.fate(uid) {
+                PacketFate::Delivered => fate_delivered += 1,
+                PacketFate::Dropped(_) => fate_dropped += 1,
+                PacketFate::InFlight => in_flight += 1,
+            }
+        }
+        assert_eq!(originated, metrics.data_originated, "{name}: originations");
+        assert_eq!(
+            originated, summary.originated,
+            "{name}: summary originations"
+        );
+        assert_eq!(
+            forwarded, metrics.data_tx,
+            "{name}: forwarding transmissions"
+        );
+        assert!(
+            metrics.drops.contains_key("ifq-overflow") && metrics.drops.contains_key("node-down"),
+            "{name}: the trial must run both harness drop paths: {:?}",
+            metrics.drops
+        );
+        assert_eq!(traced_drops.drops, metrics.drops, "{name}: drops by reason");
+        assert_eq!(delivered, metrics.data_delivered, "{name}: deliveries");
+        // Packets a crash wipes out of a node's queues are counted
+        // nowhere, so a few may end in flight: the fates must still add up.
+        let dropped: u64 = metrics.drops.values().sum();
+        assert_eq!(
+            (fate_delivered, fate_dropped),
+            (metrics.data_delivered, dropped),
+            "{name}: fates"
+        );
+        assert_eq!(
+            metrics.data_originated,
+            fate_delivered + fate_dropped + in_flight,
+            "{name}: every originated packet has one fate"
+        );
+    }
 }
